@@ -162,7 +162,7 @@ void BM_ProbeVsCopy(benchmark::State& state) {
   std::size_t i = 0;
   const auto logic = ctx.nl.logic_gates();
   for (auto _ : state) {
-    core::GateMove mv;
+    part::Move mv;
     do {
       mv.gate = logic[i++ % logic.size()];
       mv.target = static_cast<std::uint32_t>(
@@ -182,6 +182,55 @@ void BM_ProbeVsCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeVsCopy)
     ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1}})  // {circuit, 0=copy/1=probe}
+    ->Unit(benchmark::kMicrosecond);
+
+// One ES child, scored the two ways: copy the parent + move_gate... +
+// fitness (the historical per-child recipe), or probe_moves on the parent
+// itself (what EvolutionEngine does). Children are boundary mutations of
+// four gates on an ES-sized partition (modules of ~600 gates), drawn like
+// the ES draws them: on a journaled draft of the parent's partition.
+void BM_EsChildScore(benchmark::State& state) {
+  const auto& ctx = context_at(static_cast<std::size_t>(state.range(0)));
+  Rng rng(14);
+  const std::size_t k =
+      std::max<std::size_t>(2, ctx.nl.logic_gate_count() / 600);
+  part::PartitionEvaluator parent(ctx,
+                                  core::make_start_partition(ctx.nl, k, rng));
+  benchmark::DoNotOptimize(parent.fitness());
+  std::vector<std::vector<part::Move>> children(64);
+  part::Partition draft = parent.partition();
+  std::vector<std::uint32_t> targets;
+  for (auto& moves : children) {
+    draft.begin_journal();
+    const auto m = static_cast<std::uint32_t>(rng.index(k));
+    auto boundary = core::boundary_gates(ctx.nl, draft, m);
+    rng.shuffle(boundary);
+    boundary.resize(std::min<std::size_t>(boundary.size(), 4));
+    for (const netlist::GateId g : boundary) {
+      core::neighbor_modules(ctx.nl, draft, g, draft.module_of(g), targets);
+      if (targets.empty() || draft.module_size(draft.module_of(g)) <= 1)
+        continue;
+      const std::uint32_t target = targets[rng.index(targets.size())];
+      draft.move(g, target);
+      moves.push_back(part::Move{g, target});
+    }
+    draft.rollback();
+  }
+  const bool use_probe = state.range(1) != 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& moves = children[i++ % children.size()];
+    if (use_probe) {
+      benchmark::DoNotOptimize(parent.probe_moves(moves));
+    } else {
+      part::PartitionEvaluator child = parent;
+      for (const part::Move& mv : moves) child.move_gate(mv.gate, mv.target);
+      benchmark::DoNotOptimize(child.fitness());
+    }
+  }
+}
+BENCHMARK(BM_EsChildScore)
+    ->ArgsProduct({{4, 5}, {0, 1}})  // {big_dag10k/30k, 0=copy/1=probe}
     ->Unit(benchmark::kMicrosecond);
 
 // One perturbed gate: incremental repropagation vs the full O(V+E) pass.
@@ -233,7 +282,7 @@ void BM_BoundaryGates(benchmark::State& state) {
   std::uint32_t m = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::EvolutionEngine::boundary_gates(eval, m));
+        core::boundary_gates(circuit(), eval.partition(), m));
     m = (m + 1) % eval.partition().module_count();
   }
 }

@@ -33,7 +33,7 @@ SaResult simulated_annealing(const part::EvalContext& ctx,
     std::vector<double> uphill;
     part::PartitionEvaluator probe = eval;
     for (int i = 0; i < 24; ++i) {
-      const GateMove mv = sample_boundary_move(probe, rng);
+      const part::Move mv = sample_boundary_move(probe, rng);
       if (!mv.valid()) continue;
       const std::uint32_t src = probe.partition().module_of(mv.gate);
       probe.move_gate(mv.gate, mv.target);
@@ -56,7 +56,7 @@ SaResult simulated_annealing(const part::EvalContext& ctx,
     if (params.on_step && params.progress_every > 0 && step > 0 &&
         step % params.progress_every == 0)
       params.on_step(step, result.evaluations, result.best_fitness);
-    const GateMove mv = sample_boundary_move(eval, rng);
+    const part::Move mv = sample_boundary_move(eval, rng);
     if (!mv.valid()) continue;
     const std::uint32_t src = eval.partition().module_of(mv.gate);
     // Copy-free probing: score the move without committing it. The probe

@@ -21,11 +21,16 @@
 //  * Costs are recomputed incrementally for the modified modules only
 //    (PartitionEvaluator); the constraint Gamma is enforced by lexicographic
 //    (violation, cost) fitness so infeasible partitions never dominate.
+//
+// A descendant is a (parent, move list) pair, never an evaluator copy: its
+// moves are drawn against the parent's partition, scored in place on the
+// parent's evaluator (PartitionEvaluator::probe_moves), and only the <= mu
+// survivors are materialized, by copying their parent and replaying the
+// moves (docs/architecture.md, "ES children as move lists").
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -63,10 +68,11 @@ struct EsParams {
   /// Evaluates the descendants of each generation in parallel when set
   /// (nullptr = serial). Every random draw and every mutation happens on
   /// the coordinator thread in the fixed single-threaded order — workers
-  /// only compute fitness of finished children into pre-indexed slots —
-  /// so results are byte-identical at any thread count, including to the
-  /// historical serial trajectory. Per-run field like seed, excluded from
-  /// the cache fingerprint.
+  /// only score finished move lists, each parent's children on that
+  /// parent's own evaluator, into pre-indexed slots — so results are
+  /// byte-identical at any thread count, including to the historical
+  /// serial trajectory. Per-run field like seed, excluded from the cache
+  /// fingerprint.
   support::ExecutorPool* pool = nullptr;
 };
 
@@ -100,22 +106,21 @@ class EvolutionEngine {
   /// `module_count` modules (section 4.2) and runs.
   [[nodiscard]] EsResult run_with_module_count(std::size_t module_count);
 
-  /// Boundary gates of module `m`: gates directly connected (fan-in or
-  /// fan-out) to a logic gate outside m. Exposed for tests and the c17
-  /// trace bench.
-  [[nodiscard]] static std::vector<netlist::GateId> boundary_gates(
-      const part::PartitionEvaluator& eval, std::uint32_t m);
-
  private:
   struct Individual {
     part::PartitionEvaluator eval;
     part::Fitness fitness;
+    part::Costs costs;
     std::uint32_t step_width = 1;
     std::size_t age = 0;
   };
 
-  void mutate(Individual& child);
-  void monte_carlo(Individual& child);
+  /// Draws one descendant's moves against `p` (the parent's partition,
+  /// under a journal the caller rolls back), applying each to `p` and
+  /// appending it to `moves`.
+  void mutate(part::Partition& p, std::uint32_t step_width,
+              std::vector<part::Move>& moves);
+  void monte_carlo(part::Partition& p, std::vector<part::Move>& moves);
   [[nodiscard]] std::uint32_t vary_step_width(std::uint32_t m);
 
   const part::EvalContext* ctx_;

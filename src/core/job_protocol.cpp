@@ -31,6 +31,12 @@ struct SubmitRequest {
   std::size_t deadline_ms = 0;
 };
 
+int submit_priority(double requested) {
+  return std::isfinite(requested)
+             ? static_cast<int>(std::clamp(requested, -1.0e6, 1.0e6))
+             : 0;
+}
+
 namespace {
 
 using json::JsonWriter;
@@ -256,13 +262,7 @@ bool JobProtocolSession::handle_line(const std::string& line) {
     submit.deadline_ms = static_cast<std::size_t>(
         request->get_u64("deadline_ms", options_.default_deadline_ms));
     // Doubles carry the sign ("priority":-2 is valid — background work).
-    // Untrusted input: clamp before the cast (out-of-int-range and NaN
-    // would be undefined behavior); 1e6 dwarfs any real priority scheme.
-    const double priority = request->get_double("priority", 0.0);
-    submit.priority = std::isfinite(priority)
-                          ? static_cast<int>(
-                                std::clamp(priority, -1.0e6, 1.0e6))
-                          : 0;
+    submit.priority = submit_priority(request->get_double("priority", 0.0));
     if (submit.circuits.empty()) {
       send_error("submit: needs \"circuits\" (or \"circuit\")", submit.id);
       return false;

@@ -60,6 +60,13 @@ struct SessionTrafficStats {
   std::atomic<std::uint64_t> drained_sessions{0};
 };
 
+/// The queue priority a submit's "priority" field asks for. The field is
+/// untrusted input: finite values are clamped to [-1e6, 1e6] before the
+/// int cast (an out-of-range or NaN cast is undefined behavior) and the
+/// rest read as 0; 1e6 dwarfs any real priority scheme. The server session
+/// and the cluster front-end both parse "priority" through this.
+[[nodiscard]] int submit_priority(double requested);
+
 /// Session knobs; namespace-scope so it can be a default argument.
 struct JobProtocolOptions {
   bool emit_hello = true;  // announce protocol/workers on session start

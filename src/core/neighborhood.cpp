@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/evolution.hpp"
-
 namespace iddq::core {
 
 double penalized_objective(part::PartitionEvaluator& eval,
@@ -13,18 +11,43 @@ double penalized_objective(part::PartitionEvaluator& eval,
          violation_penalty * eval.violation();
 }
 
-double probe_objective(part::PartitionEvaluator& eval, const GateMove& move,
+double probe_objective(part::PartitionEvaluator& eval, const part::Move& move,
                        double violation_penalty) {
   const part::MoveProbe probe = eval.probe_move(move.gate, move.target);
   return probe.costs.total(eval.context().weights) +
          violation_penalty * probe.fitness.violation;
 }
 
-void neighbor_modules(const part::PartitionEvaluator& eval, netlist::GateId g,
-                      std::uint32_t src, std::vector<std::uint32_t>& targets) {
+std::vector<netlist::GateId> boundary_gates(const netlist::Netlist& nl,
+                                            const part::Partition& p,
+                                            std::uint32_t m) {
+  std::vector<netlist::GateId> boundary;
+  for (const netlist::GateId g : p.module(m)) {
+    bool is_boundary = false;
+    const auto& gate = nl.gate(g);
+    for (const netlist::GateId f : gate.fanins) {
+      if (netlist::is_logic(nl.gate(f).kind) && p.module_of(f) != m) {
+        is_boundary = true;
+        break;
+      }
+    }
+    if (!is_boundary) {
+      for (const netlist::GateId f : gate.fanouts) {
+        if (p.module_of(f) != m) {  // fanouts are always logic gates
+          is_boundary = true;
+          break;
+        }
+      }
+    }
+    if (is_boundary) boundary.push_back(g);
+  }
+  return boundary;
+}
+
+void neighbor_modules(const netlist::Netlist& nl, const part::Partition& p,
+                      netlist::GateId g, std::uint32_t src,
+                      std::vector<std::uint32_t>& targets) {
   targets.clear();
-  const auto& nl = eval.context().nl;
-  const auto& p = eval.partition();
   const auto consider = [&](netlist::GateId f) {
     if (!netlist::is_logic(nl.gate(f).kind)) return;
     const std::uint32_t m = p.module_of(f);
@@ -36,21 +59,22 @@ void neighbor_modules(const part::PartitionEvaluator& eval, netlist::GateId g,
   for (const netlist::GateId f : nl.gate(g).fanouts) consider(f);
 }
 
-GateMove sample_boundary_move(const part::PartitionEvaluator& eval,
+part::Move sample_boundary_move(const part::PartitionEvaluator& eval,
                               Rng& rng) {
+  const auto& nl = eval.context().nl;
   const auto& p = eval.partition();
   std::vector<std::uint32_t> targets;
   for (int attempt = 0; attempt < 32; ++attempt) {
     const auto src = static_cast<std::uint32_t>(rng.index(p.module_count()));
     if (p.module_size(src) <= 1) continue;  // would empty the module
-    const auto boundary = EvolutionEngine::boundary_gates(eval, src);
+    const auto boundary = boundary_gates(nl, p, src);
     if (boundary.empty()) continue;
     const netlist::GateId g = boundary[rng.index(boundary.size())];
-    neighbor_modules(eval, g, src, targets);
+    neighbor_modules(nl, p, g, src, targets);
     if (targets.empty()) continue;
-    return GateMove{g, targets[rng.index(targets.size())]};
+    return part::Move{g, targets[rng.index(targets.size())]};
   }
-  return GateMove{};
+  return part::Move{};
 }
 
 }  // namespace iddq::core

@@ -13,17 +13,6 @@
 
 namespace iddq::core {
 
-/// A reversible candidate move: gate `gate` from its current module to
-/// `target`. `gate == netlist::kNoGate` means "no move found".
-struct GateMove {
-  netlist::GateId gate = netlist::kNoGate;
-  std::uint32_t target = 0;
-
-  [[nodiscard]] bool valid() const noexcept {
-    return gate != netlist::kNoGate;
-  }
-};
-
 /// Combined violation-penalized scalar objective used by the local-search
 /// optimizers (the Metropolis criterion and the tabu candidate ranking both
 /// need a single number).
@@ -35,20 +24,27 @@ struct GateMove {
 /// move, and calling penalized_objective on the copy — without the
 /// O(gates + K*grid) copy or a full delay recomputation.
 [[nodiscard]] double probe_objective(part::PartitionEvaluator& eval,
-                                     const GateMove& move,
+                                     const part::Move& move,
                                      double violation_penalty);
+
+/// Boundary gates of module `m`: gates directly connected (fan-in or
+/// fan-out) to a logic gate outside m, in module order. The move sources
+/// of the ES mutation, the sampler below and the greedy refiner's scan.
+[[nodiscard]] std::vector<netlist::GateId> boundary_gates(
+    const netlist::Netlist& nl, const part::Partition& p, std::uint32_t m);
 
 /// Fills `targets` with the modules (other than `src`) that gate `g` is
 /// wired to, in fanin-then-fanout first-seen order — the shared "where can
-/// this gate move" rule of every local-search neighbourhood (the sampler
-/// below and the greedy refiner's scan).
-void neighbor_modules(const part::PartitionEvaluator& eval, netlist::GateId g,
-                      std::uint32_t src, std::vector<std::uint32_t>& targets);
+/// this gate move" rule of every neighbourhood (the ES mutation, the
+/// sampler below and the greedy refiner's scan).
+void neighbor_modules(const netlist::Netlist& nl, const part::Partition& p,
+                      netlist::GateId g, std::uint32_t src,
+                      std::vector<std::uint32_t>& targets);
 
 /// Samples a boundary-gate move that cannot empty a module (K preserved).
 /// Returns an invalid move when no candidate is found within the internal
 /// attempt limit (e.g. single-module partitions).
-[[nodiscard]] GateMove sample_boundary_move(
+[[nodiscard]] part::Move sample_boundary_move(
     const part::PartitionEvaluator& eval, Rng& rng);
 
 }  // namespace iddq::core

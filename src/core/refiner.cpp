@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/evolution.hpp"
 #include "core/neighborhood.hpp"
 #include "support/executor.hpp"
 
@@ -49,7 +48,8 @@ RefineResult greedy_refine(part::PartitionEvaluator& eval,
          result.evaluations < max_evaluations;
          ++m) {
       if (eval.partition().module_size(m) <= 1) continue;  // keep K fixed
-      const auto boundary = EvolutionEngine::boundary_gates(eval, m);
+      const auto boundary =
+          boundary_gates(eval.context().nl, eval.partition(), m);
       std::size_t pos = 0;
       bool module_done = false;
       while (pos < boundary.size() && !module_done) {
@@ -65,7 +65,8 @@ RefineResult greedy_refine(part::PartitionEvaluator& eval,
           const netlist::GateId g = boundary[next_pos];
           ++next_pos;
           if (eval.partition().module_of(g) != m) continue;  // moved already
-          neighbor_modules(eval, g, m, targets);
+          neighbor_modules(eval.context().nl, eval.partition(), g, m,
+                           targets);
           if (targets.empty()) continue;
           ++window_gates;
           for (const std::uint32_t target : targets)

@@ -30,7 +30,7 @@ TabuResult tabu_search(const part::EvalContext& ctx,
   std::vector<std::size_t> tabu_until(ctx.nl.gate_count(), 0);
 
   struct Candidate {
-    GateMove move;
+    part::Move move;
     double objective = 0.0;
   };
 
@@ -45,7 +45,7 @@ TabuResult tabu_search(const part::EvalContext& ctx,
     std::vector<Candidate> candidates;
     candidates.reserve(params.candidates);
     for (std::size_t c = 0; c < params.candidates; ++c) {
-      const GateMove mv = sample_boundary_move(eval, rng);
+      const part::Move mv = sample_boundary_move(eval, rng);
       if (!mv.valid()) continue;
       const bool seen =
           std::any_of(candidates.begin(), candidates.end(),

@@ -39,12 +39,19 @@
 // writes — and rolls the state back before returning, which is what makes
 // the evaluator's copy-free probe_move() possible.
 //
-// Copying an IncrementalTiming (an evolution-strategy child duplicating
-// its parent, a tabu slice copying the round-start evaluator) deliberately
-// DROPS the arrival state: the copy reports !valid() and the next rebuild
-// recomputes it from the copied module caches — bit-identical by the
-// fixpoint argument above, and the O(V) arrival memcpy per copy is gone
-// from the population hot path.
+// probe_full() is the same what-if as a plain pass into scratch storage:
+// it needs no valid persistent state and never writes it. The evaluator's
+// probe_moves() scores whole evolution-strategy children with it — a
+// child's move list dirties whole modules, which is far past the
+// kDenseSeedFactor cutover, so a full pass is what the sweep would
+// degenerate to anyway.
+//
+// Copying an IncrementalTiming (a tabu slice copying the round-start
+// evaluator, a materialized ES survivor) deliberately DROPS the arrival
+// state: the copy reports !valid() and its next rebuild recomputes it from
+// the copied module caches — bit-identical by the fixpoint argument above.
+// A copy is usually probed or mutated right away, and both paths start
+// with a full pass, so copying the O(V) arrival array would buy nothing.
 #pragma once
 
 #include <algorithm>
@@ -198,8 +205,9 @@ class IncrementalTiming {
     return run_worklist<true>(changed, std::forward<FactorFn>(factor));
   }
 
- private:
-  /// Full pass into scratch storage (persistent state untouched).
+  /// Full pass into scratch storage: the critical path under `factor`,
+  /// bit-identical to rebuild(factor), with the persistent state neither
+  /// required nor touched.
   template <class FactorFn>
   double probe_full(FactorFn&& factor) {
     scratch_arrival_.assign(graph_->gate_count(), 0.0);
@@ -218,6 +226,7 @@ class IncrementalTiming {
     return worst;
   }
 
+ private:
   template <bool kJournal, class FactorFn>
   double run_worklist(std::span<const netlist::GateId> changed,
                       FactorFn&& factor) {

@@ -236,21 +236,23 @@ void PartitionEvaluator::derive_module_delay(
                                    ctx_->sensor.iddq_th_ua);
 }
 
-void PartitionEvaluator::refresh() {
-  if (!any_dirty_) return;  // cached scalars stay valid on a clean state
-  const std::size_t k = partition_.module_count();
+std::size_t PartitionEvaluator::derive_dirty_modules() {
   std::size_t dirty_gates = 0;
-  for (std::uint32_t m = 0; m < k; ++m) {
+  for (std::uint32_t m = 0; m < partition_.module_count(); ++m) {
     if (!dirty_[m]) continue;
     derive_module_delay(profiles_[m].max_current_ua(),
                         profiles_[m].max_switching(), cvr_ff_[m], hist_row(m),
                         delta_row(m), area_[m], settle_ps_[m]);
     dirty_gates += partition_.module_size(m);
   }
-  const auto factor = [this](netlist::GateId g) {
-    return type_delta_[partition_.module_of(g) * ctx_->type_count +
-                       ctx_->type_of[g]];
-  };
+  return dirty_gates;
+}
+
+void PartitionEvaluator::refresh() {
+  if (!any_dirty_) return;  // cached scalars stay valid on a clean state
+  const std::size_t k = partition_.module_count();
+  const std::size_t dirty_gates = derive_dirty_modules();
+  const auto factor = [this](netlist::GateId g) { return gate_factor(g); };
   // Dense updates (big mutations touching most gates, or a copied
   // evaluator whose timing state was dropped) take the plain full pass;
   // sparse ones seed the gates of the dirty modules and repropagate only
@@ -290,18 +292,25 @@ double PartitionEvaluator::total_sensor_area() {
   return area;
 }
 
-Costs PartitionEvaluator::costs() {
-  refresh();
+Costs PartitionEvaluator::assemble_costs(double d_bic_ps,
+                                         double settle_max_ps) const {
   Costs c;
-  c.c1 = std::log(std::max(total_sensor_area(), 1.0));
-  c.c2 = (d_bic_ps_ - ctx_->d_nominal_ps) / ctx_->d_nominal_ps;
+  double area = 0.0;
+  for (const double a : area_) area += a;
+  c.c1 = std::log(std::max(area, 1.0));
+  c.c2 = (d_bic_ps - ctx_->d_nominal_ps) / ctx_->d_nominal_ps;
   double s_total = 0.0;
   for (const double s : separation_) s_total += s;
   c.c3 = std::log(std::max(s_total, 1.0));
-  c.c4 = est::test_time_overhead(ctx_->d_nominal_ps, d_bic_ps_,
-                                 settle_max_ps_);
+  c.c4 = est::test_time_overhead(ctx_->d_nominal_ps, d_bic_ps,
+                                 settle_max_ps);
   c.c5 = static_cast<double>(partition_.module_count());
   return c;
+}
+
+Costs PartitionEvaluator::costs() {
+  refresh();
+  return assemble_costs(d_bic_ps_, settle_max_ps_);
 }
 
 Fitness PartitionEvaluator::fitness() {
@@ -321,10 +330,8 @@ MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
   if (!timing_.valid()) {
     // A fresh copy dropped its arrival state and nothing has dirtied it
     // since; rebuild it (bit-identical to the dropped state).
-    d_bic_ps_ = timing_.rebuild([this](netlist::GateId x) {
-      return type_delta_[partition_.module_of(x) * ctx_->type_count +
-                         ctx_->type_of[x]];
-    });
+    d_bic_ps_ =
+        timing_.rebuild([this](netlist::GateId x) { return gate_factor(x); });
   }
 
   const auto& cell = ctx_->cells[g];
@@ -427,6 +434,113 @@ MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
       v += (leak - ctx_->leak_cap_ua) / ctx_->leak_cap_ua;
   }
   return MoveProbe{Fitness{v, c.total(ctx_->weights)}, c};
+}
+
+void PartitionEvaluator::snapshot_slot(std::uint32_t m) {
+  ProbeScratch& scratch = scratch_.value;
+  if (scratch.touched[m]) return;
+  scratch.touched[m] = 1;
+  if (scratch.slot_count == scratch.slots.size()) scratch.slots.emplace_back();
+  SlotSnapshot& snap = scratch.slots[scratch.slot_count++];
+  snap.slot = m;
+  snap.profile = profiles_[m];  // reuses the snapshot's buffers
+  snap.leak_ua = leak_ua_[m];
+  snap.cvr_ff = cvr_ff_[m];
+  snap.separation = separation_[m];
+  snap.area = area_[m];
+  snap.settle_ps = settle_ps_[m];
+  snap.dirty = dirty_[m];
+  const auto hist = hist_row(m);
+  scratch.slot_hist.insert(scratch.slot_hist.end(), hist.begin(), hist.end());
+  const auto row = delta_row(m);
+  scratch.slot_delta.insert(scratch.slot_delta.end(), row.begin(), row.end());
+}
+
+void PartitionEvaluator::restore_slots(std::size_t module_count) {
+  ProbeScratch& scratch = scratch_.value;
+  const std::size_t types = ctx_->type_count;
+  // Erasures only ever shrink the arrays, and every slot they dropped was
+  // snapshotted, so regrowing and writing the snapshots back restores
+  // every slot that differs.
+  profiles_.resize(module_count);
+  leak_ua_.resize(module_count);
+  cvr_ff_.resize(module_count);
+  separation_.resize(module_count);
+  type_histogram_.resize(module_count * types);
+  type_delta_.resize(module_count * types);
+  area_.resize(module_count);
+  settle_ps_.resize(module_count);
+  dirty_.resize(module_count);
+  for (std::size_t i = 0; i < scratch.slot_count; ++i) {
+    SlotSnapshot& snap = scratch.slots[i];
+    const std::uint32_t m = snap.slot;
+    std::swap(profiles_[m], snap.profile);
+    leak_ua_[m] = snap.leak_ua;
+    cvr_ff_[m] = snap.cvr_ff;
+    separation_[m] = snap.separation;
+    area_[m] = snap.area;
+    settle_ps_[m] = snap.settle_ps;
+    dirty_[m] = snap.dirty;
+    std::copy_n(scratch.slot_hist.begin() + i * types, types,
+                hist_row(m).begin());
+    std::copy_n(scratch.slot_delta.begin() + i * types, types,
+                delta_row(m).begin());
+    scratch.touched[m] = 0;
+  }
+  scratch.slot_count = 0;
+  scratch.slot_hist.clear();
+  scratch.slot_delta.clear();
+}
+
+MoveProbe PartitionEvaluator::probe_moves(std::span<const Move> moves) {
+  // Settle lazy module state first so the moves below dirty exactly the
+  // slots they snapshot. With live arrivals that is an ordinary refresh.
+  // Without them (a copy) the next query repropagates from scratch anyway,
+  // so only the module caches are rederived here and any_dirty_ stays set
+  // for that query: a materialized ES survivor pays no timing pass it
+  // would not use.
+  if (timing_.valid()) {
+    refresh();
+  } else if (any_dirty_) {
+    derive_dirty_modules();
+    std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
+  }
+  const bool any_dirty_before = any_dirty_;
+  const std::size_t k_before = partition_.module_count();
+  ProbeScratch& scratch = scratch_.value;
+  scratch.touched.resize(k_before, 0);
+
+  partition_.begin_journal();
+  for (const Move& mv : moves) {
+    const std::uint32_t src = partition_.module_of(mv.gate);
+    IDDQ_ASSERT(src != kUnassigned);
+    IDDQ_ASSERT(mv.target < partition_.module_count());
+    if (src == mv.target) continue;  // move_gate's no-op
+    snapshot_slot(src);
+    snapshot_slot(mv.target);
+    // An emptying move erases src by swapping the last slot into it.
+    if (partition_.module_size(src) == 1)
+      snapshot_slot(
+          static_cast<std::uint32_t>(partition_.module_count() - 1));
+    move_gate(mv.gate, mv.target);
+  }
+
+  // Score exactly what the copy's fitness()/costs() would: its refresh
+  // rederives the dirty (= snapshotted) modules and, its arrivals having
+  // been dropped by the copy, takes the full timing pass.
+  derive_dirty_modules();
+  const double d_bic = timing_.probe_full(
+      [this](netlist::GateId x) { return gate_factor(x); });
+  double settle_max = 0.0;
+  for (const double settle : settle_ps_)
+    settle_max = std::max(settle_max, settle);
+  const Costs c = assemble_costs(d_bic, settle_max);
+  const MoveProbe probe{Fitness{violation(), c.total(ctx_->weights)}, c};
+
+  partition_.rollback();
+  restore_slots(k_before);
+  any_dirty_ = any_dirty_before;
+  return probe;
 }
 
 ModuleReport PartitionEvaluator::module_report(std::uint32_t m) {

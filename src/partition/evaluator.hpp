@@ -24,7 +24,8 @@
 // is bit-identical to the historical full pass.
 // tests/partition/test_incremental.cpp verifies full == incremental on
 // random move sequences; tests/partition/test_probe.cpp pins probe_move
-// against copy + move_gate + fitness bit-for-bit.
+// and tests/partition/test_probe_moves.cpp pins probe_moves against
+// copy + move_gate + fitness bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -98,8 +99,9 @@ struct MoveProbe {
 
 /// Per-instance scratch buffers excluded from copies: a copied evaluator
 /// starts with fresh (empty) scratch instead of duplicating its source's
-/// buffers — the contents are meaningless between calls, and the
-/// population hot path copies evaluators by the tens of thousands.
+/// buffers — the contents are meaningless between calls (probe overlays,
+/// probe_moves slot snapshots), so copying them would only add bytes to
+/// every tabu slice, annealing probe and materialized ES survivor.
 template <class T>
 struct CopyDroppedScratch {
   T value{};
@@ -117,7 +119,7 @@ class PartitionEvaluator {
   /// Takes ownership of the partition and fully computes all caches.
   PartitionEvaluator(const EvalContext& ctx, Partition partition);
 
-  // Copyable: evolution-strategy children copy the parent and mutate.
+  // Copyable: tabu slices and materialized ES survivors copy an evaluator.
   PartitionEvaluator(const PartitionEvaluator&) = default;
   PartitionEvaluator& operator=(const PartitionEvaluator&) = default;
   PartitionEvaluator(PartitionEvaluator&&) = default;
@@ -142,6 +144,20 @@ class PartitionEvaluator {
   /// that does not empty its source module (the accept/reject loops never
   /// propose one; commit emptying moves with move_gate directly).
   [[nodiscard]] MoveProbe probe_move(netlist::GateId g, std::uint32_t target);
+
+  /// Scores a whole move list against the current state without keeping
+  /// it: returns bit-for-bit what `copy = *this; for (mv : moves)
+  /// copy.move_gate(mv.gate, mv.target); {copy.fitness(), copy.costs()}`
+  /// would. The moves are applied in place — each module slot a move (or
+  /// the module erasure of an emptying move) touches is snapshotted first
+  /// — scored with a timing full pass into scratch storage, and then the
+  /// snapshots and the partition journal are restored, so no arithmetic
+  /// residue remains and the persistent arrivals are never written.
+  /// Emptying moves are allowed; targets index the module slots as they
+  /// are when that move is applied. The evaluator's logical state is
+  /// unchanged (lazy module caches may be rederived). This is how the
+  /// evolution strategy scores a child on its parent instead of a copy.
+  [[nodiscard]] MoveProbe probe_moves(std::span<const Move> moves);
 
   /// Constraint violation: sum over modules of the relative leakage excess
   /// over IDDQ_th/d; 0 when the partition is feasible. O(K).
@@ -178,6 +194,20 @@ class PartitionEvaluator {
  private:
   void rebuild_all();
   void erase_module(std::uint32_t m);
+  /// Rederives the delay anchors, area and settling of every dirty module
+  /// in place (flags untouched); returns those modules' total gate count.
+  std::size_t derive_dirty_modules();
+  /// The cost terms of the current module caches with the given critical
+  /// path and settling maximum — the one assembly costs() and
+  /// probe_moves() share.
+  [[nodiscard]] Costs assemble_costs(double d_bic_ps,
+                                     double settle_max_ps) const;
+  /// Copies module slot m's caches into the probe_moves snapshot list
+  /// unless this probe already did.
+  void snapshot_slot(std::uint32_t m);
+  /// Puts every snapshotted slot back and regrows the per-module arrays
+  /// to `module_count` slots.
+  void restore_slots(std::size_t module_count);
   [[nodiscard]] double module_rs_kohm(std::uint32_t m) const;
   [[nodiscard]] double module_cs_ff(std::uint32_t m) const;
   /// Derives the delay-model anchors, sensor area, and settling time of a
@@ -192,6 +222,12 @@ class PartitionEvaluator {
                            std::span<double> type_delta_row, double& area,
                            double& settle) const;
   void mark_dirty(std::uint32_t m);
+  /// Degradation factor of gate g under the cached delta rows — what the
+  /// timing engine is fed on the committed state.
+  [[nodiscard]] double gate_factor(netlist::GateId g) const {
+    return type_delta_[partition_.module_of(g) * ctx_->type_count +
+                       ctx_->type_of[g]];
+  }
 
   /// Rows of the flat [module x type] SoA matrices.
   [[nodiscard]] std::span<const std::uint32_t> hist_row(
@@ -241,12 +277,32 @@ class PartitionEvaluator {
   double d_bic_ps_ = 0.0;
   double settle_max_ps_ = 0.0;
 
+  /// A module slot's caches as they were before a probe_moves touched it
+  /// (its histogram/delta rows live in ProbeScratch's flat matrices).
+  struct SlotSnapshot {
+    std::uint32_t slot = 0;
+    est::ModuleCurrentProfile profile;
+    double leak_ua = 0.0;
+    double cvr_ff = 0.0;
+    double separation = 0.0;
+    double area = 0.0;
+    double settle_ps = 0.0;
+    std::uint8_t dirty = 0;
+  };
+
   struct ProbeScratch {
     std::vector<netlist::GateId> seeds;
     std::vector<std::uint32_t> hist_src;
     std::vector<std::uint32_t> hist_tgt;
     std::vector<double> row_src;
     std::vector<double> row_tgt;
+    // probe_moves: the first `slot_count` entries of `slots` are live;
+    // the rest keep their buffers for reuse.
+    std::vector<SlotSnapshot> slots;
+    std::size_t slot_count = 0;
+    std::vector<std::uint32_t> slot_hist;  // flat [snapshot x type]
+    std::vector<double> slot_delta;        // flat [snapshot x type]
+    std::vector<std::uint8_t> touched;     // by module slot
   };
   CopyDroppedScratch<ProbeScratch> scratch_;
 };

@@ -54,6 +54,7 @@ void Partition::move(netlist::GateId g, std::uint32_t target) {
   auto& src_gates = modules_[src];
   const std::uint32_t pos = pos_in_module_[g];
   IDDQ_ASSERT(src_gates[pos] == g);
+  if (journaling_) journal_.push_back(JournalEntry{g, src, pos});
   const netlist::GateId last = src_gates.back();
   src_gates[pos] = last;
   pos_in_module_[last] = pos;
@@ -68,12 +69,60 @@ std::uint32_t Partition::erase_empty_module(std::uint32_t m) {
   IDDQ_ASSERT(m < modules_.size());
   require(modules_[m].empty(), "erase_empty_module: module is not empty");
   const auto last = static_cast<std::uint32_t>(modules_.size() - 1);
+  if (journaling_) journal_.push_back(JournalEntry{netlist::kNoGate, m, 0});
   if (m != last) {
     modules_[m] = std::move(modules_[last]);
     for (const netlist::GateId g : modules_[m]) module_of_[g] = m;
   }
   modules_.pop_back();
   return last;
+}
+
+void Partition::begin_journal() {
+  IDDQ_ASSERT(!journaling_);
+  journal_.clear();
+  journaling_ = true;
+}
+
+void Partition::rollback() {
+  IDDQ_ASSERT(journaling_);
+  for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
+    if (it->gate == netlist::kNoGate) {
+      // Undo erase_empty_module(m): the module that was swapped into slot
+      // m returns to a re-created last slot; slot m is empty again.
+      const std::uint32_t m = it->module;
+      const auto last = static_cast<std::uint32_t>(modules_.size());
+      if (m == last) {
+        modules_.emplace_back();
+      } else {
+        modules_.push_back(std::move(modules_[m]));
+        modules_[m].clear();
+        for (const netlist::GateId g : modules_[last]) module_of_[g] = last;
+      }
+      continue;
+    }
+    // Undo move(g, target): g is the target's last gate again, and the
+    // gate that filled its old position returns to the source's end.
+    const netlist::GateId g = it->gate;
+    const std::uint32_t src = it->module;
+    const std::uint32_t pos = it->pos;
+    auto& tgt_gates = modules_[module_of_[g]];
+    IDDQ_ASSERT(tgt_gates.back() == g);
+    tgt_gates.pop_back();
+    auto& src_gates = modules_[src];
+    if (pos == src_gates.size()) {
+      src_gates.push_back(g);
+    } else {
+      const netlist::GateId displaced = src_gates[pos];
+      pos_in_module_[displaced] = static_cast<std::uint32_t>(src_gates.size());
+      src_gates.push_back(displaced);
+      src_gates[pos] = g;
+    }
+    module_of_[g] = src;
+    pos_in_module_[g] = pos;
+  }
+  journal_.clear();
+  journaling_ = false;
 }
 
 bool Partition::covers(const netlist::Netlist& nl) const {

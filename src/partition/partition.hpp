@@ -8,7 +8,10 @@
 // The representation supports the evolution strategy's inner loop:
 //   * O(1) move of a gate between modules (swap-pop with position index),
 //   * O(|M_last|) deletion of an emptied module (swap with the last slot),
-//   * stable module indices otherwise.
+//   * stable module indices otherwise,
+//   * an optional undo journal: a batch of moves/deletions rolls back
+//     exactly (gate order inside every module included), so a hypothetical
+//     move list can be applied in place and undone instead of copying.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,17 @@ namespace iddq::part {
 
 /// Module index sentinel for unassigned gates (primary inputs stay here).
 inline constexpr std::uint32_t kUnassigned = static_cast<std::uint32_t>(-1);
+
+/// A gate relocation: `gate` from its current module to `target`.
+/// `gate == netlist::kNoGate` means "no move".
+struct Move {
+  netlist::GateId gate = netlist::kNoGate;
+  std::uint32_t target = 0;
+
+  [[nodiscard]] bool valid() const noexcept {
+    return gate != netlist::kNoGate;
+  }
+};
 
 class Partition {
  public:
@@ -72,13 +86,39 @@ class Partition {
   /// True when every logic gate of `nl` is assigned and no module is empty.
   [[nodiscard]] bool covers(const netlist::Netlist& nl) const;
 
-  friend bool operator==(const Partition&, const Partition&) = default;
+  /// Starts recording move() and erase_empty_module() so rollback() can
+  /// undo them. Journals do not nest.
+  void begin_journal();
+
+  /// Undoes every change since begin_journal(), newest first, by exact
+  /// inverse operations (integer bookkeeping only), and stops recording:
+  /// afterwards the partition == its state at begin_journal().
+  void rollback();
+
+  /// Equal module contents, in order, and equal assignments (the journal
+  /// is bookkeeping, not state).
+  friend bool operator==(const Partition& a, const Partition& b) {
+    return a.module_of_ == b.module_of_ &&
+           a.pos_in_module_ == b.pos_in_module_ &&
+           a.modules_ == b.modules_ && a.assigned_ == b.assigned_;
+  }
 
  private:
+  /// One undoable change. A move records its gate plus the source module
+  /// and position it left; an erase records gate == kNoGate and the
+  /// erased slot.
+  struct JournalEntry {
+    netlist::GateId gate;
+    std::uint32_t module;
+    std::uint32_t pos;
+  };
+
   std::vector<std::uint32_t> module_of_;
   std::vector<std::uint32_t> pos_in_module_;
   std::vector<std::vector<netlist::GateId>> modules_;
   std::size_t assigned_ = 0;
+  bool journaling_ = false;
+  std::vector<JournalEntry> journal_;
 };
 
 }  // namespace iddq::part

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/neighborhood.hpp"
 #include "core/start_partition.hpp"
 #include "netlist/gen/c17.hpp"
 #include "netlist/gen/iscas_profiles.hpp"
@@ -32,23 +33,19 @@ struct Fixture {
 
 TEST(Evolution, BoundaryGatesAreExactlyTheCut) {
   const auto nl = netlist::gen::make_c17();
-  const auto library = lib::default_library();
-  const part::EvalContext ctx(nl, library, elec::SensorSpec{},
-                              part::CostWeights{});
   const auto p = part::Partition::from_groups(
       nl, std::vector<std::vector<netlist::GateId>>{
               {nl.at("10"), nl.at("16"), nl.at("22")},
               {nl.at("11"), nl.at("19"), nl.at("23")}});
-  part::PartitionEvaluator eval(ctx, p);
   // Module 0: 10 -(22)- internal; 16 fed by 11 (module 1) -> boundary;
   // 22 fed by 16? both module 0... 22's fanins 10,16 internal, no external
   // fanout. 10: fanin inputs only, fanout 22 internal -> interior.
-  const auto boundary0 = EvolutionEngine::boundary_gates(eval, 0);
+  const auto boundary0 = boundary_gates(nl, p, 0);
   ASSERT_EQ(boundary0.size(), 1u);
   EXPECT_EQ(boundary0[0], nl.at("16"));
   // Module 1: 11 feeds 16 (module 0) -> boundary; 19 fed by 11 internal,
   // feeds 23 internal -> interior; 23 fed by 16 (module 0) -> boundary.
-  const auto boundary1 = EvolutionEngine::boundary_gates(eval, 1);
+  const auto boundary1 = boundary_gates(nl, p, 1);
   EXPECT_EQ(boundary1.size(), 2u);
 }
 

@@ -11,6 +11,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -321,6 +322,32 @@ TEST(JobProtocol, MaxQueueBoundRejectsSubmitWithErrorEvent) {
       EXPECT_NE(e.get_string("id"), "late")
           << "rejected sweep leaked event " << e.get_string("event");
   EXPECT_EQ(service->submitted(), 3u);
+}
+
+TEST(JobProtocol, PriorityIsClampedNotUndefined) {
+  // The one guard the server session and the cluster front-end share:
+  // an int cast of 1e300 or NaN would be undefined behavior.
+  EXPECT_EQ(submit_priority(1e300), 1000000);
+  EXPECT_EQ(submit_priority(-1e300), -1000000);
+  EXPECT_EQ(submit_priority(std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(submit_priority(std::numeric_limits<double>::infinity()), 0);
+  EXPECT_EQ(submit_priority(-2.0), -2);
+  EXPECT_EQ(submit_priority(5.9), 5);
+
+  // End to end: huge priorities in both directions are accepted and run.
+  const auto library = lib::default_library();
+  const auto service = make_service(library, 1, quick_config());
+  const auto events = run_session(
+      *service,
+      R"({"op":"submit","id":"hi","circuits":["ca"],)"
+      R"("methods":["standard"],"priority":1e300})"
+      "\n"
+      R"({"op":"submit","id":"lo","circuits":["cb"],)"
+      R"("methods":["standard"],"priority":-1e300})"
+      "\n");
+  EXPECT_EQ(events_of_kind(events, "accepted").size(), 2u);
+  EXPECT_EQ(events_of_kind(events, "error").size(), 0u);
+  EXPECT_EQ(events_of_kind(events, "done").size(), 2u);
 }
 
 TEST(JobProtocol, ReportsProtocolErrorsAndStats) {

@@ -91,6 +91,56 @@ TEST(ParallelInvariance, EvolutionIsByteIdenticalAtAnyThreadCount) {
   }
 }
 
+TEST(ParallelInvariance, EvolutionWithModuleDeletingChildrenIsThreadInvariant) {
+  // Modules of about five gates and mostly Monte-Carlo children: many
+  // children empty (and so erase) a module, which exercises the erase
+  // rollback of probe_moves on every worker.
+  const netlist::Netlist nl = netlist::gen::make_random_dag(
+      netlist::gen::DagProfile::basic("erase", 60, 6, 8));
+  const lib::CellLibrary library = lib::default_library();
+  const part::EvalContext ctx(nl, library, elec::SensorSpec{},
+                              part::CostWeights{});
+  constexpr std::size_t kStartModules = 12;
+  EsParams params;
+  params.mu = 4;
+  params.lambda = 1;
+  params.chi = 8;
+  params.max_generations = 25;
+  params.stall_generations = 25;
+  params.seed = 9;
+  params.record_trace = true;
+
+  EvolutionEngine serial_engine(ctx, params);  // pool == nullptr
+  const EsResult serial = serial_engine.run_with_module_count(kStartModules);
+  EXPECT_LT(serial.best_partition.module_count(), kStartModules);
+
+  for (const std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(threads);
+    support::ExecutorPool pool(threads);
+    EsParams p = params;
+    p.pool = &pool;
+    EvolutionEngine engine(ctx, p);
+    const EsResult got = engine.run_with_module_count(kStartModules);
+    EXPECT_EQ(got.best_partition, serial.best_partition);
+    expect_bits_eq(got.best_fitness.cost, serial.best_fitness.cost, "cost");
+    expect_bits_eq(got.best_fitness.violation, serial.best_fitness.violation,
+                   "violation");
+    const auto gc = got.best_costs.as_array();
+    const auto wc = serial.best_costs.as_array();
+    for (std::size_t i = 0; i < wc.size(); ++i)
+      expect_bits_eq(gc[i], wc[i], "costs[i]");
+    EXPECT_EQ(got.generations, serial.generations);
+    EXPECT_EQ(got.evaluations, serial.evaluations);
+    ASSERT_EQ(got.trace.size(), serial.trace.size());
+    for (std::size_t g = 0; g < got.trace.size(); ++g) {
+      expect_bits_eq(got.trace[g].mean_cost, serial.trace[g].mean_cost,
+                     "mean_cost");
+      EXPECT_EQ(got.trace[g].module_count, serial.trace[g].module_count);
+      EXPECT_EQ(got.trace[g].best_step_width, serial.trace[g].best_step_width);
+    }
+  }
+}
+
 TEST(ParallelInvariance, TabuIsByteIdenticalAtAnyThreadCount) {
   Fixture f;
   TabuParams params;

@@ -41,7 +41,7 @@ void expect_probe_matches_copy(PartitionEvaluator& eval, netlist::GateId g,
 }
 
 /// A random non-emptying move, or an invalid one when none exists.
-core::GateMove random_move(const PartitionEvaluator& eval, Rng& rng) {
+part::Move random_move(const PartitionEvaluator& eval, Rng& rng) {
   const auto& p = eval.partition();
   const auto logic = eval.context().nl.logic_gates();
   for (int attempt = 0; attempt < 64; ++attempt) {
@@ -51,9 +51,9 @@ core::GateMove random_move(const PartitionEvaluator& eval, Rng& rng) {
     const auto target =
         static_cast<std::uint32_t>(rng.index(p.module_count()));
     if (target == src) continue;
-    return core::GateMove{g, target};
+    return part::Move{g, target};
   }
-  return core::GateMove{};
+  return part::Move{};
 }
 
 struct Scenario {
@@ -76,7 +76,7 @@ TEST_P(ProbeEquivalence, RandomWalkProbesMatchCopyMoveFitness) {
                           core::make_start_partition(nl, s.modules, rng));
 
   for (int step = 0; step < 60; ++step) {
-    const core::GateMove mv = random_move(eval, rng);
+    const part::Move mv = random_move(eval, rng);
     if (!mv.valid()) break;
     const Fitness before = eval.fitness();
     expect_probe_matches_copy(eval, mv.gate, mv.target);
@@ -110,12 +110,12 @@ TEST(Probe, TabuStyleCandidateFanMatchesCopies) {
   PartitionEvaluator eval(ctx, core::make_start_partition(nl, 4, rng));
 
   for (int round = 0; round < 10; ++round) {
-    std::vector<core::GateMove> candidates;
+    std::vector<part::Move> candidates;
     for (int c = 0; c < 6; ++c) {
-      const core::GateMove mv = core::sample_boundary_move(eval, rng);
+      const part::Move mv = core::sample_boundary_move(eval, rng);
       if (mv.valid()) candidates.push_back(mv);
     }
-    for (const core::GateMove& mv : candidates) {
+    for (const part::Move& mv : candidates) {
       // probe_objective must equal the historical copy-based scoring.
       PartitionEvaluator scored = eval;
       scored.move_gate(mv.gate, mv.target);
@@ -140,7 +140,7 @@ TEST(Probe, AnnealingStyleRejectResidueTraceStillMatches) {
   PartitionEvaluator eval(ctx, core::make_start_partition(nl, 4, rng));
 
   for (int step = 0; step < 40; ++step) {
-    const core::GateMove mv = core::sample_boundary_move(eval, rng);
+    const part::Move mv = core::sample_boundary_move(eval, rng);
     if (!mv.valid()) continue;
     const std::uint32_t src = eval.partition().module_of(mv.gate);
     expect_probe_matches_copy(eval, mv.gate, mv.target);

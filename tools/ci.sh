@@ -12,9 +12,10 @@
 #
 #   $ tools/ci.sh threads [build-dir]  default build dir: build-ci
 #
-# ThreadSanitizer leg: rebuild the support + core test binaries with
-# -fsanitize=thread and run the parallelism-relevant suites (executor,
-# optimizers, job queue/service/protocol) threaded.
+# ThreadSanitizer leg: rebuild the support + core + partition test
+# binaries with -fsanitize=thread and run the parallelism-relevant suites
+# (executor, optimizers, job queue/service/protocol, probe_moves)
+# threaded.
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
@@ -42,10 +43,10 @@
 #
 # Big-circuit smoke (the CI big-smoke job): build the bench, run the
 # BIG-tier sweep restricted to the ~10k-gate big_dag10k at FAST budget
-# with IDDQ_THREADS=2, and diff the rows against the committed golden
-# tests/golden/BENCH_big_smoke.json — the large-circuit scaling path
-# obeys the same byte-identity contract as the Table-1 tier, at a
-# wall-clock cost CI can afford (~2 s of sweep).
+# with IDDQ_THREADS=2 and again with 4, and diff the rows against the
+# committed golden tests/golden/BENCH_big_smoke.json — the large-circuit
+# scaling path obeys the same byte-identity contract as the Table-1 tier,
+# at a wall-clock cost CI can afford (~2 s of sweep per thread count).
 #
 #   $ tools/ci.sh big-smoke [build-dir]  default: build-bench
 #
@@ -126,11 +127,17 @@ if [ "$MODE" = "big-smoke" ]; then
   cmake -B "$BUILD_DIR" -S "$ROOT" -DIDDQ_WERROR=ON -DIDDQ_BUILD_TESTS=OFF \
     -DIDDQ_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_table1_main
-  IDDQSYN_BENCH_FAST=1 IDDQ_THREADS=2 "$BUILD_DIR/bench_table1_main" \
-    --tier big --only big_dag10k --json "$BUILD_DIR/BENCH_big_fresh.json"
-  python3 "$ROOT/tools/bench_compare.py" \
-    "$ROOT/tests/golden/BENCH_big_smoke.json" \
-    "$BUILD_DIR/BENCH_big_fresh.json"
+  # Two thread counts against the same golden: the ES scores each parent's
+  # children on one worker, so 4 threads checks per-parent parallel
+  # scoring beyond the 2-thread split.
+  for THREADS in 2 4; do
+    IDDQSYN_BENCH_FAST=1 IDDQ_THREADS="$THREADS" \
+      "$BUILD_DIR/bench_table1_main" --tier big --only big_dag10k \
+      --json "$BUILD_DIR/BENCH_big_fresh.json"
+    python3 "$ROOT/tools/bench_compare.py" \
+      "$ROOT/tests/golden/BENCH_big_smoke.json" \
+      "$BUILD_DIR/BENCH_big_fresh.json"
+  done
   echo "big smoke OK"
   exit 0
 fi
@@ -465,12 +472,16 @@ if [ "$MODE" = "tsan" ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR" -j "$JOBS" \
-    --target iddq_tests_support iddq_tests_core
+    --target iddq_tests_support iddq_tests_core iddq_tests_partition
   # The parallelism surface: executor pool, TCP transport, the parallel
   # optimizers and their invariance pins, the job queue/service/protocol
-  # stack, and the per-session event writer + fault-injection layer.
+  # stack, and the per-session event writer + fault-injection layer —
+  # plus the probe_moves differential suite behind the ES's threaded
+  # child scoring.
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_support" \
     --gtest_filter='Executor.*:Transport.*'
+  IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_partition" \
+    --gtest_filter='ProbeMoves.*'
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_core" \
     --gtest_filter='ParallelInvariance.*:Evolution.*:Tabu.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*'
   echo "tsan OK"

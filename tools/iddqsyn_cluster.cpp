@@ -55,6 +55,7 @@
 #include "cluster/cluster_client.hpp"
 #include "core/event_writer.hpp"
 #include "core/job_event.hpp"
+#include "core/job_protocol.hpp"
 #include "library/cell_library.hpp"
 #include "library/fingerprint.hpp"
 #include "library/lib_io.hpp"
@@ -337,7 +338,7 @@ class ClusterSession {
         static_cast<std::size_t>(request.get_u64("budget", 0));
     sweep_request.use_cache = request.get_bool("cache", true);
     sweep_request.priority =
-        static_cast<int>(request.get_double("priority", 0.0));
+        core::submit_priority(request.get_double("priority", 0.0));
     sweep_request.deadline_ms =
         static_cast<std::size_t>(request.get_u64("deadline_ms", 0));
     if (sweep_request.circuits.empty()) {
