@@ -4,8 +4,8 @@
 // largest circuit; the incremental-evaluation design is what makes the
 // optimization tractable. These benchmarks pin the per-operation costs:
 // evaluator construction, incremental move + fitness, boundary computation,
-// distance-oracle construction, transition-time analysis, and the logic
-// simulator's pattern throughput.
+// distance-oracle construction and standard clustering on the BIG tier,
+// transition-time analysis, and the logic simulator's pattern throughput.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -13,6 +13,8 @@
 
 #include "core/evolution.hpp"
 #include "core/neighborhood.hpp"
+#include "core/size_planner.hpp"
+#include "core/standard_partition.hpp"
 #include "core/start_partition.hpp"
 #include "core/tabu.hpp"
 #include "electrical/delay_model.hpp"
@@ -297,18 +299,65 @@ void BM_TransitionTimes(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitionTimes)->Unit(benchmark::kMillisecond);
 
+// BIG-tier ladder of the set-up benches (Arg = index). The distance oracle
+// and the standard clustering run once per circuit, outside the search;
+// both must grow linearly with gate count (about 10x from 10k to 100k).
+constexpr std::array<const char*, 3> kBigLadder = {
+    "big_dag10k", "big_dag30k", "big_dag100k"};
+
+struct BigFixture {
+  netlist::Netlist nl;
+  part::EvalContext ctx;
+  std::vector<std::size_t> even_sizes;  // planner's K, split evenly
+
+  explicit BigFixture(const char* name)
+      : nl(netlist::load_circuit(name)),
+        ctx(nl, library(), elec::SensorSpec{}, part::CostWeights{}) {
+    const std::size_t k = core::plan_module_size(ctx).module_count;
+    const std::size_t n = nl.logic_gate_count();
+    even_sizes.assign(k, n / k);
+    for (std::size_t i = 0; i < n % k; ++i) ++even_sizes[i];
+  }
+};
+
+BigFixture& big_at(std::size_t idx) {
+  static std::array<BigFixture*, kBigLadder.size()> fixtures{};
+  if (fixtures[idx] == nullptr) fixtures[idx] = new BigFixture(kBigLadder[idx]);
+  return *fixtures[idx];
+}
+
 void BM_DistanceOracle(benchmark::State& state) {
+  const auto& f = big_at(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const netlist::DistanceOracle oracle(circuit(), 4);
+    const netlist::DistanceOracle oracle(f.nl, f.ctx.oracle.rho());
     benchmark::DoNotOptimize(oracle.entry_count());
   }
 }
-BENCHMARK(BM_DistanceOracle)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DistanceOracle)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+// The section-5 baseline at the module count the planner picks, as the
+// `standard` optimizer runs it when no other method supplied the sizes.
+void BM_StandardPartition(benchmark::State& state) {
+  const auto& f = big_at(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::standard_partition(f.nl, f.ctx.oracle, f.even_sizes));
+  }
+}
+BENCHMARK(BM_StandardPartition)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 // Ladder for the profile-max benches: Table-1 sizes plus the full BIG
 // tier (the grid grows with circuit depth, so big_dag100k has the widest
-// time grid in the repo). Only needs TransitionTimes, so 100k is cheap
-// to set up even though a full EvalContext would not be.
+// time grid in the repo). Needs only TransitionTimes, not a full
+// EvalContext.
 constexpr std::array<const char*, 5> kProfileLadder = {
     "c1908", "c7552", "big_dag10k", "big_dag30k", "big_dag100k"};
 

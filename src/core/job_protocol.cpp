@@ -399,9 +399,15 @@ void JobProtocolSession::handle_submit(const SubmitRequest& request) {
       spec.deadline_ms = request.deadline_ms;
       spec.cache_policy = request.use_cache ? JobSpec::CachePolicy::use
                                             : JobSpec::CachePolicy::bypass;
+      // The sink holds the sweep weakly: the sweep owns this shard's
+      // handle, which owns the sink, so a strong capture would be a
+      // reference cycle. sweeps_ keeps the sweep alive until a later
+      // submit reuses its id, which only happens after its last event.
       JobHandle handle = service_->submit(
           std::move(spec),
-          [this, sweep](const JobEvent& event) { on_event(sweep, event); });
+          [this, weak = std::weak_ptr<Sweep>(sweep)](const JobEvent& event) {
+            if (const auto live = weak.lock()) on_event(live, event);
+          });
       // This shard is on the real queue now: release its promised slot
       // immediately, so a client slow to drain the event stream (send
       // blocks on a full socket) does not pin admission slots that other

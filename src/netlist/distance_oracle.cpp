@@ -12,17 +12,19 @@ DistanceOracle::DistanceOracle(const Netlist& nl, std::uint32_t rho)
   const UndirectedGraph graph(nl);
   near_.resize(nl.gate_count());
   if (rho_ == 1) return;  // every pair saturates; nothing to store
+  BfsScratch scratch;
   for (GateId g = 0; g < nl.gate_count(); ++g) {
-    const auto dist = bfs_within(graph, g, rho_ - 1);
+    bfs_within(graph, g, rho_ - 1, scratch);
+    // The visit list is the ball itself, source first; sort it by id for
+    // binary search.
     auto& list = near_[g];
-    for (GateId v = 0; v < dist.size(); ++v) {
-      if (v == g || dist[v] == kUnreached) continue;
-      list.push_back(Entry{v, static_cast<std::uint8_t>(dist[v])});
+    list.reserve(scratch.visited.size() - 1);
+    for (std::size_t i = 1; i < scratch.visited.size(); ++i) {
+      const GateId v = scratch.visited[i];
+      list.push_back(Entry{v, static_cast<std::uint8_t>(scratch.dist[v])});
     }
-    // bfs_within visits in id order per level; re-sort by id for binary search.
     std::sort(list.begin(), list.end(),
               [](const Entry& a, const Entry& b) { return a.gate < b.gate; });
-    list.shrink_to_fit();
   }
 }
 

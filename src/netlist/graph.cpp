@@ -1,7 +1,6 @@
 #include "netlist/graph.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace iddq::netlist {
 
@@ -20,23 +19,29 @@ UndirectedGraph::UndirectedGraph(const Netlist& nl) {
   edges_ /= 2;
 }
 
-std::vector<std::uint32_t> bfs_within(const UndirectedGraph& graph,
-                                      GateId source, std::uint32_t radius) {
-  std::vector<std::uint32_t> dist(graph.vertex_count(), kUnreached);
+void bfs_within(const UndirectedGraph& graph, GateId source,
+                std::uint32_t radius, BfsScratch& scratch) {
+  auto& dist = scratch.dist;
+  auto& visited = scratch.visited;
+  if (dist.size() != graph.vertex_count()) {
+    dist.assign(graph.vertex_count(), kUnreached);
+  } else {
+    for (const GateId v : visited) dist[v] = kUnreached;
+  }
+  visited.clear();
+  // The visit list doubles as the FIFO queue.
   dist[source] = 0;
-  std::deque<GateId> queue{source};
-  while (!queue.empty()) {
-    const GateId u = queue.front();
-    queue.pop_front();
+  visited.push_back(source);
+  for (std::size_t head = 0; head < visited.size(); ++head) {
+    const GateId u = visited[head];
     if (dist[u] >= radius) continue;
     for (const GateId v : graph.neighbors(u)) {
       if (dist[v] == kUnreached) {
         dist[v] = dist[u] + 1;
-        queue.push_back(v);
+        visited.push_back(v);
       }
     }
   }
-  return dist;
 }
 
 }  // namespace iddq::netlist

@@ -35,11 +35,22 @@ class UndirectedGraph {
   std::size_t edges_ = 0;
 };
 
-/// Hop distances from `source` to every vertex within `radius` hops.
-/// Entries beyond the radius (or unreachable) are set to kUnreached.
+/// Distance of a vertex outside the searched radius (or unreachable).
 inline constexpr std::uint32_t kUnreached = static_cast<std::uint32_t>(-1);
 
-[[nodiscard]] std::vector<std::uint32_t> bfs_within(
-    const UndirectedGraph& graph, GateId source, std::uint32_t radius);
+/// Caller-owned scratch of bfs_within, reused across sources so that a
+/// search costs O(ball) instead of O(V): `dist` is sized once, and only
+/// the entries the previous search set are reset, through its visit list.
+struct BfsScratch {
+  std::vector<std::uint32_t> dist;  // hop distance, or kUnreached
+  std::vector<GateId> visited;      // reached vertices in BFS order
+};
+
+/// Visits every vertex within `radius` hops of `source`. On return
+/// `scratch.visited` lists them in BFS order (source first) and
+/// `scratch.dist` holds their hop distances; every other entry of
+/// `scratch.dist` is kUnreached.
+void bfs_within(const UndirectedGraph& graph, GateId source,
+                std::uint32_t radius, BfsScratch& scratch);
 
 }  // namespace iddq::netlist

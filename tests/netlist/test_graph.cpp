@@ -54,7 +54,9 @@ TEST(Graph, C17Neighbors) {
 TEST(Graph, BfsDistancesOnC17) {
   const Netlist nl = gen::make_c17();
   const UndirectedGraph g(nl);
-  const auto dist = bfs_within(g, nl.at("10"), 10);
+  BfsScratch scratch;
+  bfs_within(g, nl.at("10"), 10, scratch);
+  const auto& dist = scratch.dist;
   EXPECT_EQ(dist[nl.at("10")], 0u);
   EXPECT_EQ(dist[nl.at("22")], 1u);   // direct fanout
   EXPECT_EQ(dist[nl.at("16")], 2u);   // via 22
@@ -65,7 +67,9 @@ TEST(Graph, BfsDistancesOnC17) {
 TEST(Graph, BfsRadiusCutsOff) {
   const Netlist nl = gen::make_c17();
   const UndirectedGraph g(nl);
-  const auto dist = bfs_within(g, nl.at("10"), 1);
+  BfsScratch scratch;
+  bfs_within(g, nl.at("10"), 1, scratch);
+  const auto& dist = scratch.dist;
   EXPECT_EQ(dist[nl.at("22")], 1u);
   EXPECT_EQ(dist[nl.at("16")], kUnreached);  // distance 2 > radius 1
 }
@@ -81,9 +85,32 @@ TEST(Graph, BfsUnreachableStaysUnreached) {
   b.mark_output(y);
   const Netlist nl = std::move(b).build();
   const UndirectedGraph g(nl);
-  const auto dist = bfs_within(g, x, 100);
-  EXPECT_EQ(dist[y], kUnreached);
-  EXPECT_EQ(dist[c], kUnreached);
+  BfsScratch scratch;
+  bfs_within(g, x, 100, scratch);
+  EXPECT_EQ(scratch.dist[y], kUnreached);
+  EXPECT_EQ(scratch.dist[c], kUnreached);
+  EXPECT_EQ(scratch.visited.size(), 2u);  // x and its input a
+}
+
+TEST(Graph, BfsScratchReuseResetsPreviousBall) {
+  // Reusing one scratch across sources must give exactly what a fresh
+  // scratch gives: no distance of an earlier search may survive.
+  const Netlist nl =
+      gen::make_random_dag(gen::DagProfile::basic("rand", 150, 12, 5));
+  const UndirectedGraph g(nl);
+  BfsScratch reused;
+  for (GateId source = 0; source < g.vertex_count(); ++source) {
+    for (const std::uint32_t radius : {0u, 2u, 5u}) {
+      bfs_within(g, source, radius, reused);
+      BfsScratch fresh;
+      bfs_within(g, source, radius, fresh);
+      ASSERT_EQ(reused.dist, fresh.dist)
+          << "source=" << source << " radius=" << radius;
+      ASSERT_EQ(reused.visited, fresh.visited)
+          << "source=" << source << " radius=" << radius;
+      ASSERT_EQ(reused.visited.front(), source);
+    }
+  }
 }
 
 }  // namespace

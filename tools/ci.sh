@@ -19,6 +19,13 @@
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
+# AddressSanitizer leg: rebuild the netlist + core test binaries with
+# -fsanitize=address,undefined and leak detection on, and run the whole
+# netlist suite plus the core suites behind the standard clustering, the
+# job protocol/service stack and the parallel optimizers.
+#
+#   $ tools/ci.sh asan [build-dir]     default build dir: build-asan
+#
 # Server smoke (what the CI server-smoke job runs): build only the job
 # server, start it in pipe mode, submit a builtin-circuit job, and assert
 # a result row streams back.
@@ -82,7 +89,7 @@ set -eu
 
 MODE="full"
 case "${1:-}" in
-  smoke|threads|tsan|bench|big-smoke|coverage-smoke|stress|cluster|chaos)
+  smoke|threads|tsan|asan|bench|big-smoke|coverage-smoke|stress|cluster|chaos)
     MODE="$1"
     shift
     ;;
@@ -485,6 +492,24 @@ if [ "$MODE" = "tsan" ]; then
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_core" \
     --gtest_filter='ParallelInvariance.*:Evolution.*:Tabu.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*'
   echo "tsan OK"
+  exit 0
+fi
+
+if [ "$MODE" = "asan" ]; then
+  BUILD_DIR="${1:-build-asan}"
+  cmake -B "$BUILD_DIR" -S "$ROOT" -DIDDQ_BUILD_BENCHES=OFF \
+    -DIDDQ_BUILD_EXAMPLES=OFF \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  cmake --build "$BUILD_DIR" -j "$JOBS" \
+    --target iddq_tests_netlist iddq_tests_core
+  export ASAN_OPTIONS=detect_leaks=1:abort_on_error=1
+  export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
+  "$BUILD_DIR/iddq_tests_netlist"
+  "$BUILD_DIR/iddq_tests_core" \
+    --gtest_filter='StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*'
+  echo "asan OK"
   exit 0
 fi
 
