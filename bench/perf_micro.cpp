@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "core/evolution.hpp"
@@ -53,9 +54,11 @@ const part::EvalContext& context() {
 
 // Size ladder for the scaling benches (Arg = index): per-move costs must
 // stop scaling with total gate count now that the refresh is incremental.
-// Indices 4-5 are BIG-tier loader builtins (~10k / ~30k gates).
-constexpr std::array<const char*, 6> kSizeLadder = {
-    "c1908", "c3540", "c5315", "c7552", "big_dag10k", "big_dag30k"};
+// Indices 4-7 are BIG-tier loader builtins (~10k / ~30k / ~100k gates and
+// the 64x64 NOR-cell multiplier).
+constexpr std::array<const char*, 8> kSizeLadder = {
+    "c1908",      "c3540",      "c5315",       "c7552",
+    "big_dag10k", "big_dag30k", "big_dag100k", "mult64"};
 
 const part::EvalContext& context_at(std::size_t idx) {
   static std::array<const netlist::Netlist*, kSizeLadder.size()> nls{};
@@ -188,9 +191,11 @@ BENCHMARK(BM_ProbeVsCopy)
 
 // One ES child, scored the two ways: copy the parent + move_gate... +
 // fitness (the historical per-child recipe), or probe_moves on the parent
-// itself (what EvolutionEngine does). Children are boundary mutations of
-// four gates on an ES-sized partition (modules of ~600 gates), drawn like
-// the ES draws them: on a journaled draft of the parent's partition.
+// itself (what EvolutionEngine does: the parent's slack certificate is
+// built on the first probe and reused by every later one). Children are
+// boundary mutations of four gates on an ES-sized partition (modules of
+// ~600 gates), drawn like the ES draws them: on a journaled draft of the
+// parent's partition.
 void BM_EsChildScore(benchmark::State& state) {
   const auto& ctx = context_at(static_cast<std::size_t>(state.range(0)));
   Rng rng(14);
@@ -232,7 +237,42 @@ void BM_EsChildScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EsChildScore)
-    ->ArgsProduct({{4, 5}, {0, 1}})  // {big_dag10k/30k, 0=copy/1=probe}
+    // {big_dag10k/30k/100k, mult64} x {0=copy, 1=probe}
+    ->ArgsProduct({{4, 5, 6, 7}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+// What a parent pays for its slack certificate, in its two parts: the
+// forward pass a materialized survivor (an evaluator copy, which has no
+// arrivals) runs first, and the backward walk over the near-critical
+// gates. Factors are 1 + 5% noise, about the spread of the ES's module
+// rows.
+void BM_TimingCertificate(benchmark::State& state) {
+  const auto& ctx = context_at(static_cast<std::size_t>(state.range(0)));
+  const bool walk = state.range(1) != 0;
+  std::vector<double> delta(ctx.nl.gate_count(), 1.0);
+  Rng rng(14);
+  for (const netlist::GateId id : ctx.nl.logic_gates())
+    delta[id] = 1.0 + rng.uniform() * 0.05;
+  const auto factor = [&delta](netlist::GateId g) { return delta[g]; };
+  est::IncrementalTiming timing(ctx.timing_graph);
+  timing.rebuild(factor);
+  for (auto _ : state) {
+    if (walk) {
+      // An empty propagate drops the certificate and nothing else.
+      timing.propagate(std::span<const netlist::GateId>{}, factor);
+      timing.certify(factor);
+      benchmark::DoNotOptimize(timing.near_gates().data());
+    } else {
+      benchmark::DoNotOptimize(timing.rebuild(factor));
+    }
+  }
+  if (walk)
+    state.counters["near_gates"] =
+        static_cast<double>(timing.near_gates().size());
+}
+BENCHMARK(BM_TimingCertificate)
+    // {big_dag10k/30k/100k, mult64} x {0=forward pass, 1=walk}
+    ->ArgsProduct({{4, 5, 6, 7}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // One perturbed gate: incremental repropagation vs the full O(V+E) pass.

@@ -1,5 +1,7 @@
 #include "estimators/incremental_timing.hpp"
 
+#include <algorithm>
+
 #include "netlist/levelize.hpp"
 
 namespace iddq::est {
@@ -28,6 +30,12 @@ TimingGraph::TimingGraph(const netlist::Netlist& nl,
     fanout_flat_.insert(fanout_flat_.end(), g.fanouts.begin(),
                         g.fanouts.end());
   }
+  std::vector<std::uint32_t> level(n, 0);
+  for (const netlist::GateId id : order_) {
+    for (const netlist::GateId f : fanins(id))
+      level[id] = std::max(level[id], level[f] + 1);
+    depth_ = std::max<std::size_t>(depth_, level[id]);
+  }
 }
 
 void IncrementalTiming::rescan_worst() {
@@ -42,6 +50,37 @@ void IncrementalTiming::rescan_worst() {
       critical_ = id;
     }
   }
+}
+
+void IncrementalTiming::trace_chain() {
+  for (netlist::GateId id = critical_; id != netlist::kNoGate;) {
+    chain_.push_back(id);
+    netlist::GateId next = netlist::kNoGate;
+    for (const netlist::GateId f : graph_->fanins(id)) {
+      if (graph_->fanins(f).empty()) continue;  // primary input: arrival 0
+      if (next == netlist::kNoGate || arrival_[f] > arrival_[next]) next = f;
+    }
+    id = next;
+  }
+  std::reverse(chain_.begin(), chain_.end());
+}
+
+void IncrementalTiming::link_near_fanins() {
+  // Positions + 1 ride in the zeroed scratch array while the links are
+  // collected (exact in a double: |N| < 2^53).
+  for (std::size_t i = 0; i < near_.size(); ++i)
+    scratch_arrival_[near_[i]] = static_cast<double>(i + 1);
+  near_link_off_.assign(1, 0);
+  near_link_.clear();
+  for (const netlist::GateId id : near_) {
+    for (const netlist::GateId f : graph_->fanins(id))
+      if (scratch_arrival_[f] != 0.0)
+        near_link_.push_back(static_cast<std::uint32_t>(scratch_arrival_[f]) -
+                             1);
+    near_link_off_.push_back(static_cast<std::uint32_t>(near_link_.size()));
+  }
+  near_arrival_.resize(near_.size());
+  std::vector<double>().swap(scratch_arrival_);
 }
 
 }  // namespace iddq::est

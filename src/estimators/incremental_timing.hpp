@@ -40,18 +40,50 @@
 // the evaluator's copy-free probe_move() possible.
 //
 // probe_full() is the same what-if as a plain pass into scratch storage:
-// it needs no valid persistent state and never writes it. The evaluator's
-// probe_moves() scores whole evolution-strategy children with it — a
-// child's move list dirties whole modules, which is far past the
-// kDenseSeedFactor cutover, so a full pass is what the sweep would
-// degenerate to anyway.
+// it needs no valid persistent state and never writes it.
+//
+// probe_certified() scores a whole evolution-strategy child without a full
+// pass. A child's move list dirties whole modules, far past the
+// kDenseSeedFactor cutover, where the worklist degenerates into a suffix
+// pass. Instead the parent carries a slack certificate (certify()), built
+// once from its live arrivals a(g), worst D and factors phi:
+//
+//   * tails t(g), the longest path out of g, so P(g) = a(g) + t(g) is the
+//     longest path through g;
+//   * the near set N = {logic g : P(g) >= theta * D}, in topological
+//     order. A backward walk finds it without a full backward pass: a
+//     flagged sweep down the topological order that starts at the gates
+//     with a(g) >= theta * D and flags fanins only of near gates. That is
+//     complete because the argmax fanout of a near gate is itself near;
+//   * the chain C: the parent's critical path, argmax fanins back from
+//     the witness of D.
+//
+// For a child with factors phi' and a caller-supplied bound
+// r >= max phi'/phi, LB is the arrival along C under phi', by the full
+// pass's own expression. If theta*D*r*(1+eps) <= LB*(1-eps), the child's
+// critical path is the maximum over N of A(g) = max(0, A over fanins in
+// N) + D(g)*phi'(g), a pass over O(|N|) arrays that links N's internal
+// fanins by position; otherwise probe_certified() falls back to
+// probe_full(). Why that is exact: rounding is monotone, so A <= the full
+// pass's arrival everywhere and LB <= the child's computed critical path.
+// Every gate on the child's computed critical chain has a true
+// path-through length of at least LB*(1-eps) and at most r*P(g)*(1+eps),
+// so the whole chain lies in N, and along it A repeats the full pass
+// operand for operand: the two maxima are bit-identical. eps bounds the
+// relative rounding of a depth-long sum (certify() requires the depth to
+// stay below kMaxCertifiedDepth), and every comparison takes its margin on
+// the side that only grows N or forces the fallback; the walk's cut is
+// theta*D*(1-eps). The certificate describes the arrivals it was built
+// from: rebuild() and propagate() drop it, a journaled probe() and
+// probe_full() keep it.
 //
 // Copying an IncrementalTiming (a tabu slice copying the round-start
 // evaluator, a materialized ES survivor) deliberately DROPS the arrival
-// state: the copy reports !valid() and its next rebuild recomputes it from
-// the copied module caches — bit-identical by the fixpoint argument above.
-// A copy is usually probed or mutated right away, and both paths start
-// with a full pass, so copying the O(V) arrival array would buy nothing.
+// state and the certificate: the copy reports !valid() and its next
+// rebuild recomputes the arrivals from the copied module caches —
+// bit-identical by the fixpoint argument above. A copy is usually probed
+// or mutated right away, and both paths start with a full pass, so
+// copying the O(V) arrival array would buy nothing.
 #pragma once
 
 #include <algorithm>
@@ -99,6 +131,8 @@ class TimingGraph {
   [[nodiscard]] double delay_ps(netlist::GateId g) const {
     return delay_ps_[g];
   }
+  /// Logic depth: the most logic gates on any input-to-output path.
+  [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
 
  private:
   std::vector<netlist::GateId> order_;
@@ -108,6 +142,7 @@ class TimingGraph {
   std::vector<std::uint32_t> fanout_off_;  // size gate_count + 1
   std::vector<netlist::GateId> fanout_flat_;
   std::vector<double> delay_ps_;
+  std::size_t depth_ = 0;
 };
 
 class IncrementalTiming {
@@ -123,21 +158,25 @@ class IncrementalTiming {
   /// under a full pass (bench/perf_micro.cpp, BM_IncrementalVsFullTiming).
   static constexpr std::size_t kDenseSeedFactor = 64;
 
+  /// theta: the certificate's near set holds the gates on paths of at
+  /// least this fraction of the critical path.
+  static constexpr double kNearFraction = 0.99;
+  /// eps: the relative rounding the certificate's comparisons absorb. A
+  /// depth-long sum of rounded terms drifts by at most about depth * 2^-53
+  /// relative, so 1e-9 is safe below kMaxCertifiedDepth.
+  static constexpr double kRoundingMargin = 1e-9;
+  static constexpr std::size_t kMaxCertifiedDepth = 1'000'000;
+
   /// `graph` must outlive the instance (it lives in the EvalContext;
   /// evaluator copies share it).
   explicit IncrementalTiming(const TimingGraph& graph) : graph_(&graph) {}
 
   /// Copies share the circuit but drop the arrival state (see above);
   /// moves keep it.
-  IncrementalTiming(const IncrementalTiming& other) : graph_(other.graph_) {}
+  IncrementalTiming(const IncrementalTiming& other)
+      : IncrementalTiming(*other.graph_) {}
   IncrementalTiming& operator=(const IncrementalTiming& other) {
-    graph_ = other.graph_;
-    arrival_.clear();
-    queued_.clear();
-    journal_.clear();
-    worst_ = 0.0;
-    critical_ = netlist::kNoGate;
-    valid_ = false;
+    if (this != &other) *this = IncrementalTiming(*other.graph_);
     return *this;
   }
   IncrementalTiming(IncrementalTiming&&) = default;
@@ -155,11 +194,30 @@ class IncrementalTiming {
     return arrival_[g];
   }
 
+  /// True while a certificate of the current arrivals exists (certify()).
+  [[nodiscard]] bool certified() const noexcept { return certified_; }
+
+  /// The certificate's near set, in topological order (requires
+  /// certified()).
+  [[nodiscard]] std::span<const netlist::GateId> near_gates() const noexcept {
+    return near_;
+  }
+
+  /// How many probe_certified() calls this instance answered from the near
+  /// set, and how many fell back to probe_full(). Copies start at zero.
+  [[nodiscard]] std::size_t certified_probes() const noexcept {
+    return certified_probes_;
+  }
+  [[nodiscard]] std::size_t fallback_probes() const noexcept {
+    return fallback_probes_;
+  }
+
   /// Full pass: recomputes every arrival from `factor` (a callable
   /// `double(GateId)`, >= 1 for logic gates), replacing the persistent
   /// state. Returns the critical path in ps.
   template <class FactorFn>
   double rebuild(FactorFn&& factor) {
+    certified_ = false;
     arrival_.assign(graph_->gate_count(), 0.0);
     queued_.assign(graph_->gate_count(), 0);
     worst_ = 0.0;
@@ -191,6 +249,7 @@ class IncrementalTiming {
   template <class FactorFn>
   double propagate(std::span<const netlist::GateId> changed,
                    FactorFn&& factor) {
+    certified_ = false;
     return run_worklist<false>(changed, std::forward<FactorFn>(factor));
   }
 
@@ -210,7 +269,7 @@ class IncrementalTiming {
   /// required nor touched.
   template <class FactorFn>
   double probe_full(FactorFn&& factor) {
-    scratch_arrival_.assign(graph_->gate_count(), 0.0);
+    prepare_scratch();
     double worst = 0.0;
     for (const netlist::GateId id : graph_->order()) {
       const auto fanins = graph_->fanins(id);
@@ -223,6 +282,96 @@ class IncrementalTiming {
       scratch_arrival_[id] = in_arrival + graph_->delay_ps(id) * delta;
       worst = std::max(worst, scratch_arrival_[id]);
     }
+    std::fill(scratch_arrival_.begin(), scratch_arrival_.end(), 0.0);
+    return worst;
+  }
+
+  /// Builds the slack certificate of the current arrivals (see the header
+  /// comment); `factor` must be the one they were computed from. A no-op
+  /// while certified(). Requires valid().
+  template <class FactorFn>
+  void certify(FactorFn&& factor) {
+    IDDQ_ASSERT(valid_);
+    if (certified_) return;
+    require(graph_->depth() < kMaxCertifiedDepth,
+            "timing: circuit too deep for the slack certificate's rounding "
+            "margin");
+    near_.clear();
+    chain_.clear();
+    if (worst_ > 0.0) {
+      // A flagged sweep of the topological order downwards, like
+      // run_worklist's upwards: tails accumulate in scratch_arrival_ and
+      // flags in queued_, both zero again once the sweep drains.
+      prepare_scratch();
+      const double cut = kNearFraction * worst_ * (1.0 - kRoundingMargin);
+      // Seeds: primary inputs hold arrival 0 < cut, so only logic gates.
+      std::size_t pending = 0;
+      std::size_t top = 0;
+      for (netlist::GateId id = 0; id < arrival_.size(); ++id) {
+        if (!(arrival_[id] >= cut)) continue;
+        queued_[id] = 1;
+        ++pending;
+        top = std::max<std::size_t>(top, graph_->rank(id));
+      }
+      const auto order = graph_->order();
+      for (std::size_t rank = top + 1; pending > 0;) {
+        const netlist::GateId id = order[--rank];
+        if (!queued_[id]) continue;
+        queued_[id] = 0;
+        --pending;
+        // Every fanout ranks higher and has been swept: the tail is final.
+        const double tail = scratch_arrival_[id];
+        scratch_arrival_[id] = 0.0;
+        if (!(arrival_[id] + tail >= cut)) continue;
+        near_.push_back(id);
+        const double through = graph_->delay_ps(id) * factor(id) + tail;
+        for (const netlist::GateId f : graph_->fanins(id)) {
+          if (graph_->fanins(f).empty()) continue;  // primary input
+          scratch_arrival_[f] = std::max(scratch_arrival_[f], through);
+          if (queued_[f]) continue;
+          queued_[f] = 1;
+          ++pending;
+        }
+      }
+      // The sweep settled N in decreasing rank.
+      std::reverse(near_.begin(), near_.end());
+      trace_chain();
+      link_near_fanins();
+    }
+    certified_ = true;
+  }
+
+  /// The critical path under the child factors `factor`, bit-identical to
+  /// probe_full(factor), given a `ratio_bound` >= 1 that is >= factor(g)
+  /// over the certified factor of g for every gate. Requires certified().
+  /// Answers from the near set when the certificate vouches for the child
+  /// and takes probe_full() otherwise.
+  template <class FactorFn>
+  double probe_certified(double ratio_bound, FactorFn&& factor) {
+    IDDQ_ASSERT(certified_ && ratio_bound >= 1.0);
+    double lower = 0.0;
+    for (const netlist::GateId id : chain_)
+      lower = lower + graph_->delay_ps(id) * factor(id);
+    if (!(lower > 0.0 && kNearFraction * worst_ * ratio_bound *
+                                 (1.0 + kRoundingMargin) <=
+                             lower * (1.0 - kRoundingMargin))) {
+      ++fallback_probes_;
+      return probe_full(std::forward<FactorFn>(factor));
+    }
+    // Fanins outside N count as arrival 0: only links inside N are kept.
+    double worst = 0.0;
+    for (std::size_t i = 0; i < near_.size(); ++i) {
+      double in_arrival = 0.0;
+      for (std::uint32_t k = near_link_off_[i]; k < near_link_off_[i + 1];
+           ++k)
+        in_arrival = std::max(in_arrival, near_arrival_[near_link_[k]]);
+      const netlist::GateId id = near_[i];
+      const double delta = factor(id);
+      IDDQ_ASSERT(delta >= 1.0);
+      near_arrival_[i] = in_arrival + graph_->delay_ps(id) * delta;
+      worst = std::max(worst, near_arrival_[i]);
+    }
+    ++certified_probes_;
     return worst;
   }
 
@@ -293,6 +442,17 @@ class IncrementalTiming {
   }
 
   void rescan_worst();
+  /// Allocates scratch_arrival_ (all zero between calls) when a copy or
+  /// a certify() left it empty.
+  void prepare_scratch() {
+    if (scratch_arrival_.size() != graph_->gate_count())
+      scratch_arrival_.assign(graph_->gate_count(), 0.0);
+  }
+  /// certify() helpers: trace the chain C back from the witness; index
+  /// N's internal fanin links, then release the scratch array (a
+  /// certified parent scores its children in the O(|N|) arrays below).
+  void trace_chain();
+  void link_near_fanins();
 
   const TimingGraph* graph_;
 
@@ -304,7 +464,21 @@ class IncrementalTiming {
   // Worklist scratch (contents are meaningless between calls).
   std::vector<std::uint8_t> queued_;     // by GateId
   std::vector<std::pair<netlist::GateId, double>> journal_;
-  std::vector<double> scratch_arrival_;  // probe_full working array
+  // probe_full's arrivals and the walk's tails; all zero between calls,
+  // empty after a certify().
+  std::vector<double> scratch_arrival_;
+
+  // Slack certificate of the arrivals above (valid while certified_).
+  bool certified_ = false;
+  std::vector<netlist::GateId> near_;   // N, topological order
+  // CSR over N: the positions in near_ of near_[i]'s fanins that are in N,
+  // in fanin order.
+  std::vector<std::uint32_t> near_link_off_;  // size |N| + 1
+  std::vector<std::uint32_t> near_link_;
+  std::vector<double> near_arrival_;    // A, by position in near_
+  std::vector<netlist::GateId> chain_;  // C, from the inputs to the witness
+  std::size_t certified_probes_ = 0;
+  std::size_t fallback_probes_ = 0;
 };
 
 }  // namespace iddq::est

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "electrical/delay_model.hpp"
@@ -492,20 +493,48 @@ void PartitionEvaluator::restore_slots(std::size_t module_count) {
   scratch.slot_delta.clear();
 }
 
+double PartitionEvaluator::factor_ratio_bound() {
+  ProbeScratch& scratch = scratch_.value;
+  const std::size_t types = ctx_->type_count;
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  std::vector<double>& min_before = scratch.type_min_before;
+  std::vector<double>& max_after = scratch.type_max_after;
+  min_before.assign(types, kNone);
+  max_after.assign(types, 0.0);
+  for (std::size_t i = 0; i < scratch.slot_count; ++i) {
+    const std::size_t row_start = i * types;
+    for (std::size_t t = 0; t < types; ++t)
+      if (scratch.slot_hist[row_start + t] != 0)
+        min_before[t] =
+            std::min(min_before[t], scratch.slot_delta[row_start + t]);
+    const std::uint32_t m = scratch.slots[i].slot;
+    if (m >= partition_.module_count()) continue;  // erased by the moves
+    const auto hist = hist_row(m);
+    const auto row = delta_row(m);
+    for (std::size_t t = 0; t < types; ++t)
+      if (hist[t] != 0) max_after[t] = std::max(max_after[t], row[t]);
+  }
+  // Gates outside the snapshotted slots keep their factor (ratio 1). A
+  // gate of type t in a snapshotted slot came from one, so its old factor
+  // is at least min_before[t].
+  double ratio = 1.0;
+  for (std::size_t t = 0; t < types; ++t) {
+    if (max_after[t] == 0.0) continue;
+    IDDQ_ASSERT(min_before[t] != kNone);
+    ratio = std::max(ratio, max_after[t] / min_before[t]);
+  }
+  return ratio;
+}
+
 MoveProbe PartitionEvaluator::probe_moves(std::span<const Move> moves) {
   // Settle lazy module state first so the moves below dirty exactly the
-  // slots they snapshot. With live arrivals that is an ordinary refresh.
-  // Without them (a copy) the next query repropagates from scratch anyway,
-  // so only the module caches are rederived here and any_dirty_ stays set
-  // for that query: a materialized ES survivor pays no timing pass it
-  // would not use.
-  if (timing_.valid()) {
-    refresh();
-  } else if (any_dirty_) {
-    derive_dirty_modules();
-    std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
-  }
-  const bool any_dirty_before = any_dirty_;
+  // slots they snapshot, and certify the arrivals the children are scored
+  // against. A copy (a materialized ES survivor) has none: it pays one
+  // forward pass here, and its later probes reuse the certificate.
+  const auto factor = [this](netlist::GateId x) { return gate_factor(x); };
+  refresh();
+  if (!timing_.valid()) d_bic_ps_ = timing_.rebuild(factor);
+  timing_.certify(factor);
   const std::size_t k_before = partition_.module_count();
   ProbeScratch& scratch = scratch_.value;
   scratch.touched.resize(k_before, 0);
@@ -527,10 +556,11 @@ MoveProbe PartitionEvaluator::probe_moves(std::span<const Move> moves) {
 
   // Score exactly what the copy's fitness()/costs() would: its refresh
   // rederives the dirty (= snapshotted) modules and, its arrivals having
-  // been dropped by the copy, takes the full timing pass.
+  // been dropped by the copy, takes a full timing pass, which the
+  // certificate reproduces bit for bit from the near-critical gates.
   derive_dirty_modules();
-  const double d_bic = timing_.probe_full(
-      [this](netlist::GateId x) { return gate_factor(x); });
+  const double d_bic =
+      timing_.probe_certified(factor_ratio_bound(), factor);
   double settle_max = 0.0;
   for (const double settle : settle_ps_)
     settle_max = std::max(settle_max, settle);
@@ -539,7 +569,7 @@ MoveProbe PartitionEvaluator::probe_moves(std::span<const Move> moves) {
 
   partition_.rollback();
   restore_slots(k_before);
-  any_dirty_ = any_dirty_before;
+  any_dirty_ = false;
   return probe;
 }
 

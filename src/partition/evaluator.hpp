@@ -150,14 +150,26 @@ class PartitionEvaluator {
   /// copy.move_gate(mv.gate, mv.target); {copy.fitness(), copy.costs()}`
   /// would. The moves are applied in place — each module slot a move (or
   /// the module erasure of an emptying move) touches is snapshotted first
-  /// — scored with a timing full pass into scratch storage, and then the
-  /// snapshots and the partition journal are restored, so no arithmetic
-  /// residue remains and the persistent arrivals are never written.
-  /// Emptying moves are allowed; targets index the module slots as they
-  /// are when that move is applied. The evaluator's logical state is
-  /// unchanged (lazy module caches may be rederived). This is how the
-  /// evolution strategy scores a child on its parent instead of a copy.
+  /// — and scored, and then the snapshots and the partition journal are
+  /// restored, so no arithmetic residue remains and the persistent
+  /// arrivals are never written. The critical path comes from the timing
+  /// engine's slack certificate of the current arrivals (built on the
+  /// first call after they change; a copy first pays one full pass to get
+  /// arrivals): a pass over the ~1% near-critical gates, bounded by how
+  /// far any gate's factor can rise (factor_ratio_bound), with a full pass
+  /// into scratch storage as the fallback when the bound does not vouch
+  /// for the child. Emptying moves are allowed; targets index the module
+  /// slots as they are when that move is applied. The evaluator's logical
+  /// state is unchanged (lazy module caches may be rederived). This is how
+  /// the evolution strategy scores a child on its parent instead of a
+  /// copy.
   [[nodiscard]] MoveProbe probe_moves(std::span<const Move> moves);
+
+  /// The timing engine, read-only: tests count how many probe_moves
+  /// children its certificate answered and how many took the full pass.
+  [[nodiscard]] const est::IncrementalTiming& timing() const noexcept {
+    return timing_;
+  }
 
   /// Constraint violation: sum over modules of the relative leakage excess
   /// over IDDQ_th/d; 0 when the partition is feasible. O(K).
@@ -208,6 +220,10 @@ class PartitionEvaluator {
   /// Puts every snapshotted slot back and regrows the per-module arrays
   /// to `module_count` slots.
   void restore_slots(std::size_t module_count);
+  /// During probe_moves: a bound r >= 1 on every gate's new factor over
+  /// its old one, max over types t of the largest new factor of t in a
+  /// snapshotted slot over the smallest old one. O(snapshots x types).
+  [[nodiscard]] double factor_ratio_bound();
   [[nodiscard]] double module_rs_kohm(std::uint32_t m) const;
   [[nodiscard]] double module_cs_ff(std::uint32_t m) const;
   /// Derives the delay-model anchors, sensor area, and settling time of a
@@ -303,6 +319,8 @@ class PartitionEvaluator {
     std::vector<std::uint32_t> slot_hist;  // flat [snapshot x type]
     std::vector<double> slot_delta;        // flat [snapshot x type]
     std::vector<std::uint8_t> touched;     // by module slot
+    std::vector<double> type_min_before;   // factor_ratio_bound, by type
+    std::vector<double> type_max_after;    // factor_ratio_bound, by type
   };
   CopyDroppedScratch<ProbeScratch> scratch_;
 };

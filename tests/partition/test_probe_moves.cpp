@@ -6,7 +6,9 @@
 // bit-equal next fitness(). Circuits are small random DAGs with the
 // ISCAS-like gate mix and AND-EXOR ILA planes; partitions, prior
 // evaluator states and move lists are random. A failure names its
-// circuit and case seeds, which reproduce it alone.
+// circuit and case seeds, which reproduce it alone. Over its cases the
+// suite must see both ways a child's critical path is taken: the
+// certificate's near-critical pass and the full-pass fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,10 +119,22 @@ std::vector<Move> random_moves(const netlist::Netlist& nl, Partition draft,
   return moves;
 }
 
+/// How many probe_moves children took each timing path.
+struct PathCounts {
+  std::size_t certified = 0;
+  std::size_t fallback = 0;
+
+  void add(const PartitionEvaluator& eval) {
+    certified += eval.timing().certified_probes();
+    fallback += eval.timing().fallback_probes();
+  }
+};
+
 /// One seeded case on a shared context: a partition, an evaluator brought
 /// into a random prior state, and several move lists probed on it in a
 /// row.
-void run_case(const EvalContext& ctx, std::uint64_t seed) {
+void run_case(const EvalContext& ctx, std::uint64_t seed,
+              PathCounts& counts) {
   SCOPED_TRACE("case seed " + std::to_string(seed));
   const netlist::Netlist& nl = ctx.nl;
   Rng rng(seed);
@@ -160,6 +174,7 @@ void run_case(const EvalContext& ctx, std::uint64_t seed) {
         << "probe_moves changed the partition";
     if (::testing::Test::HasFailure()) return;
   }
+  counts.add(eval);
   ASSERT_NO_THROW(eval.self_check());
   PartitionEvaluator untouched = before;
   expect_same(eval.fitness(), untouched.fitness(), "after probes");
@@ -168,6 +183,7 @@ void run_case(const EvalContext& ctx, std::uint64_t seed) {
 
 TEST(ProbeMoves, RandomMoveListsMatchCopyMoveFitness) {
   const auto library = lib::default_library();
+  PathCounts counts;
   for (int c = 0; c < kCircuits; ++c) {
     const std::uint64_t circuit_seed =
         Rng::mix_seed(kMasterSeed, static_cast<std::uint64_t>(c));
@@ -178,10 +194,13 @@ TEST(ProbeMoves, RandomMoveListsMatchCopyMoveFitness) {
     if (rng.below(2) == 0) sensor.iddq_th_ua = 15.0;  // mostly feasible
     const EvalContext ctx(nl, library, sensor, CostWeights{});
     for (int i = 0; i < kCasesPerCircuit; ++i) {
-      run_case(ctx, Rng::mix_seed(circuit_seed, static_cast<std::uint64_t>(i)));
+      run_case(ctx, Rng::mix_seed(circuit_seed, static_cast<std::uint64_t>(i)),
+               counts);
       if (::testing::Test::HasFailure()) return;  // first failing seed only
     }
   }
+  EXPECT_GT(counts.certified, 0u);
+  EXPECT_GT(counts.fallback, 0u);
 }
 
 TEST(ProbeMoves, EmptyListScoresTheCurrentState) {
@@ -219,6 +238,52 @@ TEST(ProbeMoves, ProbingLeavesTheEvaluatorUsable) {
         eval.move_gate(g, (src + 1) % eval.partition().module_count());
     }
   }
+  ASSERT_NO_THROW(eval.self_check());
+}
+
+TEST(ProbeMoves, CertificateIsReusedUntilACommittedMove) {
+  // Several children scored against one certificate, then a committed
+  // move_gate: the next probe must certify the new arrivals, not reuse
+  // the stale certificate.
+  const auto library = lib::default_library();
+  Rng rng(29);
+  netlist::gen::DagProfile profile = netlist::gen::iscas_profile("c1908");
+  profile.gates = 400;
+  profile.depth = 20;
+  profile.seed = 29;
+  const netlist::Netlist nl = netlist::gen::make_random_dag(profile);
+  const EvalContext ctx(nl, library, elec::SensorSpec{}, CostWeights{});
+  PartitionEvaluator eval(ctx, core::make_start_partition(nl, 6, rng));
+  (void)eval.fitness();
+  EXPECT_FALSE(eval.timing().certified());
+  const auto gates = nl.logic_gates();
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (int child = 0; child < 5; ++child) {
+      const std::vector<Move> moves = random_moves(nl, eval.partition(), rng);
+      PartitionEvaluator copy = eval;
+      const MoveProbe probe = eval.probe_moves(moves);
+      ASSERT_TRUE(eval.timing().certified());
+      for (const Move& mv : moves) copy.move_gate(mv.gate, mv.target);
+      expect_same(probe.fitness, copy.fitness(), "probe vs copy");
+      expect_same(probe.costs, copy.costs(), "probe vs copy");
+    }
+    const std::size_t scored = eval.timing().certified_probes() +
+                               eval.timing().fallback_probes();
+    EXPECT_EQ(scored, static_cast<std::size_t>(5 * (round + 1)));
+    // Commit a few moves: the next refresh repropagates the arrivals and
+    // drops the certificate.
+    for (int i = 0; i < 3; ++i) {
+      const netlist::GateId g = gates[rng.index(gates.size())];
+      const std::uint32_t src = eval.partition().module_of(g);
+      if (eval.partition().module_size(src) > 1)
+        eval.move_gate(g, (src + 1) % eval.partition().module_count());
+    }
+    (void)eval.fitness();
+    ASSERT_FALSE(eval.timing().certified());
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(eval.timing().certified_probes(), 0u);
   ASSERT_NO_THROW(eval.self_check());
 }
 

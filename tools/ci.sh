@@ -19,10 +19,12 @@
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
-# AddressSanitizer leg: rebuild the netlist + core test binaries with
-# -fsanitize=address,undefined and leak detection on, and run the whole
-# netlist suite plus the core suites behind the standard clustering, the
-# job protocol/service stack and the parallel optimizers.
+# AddressSanitizer leg: rebuild the netlist, estimator, partition and
+# core test binaries with -fsanitize=address,undefined and leak detection
+# on, and run the whole netlist, estimator and partition suites (the
+# timing engine and its slack certificate, the evaluator and probe_moves)
+# plus the core suites behind the standard clustering, the job
+# protocol/service stack and the parallel optimizers.
 #
 #   $ tools/ci.sh asan [build-dir]     default build dir: build-asan
 #
@@ -503,10 +505,13 @@ if [ "$MODE" = "asan" ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$BUILD_DIR" -j "$JOBS" \
-    --target iddq_tests_netlist iddq_tests_core
+    --target iddq_tests_netlist iddq_tests_estimators iddq_tests_partition \
+    iddq_tests_core
   export ASAN_OPTIONS=detect_leaks=1:abort_on_error=1
   export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
   "$BUILD_DIR/iddq_tests_netlist"
+  "$BUILD_DIR/iddq_tests_estimators"
+  "$BUILD_DIR/iddq_tests_partition"
   "$BUILD_DIR/iddq_tests_core" \
     --gtest_filter='StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*'
   echo "asan OK"
