@@ -150,16 +150,20 @@ BENCHMARK(BM_FitnessAfterMove)
     ->Unit(benchmark::kMicrosecond);
 
 // probe_move vs the copy + move_gate + fitness recipe it replaces, against
-// the same round-start state (what one tabu candidate costs).
+// the same round-start state (what one tabu candidate costs). Two
+// partition regimes: fine-grained (K = V/48, many small modules) and the
+// size planner's K (a few big modules, what tabu, annealing and greedy
+// search). Either way a probe's critical path comes from the round-start
+// state's slack certificate — a pass over the near-critical gates — and
+// its two overlay modules' delay rows often from the exact delay memo;
+// the copy pays the O(gates + K*grid) copy and a full timing pass.
 void BM_ProbeVsCopy(benchmark::State& state) {
   const auto& ctx = context_at(static_cast<std::size_t>(state.range(0)));
   Rng rng(13);
-  // Fine-grained regime (many small modules): seeds stay under the dense
-  // cutover, so probes ride the journaled sweep — the case the probe API
-  // targets. Coarse Table-1-style partitions fall back to the scratch
-  // full pass and score on par with a copy minus the memcpy.
   const std::size_t k =
-      std::max<std::size_t>(2, ctx.nl.logic_gate_count() / 48);
+      state.range(2) != 0
+          ? core::plan_module_size(ctx).module_count
+          : std::max<std::size_t>(2, ctx.nl.logic_gate_count() / 48);
   part::PartitionEvaluator eval(ctx,
                                 core::make_start_partition(ctx.nl, k, rng));
   benchmark::DoNotOptimize(eval.fitness());
@@ -185,8 +189,9 @@ void BM_ProbeVsCopy(benchmark::State& state) {
     }
   }
 }
+// {circuit, 0=copy/1=probe, 0=K=V/48/1=planner K}
 BENCHMARK(BM_ProbeVsCopy)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1}})  // {circuit, 0=copy/1=probe}
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // One ES child, scored the two ways: copy the parent + move_gate... +

@@ -35,18 +35,17 @@
 //     update it in O(1); only a decrease *of the witness itself* forces an
 //     O(V) flat rescan of the arrival array (no graph walk).
 //
-// probe() evaluates a hypothetical factor change — same worklist, journaled
-// writes — and rolls the state back before returning, which is what makes
-// the evaluator's copy-free probe_move() possible.
+// probe_full() evaluates a hypothetical factor assignment as a plain pass
+// into scratch storage: it needs no valid persistent state and never
+// writes it.
 //
-// probe_full() is the same what-if as a plain pass into scratch storage:
-// it needs no valid persistent state and never writes it.
-//
-// probe_certified() scores a whole evolution-strategy child without a full
-// pass. A child's move list dirties whole modules, far past the
-// kDenseSeedFactor cutover, where the worklist degenerates into a suffix
-// pass. Instead the parent carries a slack certificate (certify()), built
-// once from its live arrivals a(g), worst D and factors phi:
+// probe_certified() answers the same what-if without a full pass; it
+// scores both the evaluator's single-move probe_move() and its
+// evolution-strategy children (probe_moves()). Either hypothetical dirties
+// whole modules, far past the kDenseSeedFactor cutover, where a worklist
+// degenerates into a suffix pass. Instead the current state carries a
+// slack certificate (certify()), built once from its live arrivals a(g),
+// worst D and factors phi:
 //
 //   * tails t(g), the longest path out of g, so P(g) = a(g) + t(g) is the
 //     longest path through g;
@@ -74,8 +73,8 @@
 // stay below kMaxCertifiedDepth), and every comparison takes its margin on
 // the side that only grows N or forces the fallback; the walk's cut is
 // theta*D*(1-eps). The certificate describes the arrivals it was built
-// from: rebuild() and propagate() drop it, a journaled probe() and
-// probe_full() keep it.
+// from: rebuild() and propagate() drop it, probe_full() and
+// probe_certified() keep it.
 //
 // Copying an IncrementalTiming (a tabu slice copying the round-start
 // evaluator, a materialized ES survivor) deliberately DROPS the arrival
@@ -183,7 +182,7 @@ class IncrementalTiming {
   IncrementalTiming& operator=(IncrementalTiming&&) = default;
 
   /// False until the first rebuild() (and again after being copied from
-  /// another instance): propagate()/probe() require a valid state.
+  /// another instance): propagate() and certify() require a valid state.
   [[nodiscard]] bool valid() const noexcept { return valid_; }
 
   /// Critical path of the current state, in ps (requires valid()).
@@ -249,19 +248,57 @@ class IncrementalTiming {
   template <class FactorFn>
   double propagate(std::span<const netlist::GateId> changed,
                    FactorFn&& factor) {
+    IDDQ_ASSERT(valid_);
     certified_ = false;
-    return run_worklist<false>(changed, std::forward<FactorFn>(factor));
-  }
-
-  /// Like propagate(), but restores the pre-call state (arrivals and
-  /// critical witness) before returning: a what-if query. Dense seed sets
-  /// skip the journaled sweep for a plain pass into scratch storage that
-  /// never touches the persistent arrivals — bit-identical either way.
-  template <class FactorFn>
-  double probe(std::span<const netlist::GateId> changed, FactorFn&& factor) {
-    if (changed.size() * kDenseSeedFactor >= graph_->gate_count())
-      return probe_full(std::forward<FactorFn>(factor));
-    return run_worklist<true>(changed, std::forward<FactorFn>(factor));
+    // Flag the seeds, then sweep the topological order from the lowest
+    // seed rank, recomputing only flagged gates. A flag test per swept
+    // gate is a load and a branch — far cheaper than a heap — so a dense
+    // cone costs a plain full pass over the suffix while a sparse one
+    // exits as soon as the pending count drains.
+    std::size_t pending = 0;
+    std::uint32_t min_rank = 0;
+    for (const netlist::GateId id : changed) {
+      if (queued_[id]) continue;
+      queued_[id] = 1;
+      const std::uint32_t rank = graph_->rank(id);
+      if (pending == 0 || rank < min_rank) min_rank = rank;
+      ++pending;
+    }
+    bool rescan = false;
+    const netlist::GateId critical_before = critical_;
+    const auto order = graph_->order();
+    for (std::size_t i = min_rank; i < order.size() && pending > 0; ++i) {
+      const netlist::GateId id = order[i];
+      if (!queued_[id]) continue;
+      queued_[id] = 0;
+      --pending;
+      const auto fanins = graph_->fanins(id);
+      if (fanins.empty()) continue;  // primary input: arrival pinned at 0
+      double in_arrival = 0.0;
+      for (const netlist::GateId f : fanins)
+        in_arrival = std::max(in_arrival, arrival_[f]);
+      const double delta = factor(id);
+      IDDQ_ASSERT(delta >= 1.0);
+      const double updated = in_arrival + graph_->delay_ps(id) * delta;
+      const double old = arrival_[id];
+      if (updated == old) continue;  // cone pruned here
+      arrival_[id] = updated;
+      if (updated > worst_) {
+        worst_ = updated;
+        critical_ = id;
+      } else if (id == critical_ && updated < old) {
+        // The witness itself got faster; the true maximum may now be held
+        // by an untouched gate. Settle it once the sweep drains.
+        rescan = true;
+      }
+      for (const netlist::GateId f : graph_->fanouts(id)) {
+        if (queued_[f]) continue;  // fanouts rank higher: swept later
+        queued_[f] = 1;
+        ++pending;
+      }
+    }
+    if (rescan && critical_ == critical_before) rescan_worst();
+    return worst_;
   }
 
   /// Full pass into scratch storage: the critical path under `factor`,
@@ -300,7 +337,7 @@ class IncrementalTiming {
     chain_.clear();
     if (worst_ > 0.0) {
       // A flagged sweep of the topological order downwards, like
-      // run_worklist's upwards: tails accumulate in scratch_arrival_ and
+      // propagate()'s upwards: tails accumulate in scratch_arrival_ and
       // flags in queued_, both zero again once the sweep drains.
       prepare_scratch();
       const double cut = kNearFraction * worst_ * (1.0 - kRoundingMargin);
@@ -376,71 +413,6 @@ class IncrementalTiming {
   }
 
  private:
-  template <bool kJournal, class FactorFn>
-  double run_worklist(std::span<const netlist::GateId> changed,
-                      FactorFn&& factor) {
-    IDDQ_ASSERT(valid_);
-    // Flag the seeds, then sweep the topological order from the lowest
-    // seed rank, recomputing only flagged gates. A flag test per swept
-    // gate is a load and a branch — far cheaper than a heap — so a dense
-    // cone costs a plain full pass over the suffix while a sparse one
-    // exits as soon as the pending count drains.
-    std::size_t pending = 0;
-    std::uint32_t min_rank = 0;
-    for (const netlist::GateId id : changed) {
-      if (queued_[id]) continue;
-      queued_[id] = 1;
-      const std::uint32_t rank = graph_->rank(id);
-      if (pending == 0 || rank < min_rank) min_rank = rank;
-      ++pending;
-    }
-    bool rescan = false;
-    const double worst_before = worst_;
-    const netlist::GateId critical_before = critical_;
-    const auto order = graph_->order();
-    for (std::size_t i = min_rank; i < order.size() && pending > 0; ++i) {
-      const netlist::GateId id = order[i];
-      if (!queued_[id]) continue;
-      queued_[id] = 0;
-      --pending;
-      const auto fanins = graph_->fanins(id);
-      if (fanins.empty()) continue;  // primary input: arrival pinned at 0
-      double in_arrival = 0.0;
-      for (const netlist::GateId f : fanins)
-        in_arrival = std::max(in_arrival, arrival_[f]);
-      const double delta = factor(id);
-      IDDQ_ASSERT(delta >= 1.0);
-      const double updated = in_arrival + graph_->delay_ps(id) * delta;
-      const double old = arrival_[id];
-      if (updated == old) continue;  // cone pruned here
-      if constexpr (kJournal) journal_.emplace_back(id, old);
-      arrival_[id] = updated;
-      if (updated > worst_) {
-        worst_ = updated;
-        critical_ = id;
-      } else if (id == critical_ && updated < old) {
-        // The witness itself got faster; the true maximum may now be held
-        // by an untouched gate. Settle it once the sweep drains.
-        rescan = true;
-      }
-      for (const netlist::GateId f : graph_->fanouts(id)) {
-        if (queued_[f]) continue;  // fanouts rank higher: swept later
-        queued_[f] = 1;
-        ++pending;
-      }
-    }
-    if (rescan && critical_ == critical_before) rescan_worst();
-    const double result = worst_;
-    if constexpr (kJournal) {
-      for (auto it = journal_.rbegin(); it != journal_.rend(); ++it)
-        arrival_[it->first] = it->second;
-      journal_.clear();
-      worst_ = worst_before;
-      critical_ = critical_before;
-    }
-    return result;
-  }
-
   void rescan_worst();
   /// Allocates scratch_arrival_ (all zero between calls) when a copy or
   /// a certify() left it empty.
@@ -463,7 +435,6 @@ class IncrementalTiming {
 
   // Worklist scratch (contents are meaningless between calls).
   std::vector<std::uint8_t> queued_;     // by GateId
-  std::vector<std::pair<netlist::GateId, double>> journal_;
   // probe_full's arrivals and the walk's tails; all zero between calls,
   // empty after a certify().
   std::vector<double> scratch_arrival_;

@@ -1,6 +1,7 @@
 #include "partition/evaluator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <unordered_map>
@@ -75,7 +76,9 @@ PartitionEvaluator::PartitionEvaluator(const EvalContext& ctx,
                                        Partition partition)
     : ctx_(&ctx),
       partition_(std::move(partition)),
-      timing_(ctx.timing_graph) {
+      timing_(ctx.timing_graph),
+      delay_memo_(kDelayMemoSlots),
+      delay_memo_rows_(kDelayMemoSlots * ctx.type_count, 1.0) {
   require(partition_.covers(ctx_->nl),
           "evaluator: partition must cover all logic gates with no empty "
           "module");
@@ -208,7 +211,41 @@ double PartitionEvaluator::violation() const {
 void PartitionEvaluator::derive_module_delay(
     double idd_max_ua, std::uint32_t max_switching, double cvr_ff,
     std::span<const std::uint32_t> histogram, std::span<double> type_delta_row,
-    double& area, double& settle) const {
+    double& area, double& settle) {
+  const std::size_t types = ctx_->type_count;
+  IDDQ_ASSERT(histogram.size() == types && type_delta_row.size() == types);
+  const std::uint64_t idd_bits = std::bit_cast<std::uint64_t>(idd_max_ua);
+  const std::uint64_t cvr_bits = std::bit_cast<std::uint64_t>(cvr_ff);
+  const std::uint32_t n_max = std::max<std::uint32_t>(max_switching, 1);
+  Hash64 h;
+  h.mix_u64(idd_bits);
+  h.mix_u64(cvr_bits);
+  h.mix_u64(n_max);
+  // FNV's low bits see only the low bits of each byte; take the top ones.
+  const std::size_t slot = h.value() >> (64 - kDelayMemoBits);
+  DelayMemoEntry& entry = delay_memo_[slot];
+  const auto row =
+      std::span<double>(delay_memo_rows_).subspan(slot * types, types);
+  if (entry.n_max != n_max || entry.idd_bits != idd_bits ||
+      entry.cvr_bits != cvr_bits) {
+    solve_module_delay(idd_max_ua, n_max, cvr_ff, row, entry.area,
+                       entry.settle);
+    entry.idd_bits = idd_bits;
+    entry.cvr_bits = cvr_bits;
+    entry.n_max = n_max;
+  }
+  for (std::size_t t = 0; t < types; ++t)
+    type_delta_row[t] = histogram[t] == 0 ? 1.0 : row[t];
+  area = entry.area;
+  settle = entry.settle;
+}
+
+void PartitionEvaluator::solve_module_delay(double idd_max_ua,
+                                            std::uint32_t max_switching,
+                                            double cvr_ff,
+                                            std::span<double> type_delta_row,
+                                            double& area,
+                                            double& settle) const {
   // Worst-case degradation per (module, cell type): every gate of the
   // module is charged the module's peak simultaneity n_max,m — the paper's
   // pessimistic treatment of the time-grid functions delta(g, t). Note the
@@ -219,11 +256,8 @@ void PartitionEvaluator::derive_module_delay(
   const double rs = elec::sensor_rs_kohm(ctx_->sensor, idd_max_ua);
   const double cs = cvr_ff + ctx_->sensor.c_sensor_ff;
   const std::uint32_t n_max = std::max<std::uint32_t>(max_switching, 1);
-  IDDQ_ASSERT(histogram.size() == ctx_->type_count &&
-              type_delta_row.size() == ctx_->type_count);
-  std::fill(type_delta_row.begin(), type_delta_row.end(), 1.0);
+  IDDQ_ASSERT(type_delta_row.size() == ctx_->type_count);
   for (std::size_t t = 0; t < ctx_->type_count; ++t) {
-    if (histogram[t] == 0) continue;
     elec::DelayModelInput in;
     in.rs_kohm = rs;
     in.cs_ff = cs;
@@ -327,13 +361,7 @@ MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
   require(partition_.module_size(src) >= 2,
           "probe_move: move would empty its source module (commit such "
           "moves with move_gate)");
-  refresh();
-  if (!timing_.valid()) {
-    // A fresh copy dropped its arrival state and nothing has dirtied it
-    // since; rebuild it (bit-identical to the dropped state).
-    d_bic_ps_ =
-        timing_.rebuild([this](netlist::GateId x) { return gate_factor(x); });
-  }
+  certify_current_state();
 
   const auto& cell = ctx_->cells[g];
   // Overlay the two endpoint modules with exactly the expressions
@@ -385,17 +413,15 @@ MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
                       scratch.hist_tgt, scratch.row_tgt, area_tgt,
                       settle_tgt);
 
-  // Probe the timing cone with the overlay rows substituted for the two
-  // endpoint modules (g itself lands in the target row); seeding every
-  // gate of both modules is enough — unchanged factors prune immediately,
-  // and the journaled sweep restores the arrivals before returning.
-  scratch.seeds.clear();
-  const auto src_module = partition_.module(src);
-  const auto tgt_module = partition_.module(target);
-  scratch.seeds.insert(scratch.seeds.end(), src_module.begin(),
-                       src_module.end());
-  scratch.seeds.insert(scratch.seeds.end(), tgt_module.begin(),
-                       tgt_module.end());
+  // The critical path with the overlay rows substituted for the two
+  // endpoint modules (g itself lands in the target row). Only the gates of
+  // those two slots change factor — the ones staying in src, the ones of
+  // target, and g (old src row, new target row) — so the ratio bound
+  // covers just the two slots.
+  const TypeRows before[] = {{src_hist, delta_row(src)},
+                             {tgt_hist, delta_row(target)}};
+  const TypeRows after[] = {{scratch.hist_src, scratch.row_src},
+                            {scratch.hist_tgt, scratch.row_tgt}};
   const auto probe_factor = [&](netlist::GateId x) {
     if (x == g) return scratch.row_tgt[ctx_->type_of[x]];
     const std::uint32_t m = partition_.module_of(x);
@@ -403,7 +429,8 @@ MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
     if (m == target) return scratch.row_tgt[ctx_->type_of[x]];
     return type_delta_[m * ctx_->type_count + ctx_->type_of[x]];
   };
-  const double d_bic = timing_.probe(scratch.seeds, probe_factor);
+  const double d_bic = timing_.probe_certified(
+      factor_ratio_bound(before, after), probe_factor);
 
   // Assemble exactly what fitness()/costs() compute post-move: the same
   // index-ordered sums with the src/target slots overlaid.
@@ -493,7 +520,8 @@ void PartitionEvaluator::restore_slots(std::size_t module_count) {
   scratch.slot_delta.clear();
 }
 
-double PartitionEvaluator::factor_ratio_bound() {
+double PartitionEvaluator::factor_ratio_bound(
+    std::span<const TypeRows> before, std::span<const TypeRows> after) {
   ProbeScratch& scratch = scratch_.value;
   const std::size_t types = ctx_->type_count;
   constexpr double kNone = std::numeric_limits<double>::infinity();
@@ -501,22 +529,17 @@ double PartitionEvaluator::factor_ratio_bound() {
   std::vector<double>& max_after = scratch.type_max_after;
   min_before.assign(types, kNone);
   max_after.assign(types, 0.0);
-  for (std::size_t i = 0; i < scratch.slot_count; ++i) {
-    const std::size_t row_start = i * types;
+  for (const TypeRows& rows : before)
     for (std::size_t t = 0; t < types; ++t)
-      if (scratch.slot_hist[row_start + t] != 0)
-        min_before[t] =
-            std::min(min_before[t], scratch.slot_delta[row_start + t]);
-    const std::uint32_t m = scratch.slots[i].slot;
-    if (m >= partition_.module_count()) continue;  // erased by the moves
-    const auto hist = hist_row(m);
-    const auto row = delta_row(m);
+      if (rows.hist[t] != 0)
+        min_before[t] = std::min(min_before[t], rows.delta[t]);
+  for (const TypeRows& rows : after)
     for (std::size_t t = 0; t < types; ++t)
-      if (hist[t] != 0) max_after[t] = std::max(max_after[t], row[t]);
-  }
-  // Gates outside the snapshotted slots keep their factor (ratio 1). A
-  // gate of type t in a snapshotted slot came from one, so its old factor
-  // is at least min_before[t].
+      if (rows.hist[t] != 0)
+        max_after[t] = std::max(max_after[t], rows.delta[t]);
+  // Gates outside the `before` slots keep their factor (ratio 1). A gate
+  // of type t in an `after` slot came from a `before` one, so its old
+  // factor is at least min_before[t].
   double ratio = 1.0;
   for (std::size_t t = 0; t < types; ++t) {
     if (max_after[t] == 0.0) continue;
@@ -526,15 +549,22 @@ double PartitionEvaluator::factor_ratio_bound() {
   return ratio;
 }
 
+void PartitionEvaluator::certify_current_state() {
+  const auto factor = [this](netlist::GateId x) { return gate_factor(x); };
+  refresh();
+  // A fresh copy dropped its arrival state and nothing has dirtied it
+  // since; rebuild it (bit-identical to the dropped state).
+  if (!timing_.valid()) d_bic_ps_ = timing_.rebuild(factor);
+  timing_.certify(factor);
+}
+
 MoveProbe PartitionEvaluator::probe_moves(std::span<const Move> moves) {
   // Settle lazy module state first so the moves below dirty exactly the
   // slots they snapshot, and certify the arrivals the children are scored
   // against. A copy (a materialized ES survivor) has none: it pays one
   // forward pass here, and its later probes reuse the certificate.
+  certify_current_state();
   const auto factor = [this](netlist::GateId x) { return gate_factor(x); };
-  refresh();
-  if (!timing_.valid()) d_bic_ps_ = timing_.rebuild(factor);
-  timing_.certify(factor);
   const std::size_t k_before = partition_.module_count();
   ProbeScratch& scratch = scratch_.value;
   scratch.touched.resize(k_before, 0);
@@ -559,8 +589,23 @@ MoveProbe PartitionEvaluator::probe_moves(std::span<const Move> moves) {
   // been dropped by the copy, takes a full timing pass, which the
   // certificate reproduces bit for bit from the near-critical gates.
   derive_dirty_modules();
-  const double d_bic =
-      timing_.probe_certified(factor_ratio_bound(), factor);
+  // Every gate whose factor changed left a snapshotted slot and landed in
+  // one that still exists.
+  const std::size_t types = ctx_->type_count;
+  scratch.rows_before.clear();
+  scratch.rows_after.clear();
+  for (std::size_t i = 0; i < scratch.slot_count; ++i) {
+    scratch.rows_before.push_back(
+        {std::span<const std::uint32_t>(scratch.slot_hist)
+             .subspan(i * types, types),
+         std::span<const double>(scratch.slot_delta)
+             .subspan(i * types, types)});
+    const std::uint32_t m = scratch.slots[i].slot;
+    if (m < partition_.module_count())  // else erased by the moves
+      scratch.rows_after.push_back({hist_row(m), delta_row(m)});
+  }
+  const double d_bic = timing_.probe_certified(
+      factor_ratio_bound(scratch.rows_before, scratch.rows_after), factor);
   double settle_max = 0.0;
   for (const double settle : settle_ps_)
     settle_max = std::max(settle_max, settle);
@@ -630,15 +675,20 @@ void PartitionEvaluator::self_check() {
   // against *those* sums they must be bit-exact — and so must the
   // incrementally maintained critical path against a full pass over the
   // same per-gate factors.
+  // The reference derivation bypasses the delay memo, so a memo row that
+  // differs from a fresh solve fails here.
   std::vector<double> row(ctx_->type_count);
   double area = 0.0;
   double settle = 0.0;
   double settle_max = 0.0;
   std::vector<double> factors(ctx_->nl.gate_count(), 1.0);
   for (std::uint32_t m = 0; m < partition_.module_count(); ++m) {
-    derive_module_delay(profiles_[m].max_current_ua(),
-                        profiles_[m].max_switching(), cvr_ff_[m], hist_row(m),
-                        row, area, settle);
+    solve_module_delay(profiles_[m].max_current_ua(),
+                       profiles_[m].max_switching(), cvr_ff_[m], row, area,
+                       settle);
+    const auto hist = hist_row(m);
+    for (std::size_t t = 0; t < ctx_->type_count; ++t)
+      if (hist[t] == 0) row[t] = 1.0;
     const auto cached = delta_row(m);
     require(std::equal(row.begin(), row.end(), cached.begin(), cached.end()),
             "self_check: type-delta row mismatch");

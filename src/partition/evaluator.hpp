@@ -22,6 +22,15 @@
 // value is a pure function of the per-module sums, computed by the same
 // expressions on the same operands as a full recomputation, so the refresh
 // is bit-identical to the historical full pass.
+//
+// Hypothetical moves (probe_move for one gate, probe_moves for a move
+// list) are scored against the current state without a copy: the timing
+// engine's slack certificate of the current arrivals answers their
+// critical path from the ~1% near-critical gates. The delay derivation is
+// memoized exactly — its outputs are a pure function of (iDD_max, n_max,
+// cvr), so a small direct-mapped table keyed by their bit patterns
+// returns the very bits a solve would (a commit's refresh re-derives
+// exactly the overlay its probe derived).
 // tests/partition/test_incremental.cpp verifies full == incremental on
 // random move sequences; tests/partition/test_probe.cpp pins probe_move
 // and tests/partition/test_probe_moves.cpp pins probe_moves against
@@ -138,11 +147,15 @@ class PartitionEvaluator {
   /// Scores the move (g -> target) against the current state without
   /// committing it: returns bit-for-bit what `copy = *this;
   /// copy.move_gate(g, target); {copy.fitness(), copy.costs()}` would,
-  /// using src/target scratch overlays plus a rolled-back timing probe
-  /// instead of the O(gates + K*grid) copy. The evaluator's logical state
-  /// is unchanged (scratch and lazy caches may refresh). Requires a move
-  /// that does not empty its source module (the accept/reject loops never
-  /// propose one; commit emptying moves with move_gate directly).
+  /// using src/target scratch overlays instead of the O(gates + K*grid)
+  /// copy. The critical path comes from the slack certificate of the
+  /// current arrivals, as for probe_moves: the ratio bound covers only the
+  /// two endpoint slots, and the full pass into scratch storage is the
+  /// fallback. The certificate is built on the first probe after a state
+  /// change, so the probes of one round share it. The evaluator's logical
+  /// state is unchanged (scratch and lazy caches may refresh). Requires a
+  /// move that does not empty its source module (the accept/reject loops
+  /// never propose one; commit emptying moves with move_gate directly).
   [[nodiscard]] MoveProbe probe_move(netlist::GateId g, std::uint32_t target);
 
   /// Scores a whole move list against the current state without keeping
@@ -165,8 +178,8 @@ class PartitionEvaluator {
   /// copy.
   [[nodiscard]] MoveProbe probe_moves(std::span<const Move> moves);
 
-  /// The timing engine, read-only: tests count how many probe_moves
-  /// children its certificate answered and how many took the full pass.
+  /// The timing engine, read-only: tests count how many probes its
+  /// certificate answered and how many took the full pass.
   [[nodiscard]] const est::IncrementalTiming& timing() const noexcept {
     return timing_;
   }
@@ -220,23 +233,44 @@ class PartitionEvaluator {
   /// Puts every snapshotted slot back and regrows the per-module arrays
   /// to `module_count` slots.
   void restore_slots(std::size_t module_count);
-  /// During probe_moves: a bound r >= 1 on every gate's new factor over
-  /// its old one, max over types t of the largest new factor of t in a
-  /// snapshotted slot over the smallest old one. O(snapshots x types).
-  [[nodiscard]] double factor_ratio_bound();
+  /// Settles the lazy caches and certifies the current arrivals (a copy,
+  /// which has none, first pays one full pass) — what both probes score
+  /// against.
+  void certify_current_state();
+  /// A module slot's type histogram and delta row.
+  struct TypeRows {
+    std::span<const std::uint32_t> hist;
+    std::span<const double> delta;
+  };
+  /// A bound r >= 1 on every gate's new factor over its old one, for a
+  /// hypothetical in which every gate whose factor changes was in one of
+  /// the `before` slots and lands in one of the `after` slots: max over
+  /// types t of the largest `after` factor of t over the smallest `before`
+  /// one, counting a slot's row only where its histogram holds t.
+  /// O(slots x types). The one bound of probe_move and probe_moves.
+  [[nodiscard]] double factor_ratio_bound(std::span<const TypeRows> before,
+                                          std::span<const TypeRows> after);
   [[nodiscard]] double module_rs_kohm(std::uint32_t m) const;
   [[nodiscard]] double module_cs_ff(std::uint32_t m) const;
   /// Derives the delay-model anchors, sensor area, and settling time of a
-  /// module's (profile, cvr, histogram) state. The single code path for
-  /// refresh(), probe_move(), and self_check() — sharing it is what keeps
-  /// overlay arithmetic bit-identical to committed refreshes. The row
-  /// spans must be ctx_->type_count wide (a row of the SoA matrices below
-  /// or an equally sized scratch row).
+  /// module's (profile, cvr, histogram) state: solve_module_delay through
+  /// the exact memo, with the types the histogram lacks set to 1.0. The
+  /// single code path for refresh(), probe_move() and probe_moves() —
+  /// sharing it is what keeps overlay arithmetic bit-identical to committed
+  /// refreshes. Non-const: a hit or miss rewrites the memo. The row span
+  /// must be ctx_->type_count wide (a row of the SoA matrices below or an
+  /// equally sized scratch row).
   void derive_module_delay(double idd_max_ua, std::uint32_t max_switching,
                            double cvr_ff,
                            std::span<const std::uint32_t> histogram,
                            std::span<double> type_delta_row, double& area,
-                           double& settle) const;
+                           double& settle);
+  /// The uncached derivation behind derive_module_delay, for every type
+  /// (the delay-model solve of one type does not depend on the others).
+  /// self_check() uses it as the reference for the memo.
+  void solve_module_delay(double idd_max_ua, std::uint32_t max_switching,
+                          double cvr_ff, std::span<double> type_delta_row,
+                          double& area, double& settle) const;
   void mark_dirty(std::uint32_t m);
   /// Degradation factor of gate g under the cached delta rows — what the
   /// timing engine is fed on the committed state.
@@ -293,6 +327,23 @@ class PartitionEvaluator {
   double d_bic_ps_ = 0.0;
   double settle_max_ps_ = 0.0;
 
+  /// derive_module_delay's memo: direct-mapped, kDelayMemoSlots entries,
+  /// each holding one solve_module_delay result for every type. Hits need
+  /// bit-equal operands, so a hit returns the bits a solve would. Copies
+  /// carry it: about 12 KB at 18 cell types.
+  static constexpr int kDelayMemoBits = 6;
+  static constexpr std::size_t kDelayMemoSlots =
+      std::size_t{1} << kDelayMemoBits;
+  struct DelayMemoEntry {
+    std::uint64_t idd_bits = 0;
+    std::uint64_t cvr_bits = 0;
+    std::uint32_t n_max = 0;  // 0: the slot is empty (n_max is at least 1)
+    double area = 0.0;
+    double settle = 0.0;
+  };
+  std::vector<DelayMemoEntry> delay_memo_;   // kDelayMemoSlots
+  std::vector<double> delay_memo_rows_;      // flat [memo slot x type]
+
   /// A module slot's caches as they were before a probe_moves touched it
   /// (its histogram/delta rows live in ProbeScratch's flat matrices).
   struct SlotSnapshot {
@@ -307,7 +358,7 @@ class PartitionEvaluator {
   };
 
   struct ProbeScratch {
-    std::vector<netlist::GateId> seeds;
+    std::vector<netlist::GateId> seeds;  // refresh's sparse timing path
     std::vector<std::uint32_t> hist_src;
     std::vector<std::uint32_t> hist_tgt;
     std::vector<double> row_src;
@@ -319,6 +370,8 @@ class PartitionEvaluator {
     std::vector<std::uint32_t> slot_hist;  // flat [snapshot x type]
     std::vector<double> slot_delta;        // flat [snapshot x type]
     std::vector<std::uint8_t> touched;     // by module slot
+    std::vector<TypeRows> rows_before;     // probe_moves' ratio-bound slots
+    std::vector<TypeRows> rows_after;
     std::vector<double> type_min_before;   // factor_ratio_bound, by type
     std::vector<double> type_max_after;    // factor_ratio_bound, by type
   };

@@ -136,20 +136,18 @@ TEST(IncrementalTiming, ProbeScoresWithoutCommitting) {
   const auto logic = f.nl.logic_gates();
   for (int step = 0; step < 50; ++step) {
     std::vector<double> overlay = f.delta;
-    std::vector<netlist::GateId> changed;
-    // Small batches ride the journaled sweep; every 13th batch is dense
-    // enough to take the scratch full-pass fallback.
+    // probe_full scores into scratch storage: sparse and dense what-ifs
+    // alike leave the committed state untouched.
     const std::size_t batch =
         step % 13 == 12 ? logic.size() / 2 : 1 + rng.index(6);
     for (std::size_t i = 0; i < batch; ++i) {
       const netlist::GateId g = logic[rng.index(logic.size())];
       overlay[g] = 1.0 + rng.uniform() * 0.3;
-      changed.push_back(g);
     }
-    const double what_if = timing.probe(
-        changed, [&](netlist::GateId g) { return overlay[g]; });
+    const double what_if =
+        timing.probe_full([&](netlist::GateId g) { return overlay[g]; });
     expect_bits_eq(what_if, degraded_critical_path_ps(f.nl, f.cells, overlay));
-    // State must be fully restored: same worst, same arrivals.
+    // The committed state is untouched: same worst, same arrivals.
     expect_bits_eq(timing.worst_ps(), committed);
     for (netlist::GateId id = 0; id < f.nl.gate_count(); ++id)
       ASSERT_EQ(std::bit_cast<std::uint64_t>(timing.arrival_ps(id)),
@@ -302,11 +300,10 @@ TEST(IncrementalTiming, CertifiedProbeMatchesFullPassBitForBit) {
                        degraded_critical_path_ps(nl, cells, child));
         if (::testing::Test::HasFailure()) return;
 
-        // A journaled probe restores the arrivals and keeps the
-        // certificate; committing the child drops it, and the committed
-        // state is certified afresh.
+        // A full what-if pass keeps the certificate; committing the child
+        // drops it, and the committed state is certified afresh.
         if (ch % 8 == 3) {
-          (void)timing.probe(changed, child_factor);
+          (void)timing.probe_full(child_factor);
           ASSERT_TRUE(timing.certified());
         } else if (ch % 16 == 11) {
           parent = child;

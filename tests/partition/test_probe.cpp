@@ -5,12 +5,16 @@
 // evaluator's own observable state untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/neighborhood.hpp"
+#include "core/size_planner.hpp"
 #include "core/start_partition.hpp"
+#include "netlist/circuit_loader.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "partition/evaluator.hpp"
 #include "support/error.hpp"
@@ -90,14 +94,68 @@ TEST_P(ProbeEquivalence, RandomWalkProbesMatchCopyMoveFitness) {
   }
 }
 
-// The last scenario's tiny modules keep probe seed sets under the dense
-// cutover, covering the journaled-sweep timing path through probe_move;
-// the coarse ones cover the scratch full-pass fallback.
+// The last scenario's tiny modules make single moves swing their two
+// modules' factors far, so its probes exercise the certificate's full-pass
+// fallback as well as its near-critical pass.
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, ProbeEquivalence,
     ::testing::Values(Scenario{60, 6, 2, 1}, Scenario{150, 12, 4, 2},
                       Scenario{300, 15, 5, 3}, Scenario{300, 15, 3, 4},
                       Scenario{500, 20, 6, 5}, Scenario{500, 20, 160, 6}));
+
+// Differential over the search regimes: boundary moves (what tabu,
+// annealing and greedy propose) on Table-1 and BIG-family circuits, at the
+// size planner's module count and at fine-grained K = V/48. Commits drop
+// the slack certificate and are followed by self_check(), which rederives
+// every delay row without the memo; annealing-style move+revert replays
+// bring the running sums back to operands the memo has seen. A failure
+// names its circuit, K and case seed.
+TEST(Probe, CertifiedProbesMatchCopiesOnSearchPartitions) {
+  constexpr std::uint64_t kMasterSeed = 0x9b0be17;
+  const auto library = lib::default_library();
+  std::size_t certified = 0;
+  std::size_t fallback = 0;
+  for (const char* circuit : {"c1908", "c5315", "big_dag1k"}) {
+    const netlist::Netlist nl = netlist::load_circuit(circuit);
+    const EvalContext ctx(nl, library, elec::SensorSpec{}, CostWeights{});
+    const std::size_t planner_k = core::plan_module_size(ctx).module_count;
+    const std::size_t fine_k =
+        std::max<std::size_t>(2, nl.logic_gate_count() / 48);
+    for (const std::size_t k : {planner_k, fine_k}) {
+      Rng seeder(kMasterSeed ^ (nl.gate_count() * 131 + k));
+      const std::uint64_t seed = seeder();
+      SCOPED_TRACE(std::string(circuit) + " K=" + std::to_string(k) +
+                   " seed=" + std::to_string(seed));
+      Rng rng(seed);
+      PartitionEvaluator eval(ctx, core::make_start_partition(nl, k, rng));
+      for (int step = 0; step < 200; ++step) {
+        const part::Move mv = core::sample_boundary_move(eval, rng);
+        if (!mv.valid()) continue;
+        ASSERT_NO_THROW(expect_probe_matches_copy(eval, mv.gate, mv.target));
+        if (::testing::Test::HasFailure()) return;
+        const std::uint32_t src = eval.partition().module_of(mv.gate);
+        switch (rng.below(4)) {
+          case 0:  // commit
+            eval.move_gate(mv.gate, mv.target);
+            ASSERT_NO_THROW(eval.self_check());
+            break;
+          case 1:  // reject, replayed as move + revert
+            eval.move_gate(mv.gate, mv.target);
+            eval.move_gate(mv.gate, src);
+            break;
+          default:  // another probe against the same certificate
+            break;
+        }
+      }
+      ASSERT_NO_THROW(eval.self_check());
+      certified += eval.timing().certified_probes();
+      fallback += eval.timing().fallback_probes();
+    }
+  }
+  // Both answers of the certificate must have been exercised.
+  EXPECT_GT(certified, 0u);
+  EXPECT_GT(fallback, 0u);
+}
 
 TEST(Probe, TabuStyleCandidateFanMatchesCopies) {
   // Many probes against one round-start state (what tabu does each round),

@@ -14,17 +14,18 @@
 #
 # ThreadSanitizer leg: rebuild the support + core + partition test
 # binaries with -fsanitize=thread and run the parallelism-relevant suites
-# (executor, optimizers, job queue/service/protocol, probe_moves)
-# threaded.
+# (executor, optimizers, job queue/service/protocol, probe_moves and
+# probe_move) threaded.
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
 # AddressSanitizer leg: rebuild the netlist, estimator, partition and
 # core test binaries with -fsanitize=address,undefined and leak detection
 # on, and run the whole netlist, estimator and partition suites (the
-# timing engine and its slack certificate, the evaluator and probe_moves)
-# plus the core suites behind the standard clustering, the job
-# protocol/service stack and the parallel optimizers.
+# timing engine and its slack certificate, the evaluator, its probes and
+# delay memo) plus the core suites behind the standard clustering, the
+# job protocol/service stack, the parallel optimizers and the tabu,
+# annealing and greedy searches that probe_move serves.
 #
 #   $ tools/ci.sh asan [build-dir]     default build dir: build-asan
 #
@@ -485,14 +486,15 @@ if [ "$MODE" = "tsan" ]; then
   # The parallelism surface: executor pool, TCP transport, the parallel
   # optimizers and their invariance pins, the job queue/service/protocol
   # stack, and the per-session event writer + fault-injection layer —
-  # plus the probe_moves differential suite behind the ES's threaded
-  # child scoring.
+  # plus the probe_moves and probe_move differential suites behind the
+  # threaded child and candidate scoring. Annealing and the greedy
+  # refiner run here too: their evaluator copies carry the delay memo.
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_support" \
     --gtest_filter='Executor.*:Transport.*'
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_partition" \
-    --gtest_filter='ProbeMoves.*'
+    --gtest_filter='ProbeMoves.*:Probe.*'
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_core" \
-    --gtest_filter='ParallelInvariance.*:Evolution.*:Tabu.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*'
+    --gtest_filter='ParallelInvariance.*:Evolution.*:Tabu.*:Annealing.*:Refiner.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*'
   echo "tsan OK"
   exit 0
 fi
@@ -513,7 +515,7 @@ if [ "$MODE" = "asan" ]; then
   "$BUILD_DIR/iddq_tests_estimators"
   "$BUILD_DIR/iddq_tests_partition"
   "$BUILD_DIR/iddq_tests_core" \
-    --gtest_filter='StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*'
+    --gtest_filter='StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*:Tabu.*:Annealing.*:Refiner.*:OptimizerEquivalence.*'
   echo "asan OK"
   exit 0
 fi
