@@ -1,17 +1,18 @@
-// Multi-method, multi-circuit sweep through the BatchRunner.
+// Multi-method, multi-circuit sweep through the JobService.
 //
 //   $ ./optimizer_sweep [jobs]        default 1 worker thread
 //
 // Fans the registry methods {evolution, annealing, random, standard} out
-// over several builtin circuits on a thread pool. Per-task seeds derive
-// from the task index alone, so any jobs value produces the same table —
-// run with 1 and 4 and diff the output to see for yourself.
+// over several builtin circuits on a worker pool, one job per circuit.
+// Per-job seeds derive from the circuit's index alone (core::shard_spec),
+// so any jobs value produces the same table — run with 1 and 4 and diff
+// the output to see for yourself.
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "core/batch_runner.hpp"
+#include "core/job_service.hpp"
 #include "library/cell_library.hpp"
 #include "report/table.hpp"
 
@@ -20,27 +21,32 @@ int main(int argc, char** argv) {
   const std::size_t jobs =
       argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 1;
 
-  const std::vector<std::string> circuits{"c17", "c1908", "c2670", "c3540"};
-  const std::vector<std::string> methods{"evolution", "annealing", "random",
-                                         "standard"};
+  core::SubmitRequest sweep;
+  sweep.circuits = {"c17", "c1908", "c2670", "c3540"};
+  sweep.methods = {"evolution", "annealing", "random", "standard"};
+  sweep.seed = 42;
 
   const auto library = lib::default_library();
-  core::FlowEngineConfig config;
-  config.optimizers.es.max_generations = 80;
-  config.optimizers.es.stall_generations = 25;
+  core::JobServiceConfig config;
+  config.workers = jobs;
+  config.flow.optimizers.es.max_generations = 80;
+  config.flow.optimizers.es.stall_generations = 25;
 
-  const core::BatchRunner runner(library, config);
-  const auto items = runner.run(circuits, methods, /*base_seed=*/42, jobs);
+  core::JobService service(library, config);
+  std::vector<core::JobHandle> handles;
+  for (std::size_t i = 0; i < sweep.circuits.size(); ++i)
+    handles.push_back(service.submit(core::shard_spec(sweep, i)));
 
   report::TextTable table(
       {"circuit", "method", "K", "cost", "sensor area", "evals", "feasible"});
-  for (const auto& item : items) {
-    if (!item.ok()) {
-      std::cerr << item.circuit << ": " << item.error << "\n";
+  for (const auto& handle : handles) {
+    const core::JobResult& result = handle.wait();
+    if (!result.ok()) {
+      std::cerr << result.circuit << ": " << result.error << "\n";
       continue;
     }
-    for (const auto& m : item.methods)
-      table.add_row({item.circuit, m.method, std::to_string(m.module_count),
+    for (const auto& m : result.rows)
+      table.add_row({result.circuit, m.method, std::to_string(m.module_count),
                      report::format_fixed(m.fitness.cost, 1),
                      report::format_eng(m.sensor_area),
                      std::to_string(m.evaluations),
@@ -49,7 +55,7 @@ int main(int argc, char** argv) {
   std::cout << "=== optimizer sweep (" << jobs << " job"
             << (jobs == 1 ? "" : "s") << ") ===\n\n";
   table.print(std::cout);
-  std::cout << "\nthe table is byte-identical for any jobs value: per-task\n"
-               "seeds depend on the task index, never on thread timing.\n";
+  std::cout << "\nthe table is byte-identical for any jobs value: per-job\n"
+               "seeds depend on the circuit index, never on thread timing.\n";
   return 0;
 }

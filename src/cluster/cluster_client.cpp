@@ -13,20 +13,29 @@ using json::JsonWriter;
 
 // ---------------------------------------------------------- ClusterSweep --
 
-ClusterSweep::ClusterSweep(const SweepRequest& request, EmitFn emit)
-    : id_(request.id),
-      methods_(request.methods),
-      budget_(request.budget),
-      use_cache_(request.use_cache),
-      priority_(request.priority),
-      deadline_ms_(request.deadline_ms),
+ClusterSweep::ClusterSweep(ClusterClient& client,
+                           const core::SubmitRequest& request, EmitFn emit)
+    : client_(&client),
+      request_(request),
       merger_(request.id, request.circuits),
       shards_(request.circuits.size()),
       emit_(std::move(emit)) {}
 
+void ClusterSweep::start() {
+  for (std::size_t shard = 0; shard < shards_.size(); ++shard)
+    client_->dispatch_shard(shared_from_this(), shard);
+}
+
+void ClusterSweep::cancel() { client_->cancel(shared_from_this()); }
+
 void ClusterSweep::wait() {
   std::unique_lock lock(mutex_);
   cv_.wait(lock, [this] { return done_; });
+}
+
+bool ClusterSweep::wait_for(std::chrono::milliseconds timeout) {
+  std::unique_lock lock(mutex_);
+  return cv_.wait_for(lock, timeout, [this] { return done_; });
 }
 
 bool ClusterSweep::finished() const {
@@ -325,7 +334,7 @@ void ClusterClient::dispatch_shard(
       JsonWriter seeds(JsonWriter::Kind::Array);
       seeds.element(sh.seed);
       JsonWriter methods(JsonWriter::Kind::Array);
-      for (const auto& m : sweep->methods_)
+      for (const auto& m : sweep->request_.methods)
         methods.element(std::string_view(m));
       JsonWriter submit;
       submit.field("op", "submit")
@@ -335,14 +344,14 @@ void ClusterClient::dispatch_shard(
           // The explicit seeds array IS the determinism carrier; "seed" is
           // never consulted when it is present.
           .field_raw("seeds", std::move(seeds).str())
-          .field("budget", static_cast<std::uint64_t>(sweep->budget_))
-          .field("cache", sweep->use_cache_)
-          .field("priority", static_cast<double>(sweep->priority_));
+          .field("budget", static_cast<std::uint64_t>(sweep->request_.budget))
+          .field("cache", sweep->request_.use_cache)
+          .field("priority", static_cast<double>(sweep->request_.priority));
       // Shipped only when set, so deadline-free submits keep their exact
       // pre-deadline bytes on the wire.
-      if (sweep->deadline_ms_ > 0)
+      if (sweep->request_.deadline_ms > 0)
         submit.field("deadline_ms",
-                     static_cast<std::uint64_t>(sweep->deadline_ms_));
+                     static_cast<std::uint64_t>(sweep->request_.deadline_ms));
       if (write_to_backend(backend, std::move(submit).str())) {
         dispatched = true;
         break;
@@ -374,24 +383,33 @@ void ClusterClient::finish_if_done(const std::shared_ptr<ClusterSweep>& sweep,
   sweep->cv_.notify_all();
 }
 
-std::shared_ptr<ClusterSweep> ClusterClient::submit_sweep(
-    const SweepRequest& request, EmitFn emit) {
+std::shared_ptr<ClusterSweep> ClusterClient::open_sweep(
+    const core::SubmitRequest& request, EmitFn emit) {
   auto sweep = std::shared_ptr<ClusterSweep>(
-      new ClusterSweep(request, std::move(emit)));
+      new ClusterSweep(*this, request, std::move(emit)));
   for (std::size_t shard = 0; shard < request.circuits.size(); ++shard) {
     ClusterSweep::Shard& sh = sweep->shards_[shard];
-    // BatchRunner's derivation, computed HERE and shipped as data: the
+    // The one shard-seed rule, computed HERE and shipped as data: the
     // backend applies seeds[0] verbatim, so rows match `iddqsyn --jobs N
-    // --seed S` whatever backend (or retry) runs the shard. A caller
-    // shipping explicit seeds (relayed protocol submits) wins outright.
-    sh.seed = shard < request.seeds.size() ? request.seeds[shard]
-                                           : Rng::mix_seed(request.seed, shard);
+    // --seed S` whatever backend (or retry) runs the shard.
+    sh.seed = core::shard_seed(request, shard);
     sh.placement = router_.placement(router_.fingerprint(
-        request.circuits[shard], sweep->methods_, sh.seed, request.budget));
+        request.circuits[shard], request.methods, sh.seed, request.budget));
   }
-  for (std::size_t shard = 0; shard < request.circuits.size(); ++shard)
-    dispatch_shard(sweep, shard);
   return sweep;
+}
+
+std::shared_ptr<core::BackendSweep> ClusterClient::admit(
+    const core::SubmitRequest& request, core::SessionEventWriter& out,
+    std::string& /*rejection*/) {
+  return open_sweep(request, [&out](const std::string& line, bool droppable) {
+    (void)out.post(line, droppable ? core::EventDeliveryClass::droppable
+                                   : core::EventDeliveryClass::must_deliver);
+  });
+}
+
+void ClusterClient::hello_fields(JsonWriter& w) {
+  w.field("backends", static_cast<std::uint64_t>(backends_.size()));
 }
 
 void ClusterClient::cancel(const std::shared_ptr<ClusterSweep>& sweep) {
@@ -518,7 +536,8 @@ std::vector<std::string> ClusterClient::broadcast(
   return replies;
 }
 
-std::string ClusterClient::stats_line() {
+void ClusterClient::stats_fields(JsonWriter& w,
+                                 const core::SessionTrafficStats* /*traffic*/) {
   const auto replies =
       broadcast(JsonWriter().field("op", "stats").str(), "stats");
   std::uint64_t alive = 0;
@@ -576,9 +595,7 @@ std::string ClusterClient::stats_line() {
     }
     per_backend.element_raw(std::move(entry).str());
   }
-  JsonWriter w;
-  w.field("event", "stats")
-      .field("backends", static_cast<std::uint64_t>(backends_.size()))
+  w.field("backends", static_cast<std::uint64_t>(backends_.size()))
       .field("backends_alive", alive)
       .field("workers", workers)
       .field("submitted", submitted)
@@ -598,10 +615,9 @@ std::string ClusterClient::stats_line() {
         .field("cache_entries", cache_entries);
   }
   w.field_raw("per_backend", std::move(per_backend).str());
-  return std::move(w).str();
 }
 
-std::string ClusterClient::ping_line() {
+void ClusterClient::pong_fields(JsonWriter& w) {
   const auto replies =
       broadcast(JsonWriter().field("op", "ping").str(), "pong");
   std::uint64_t alive = 0;
@@ -612,13 +628,9 @@ std::string ClusterClient::ping_line() {
     if (const auto event = JsonValue::parse(reply))
       workers += event->get_u64("workers");
   }
-  return JsonWriter()
-      .field("event", "pong")
-      .field("protocol", std::uint64_t{1})
-      .field("backends", static_cast<std::uint64_t>(backends_.size()))
+  w.field("backends", static_cast<std::uint64_t>(backends_.size()))
       .field("backends_alive", alive)
-      .field("workers", workers)
-      .str();
+      .field("workers", workers);
 }
 
 }  // namespace iddq::cluster

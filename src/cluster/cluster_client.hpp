@@ -4,10 +4,10 @@
 // One client owns one persistent line-JSON connection per backend plus a
 // reader thread demultiplexing its event stream. A sweep is split into
 // width-1 backend submits (one per circuit): each shard's base seed is
-// computed up front with the BatchRunner derivation mix_seed(seed, shard)
-// and shipped explicitly in the submit's "seeds" array — seeds are DATA
-// attached to the shard, so which backend runs it (or re-runs it after a
-// failure) cannot change its rows. Placement consistent-hashes the shard's
+// core::shard_seed(request, shard), computed up front and shipped
+// explicitly in the submit's "seeds" array — seeds are DATA attached to
+// the shard, so which backend runs it (or re-runs it after a failure)
+// cannot change its rows. Placement consistent-hashes the shard's
 // run-key fingerprint (ShardRouter) so repeat traffic lands on backends
 // whose ResultCaches are already warm.
 //
@@ -20,8 +20,10 @@
 // exhausted gets a synthesized `failed` terminal — the sweep always
 // completes.
 //
-// stats_line()/ping_line() fan the corresponding op to every backend and
-// aggregate the replies (docs/cluster.md, "Operating it").
+// The client is the core::SweepBackend of iddqsyn_cluster: a
+// core::JobProtocolSession over it speaks the server protocol, and its
+// `stats` and `ping` fan out to every backend and report an aggregate
+// (docs/cluster.md, "Operating it").
 #pragma once
 
 #include <atomic>
@@ -38,6 +40,7 @@
 
 #include "cluster/row_merger.hpp"
 #include "cluster/shard_router.hpp"
+#include "core/job_protocol.hpp"
 #include "support/transport.hpp"
 
 namespace iddq::cluster {
@@ -57,7 +60,7 @@ struct ClusterOptions {
   /// Seeds the retry jitter (fixed default: identical runs back off
   /// identically).
   std::uint64_t jitter_seed = 0x1DD0BACC;
-  /// How long stats_line()/ping_line() wait for backend replies.
+  /// How long a `stats` or `ping` waits for backend replies.
   std::size_t stats_timeout_ms = 2000;
   /// Health-check cadence (--heartbeat-ms): every heartbeat_ms each
   /// backend gets a `ping` probe (id "hb"); an unanswered or unwritable
@@ -72,35 +75,31 @@ struct ClusterOptions {
   std::size_t breaker_cooldown_ms = 1000;
 };
 
-struct SweepRequest {
-  std::string id;
-  std::vector<std::string> circuits;
-  std::vector<std::string> methods{"evolution", "standard"};
-  std::uint64_t seed = 1;
-  /// Explicit per-shard base seeds (same length as circuits); when present
-  /// they replace the mix_seed(seed, shard) derivation, mirroring the
-  /// protocol's "seeds" submit field.
-  std::vector<std::uint64_t> seeds;
-  std::size_t budget = 0;
-  bool use_cache = true;
-  int priority = 0;
-  /// Per-job deadline forwarded verbatim to every shard's backend submit
-  /// (0 = omit the field; the backend's own default applies).
-  std::size_t deadline_ms = 0;
-};
-
 /// Sink for merged event lines; `droppable` marks progress ticks so the
 /// caller can apply its backpressure class. Called from backend reader
 /// threads and from the submitting thread; must not block indefinitely.
 using EmitFn = std::function<void(const std::string& line, bool droppable)>;
 
-/// Handle of one in-flight cluster sweep; created by submit_sweep.
-class ClusterSweep {
+class ClusterClient;
+
+/// One cluster sweep; created (unstarted) by ClusterClient::open_sweep.
+class ClusterSweep final : public core::BackendSweep,
+                           public std::enable_shared_from_this<ClusterSweep> {
  public:
-  /// Blocks until every shard is terminal and sweep_done was emitted.
-  void wait();
+  /// Routes and dispatches every shard (blocking until each is written to
+  /// a backend, has exhausted its attempts, or the sweep is cancelled);
+  /// events stream to the sweep's emit function as backends produce them.
+  void start() override;
+  /// Forwards cancel to the backends holding its shards; shards between
+  /// dispatches turn cancelled locally.
+  void cancel() override;
+  void wait() override;
+  bool wait_for(std::chrono::milliseconds timeout) override;
+  /// True once every shard is terminal and sweep_done was emitted.
   [[nodiscard]] bool finished() const;
-  [[nodiscard]] const std::string& id() const noexcept { return id_; }
+  [[nodiscard]] std::size_t unfinished() const override {
+    return merger_.open_shards();
+  }
 
  private:
   friend class ClusterClient;
@@ -113,14 +112,11 @@ class ClusterSweep {
     std::string last_error;  // latest backend rejection, for fail_shard
   };
 
-  ClusterSweep(const SweepRequest& request, EmitFn emit);
+  ClusterSweep(ClusterClient& client, const core::SubmitRequest& request,
+               EmitFn emit);
 
-  std::string id_;
-  std::vector<std::string> methods_;
-  std::size_t budget_ = 0;
-  bool use_cache_ = true;
-  int priority_ = 0;
-  std::size_t deadline_ms_ = 0;
+  ClusterClient* client_;
+  const core::SubmitRequest request_;
   RowMerger merger_;
   std::vector<Shard> shards_;
   EmitFn emit_;
@@ -130,7 +126,7 @@ class ClusterSweep {
   bool done_ = false;
 };
 
-class ClusterClient {
+class ClusterClient final : public core::SweepBackend {
  public:
   /// `endpoints` name the backends (--submit convention: host:port or unix
   /// socket path; duplicates ignored); `library_fp` feeds the routing
@@ -142,23 +138,26 @@ class ClusterClient {
   ClusterClient(const ClusterClient&) = delete;
   ClusterClient& operator=(const ClusterClient&) = delete;
 
-  /// Routes and dispatches every shard (blocking until each is written to
-  /// a backend, has exhausted its attempts, or the sweep is cancelled) and
-  /// returns the handle; events stream to `emit` as backends produce them.
-  std::shared_ptr<ClusterSweep> submit_sweep(const SweepRequest& request,
-                                             EmitFn emit);
+  /// Places every shard of `request` on the ring and returns the sweep,
+  /// not yet started; its events will stream to `emit`. The client must
+  /// outlive the sweep's start() and wait().
+  std::shared_ptr<ClusterSweep> open_sweep(const core::SubmitRequest& request,
+                                           EmitFn emit);
 
-  /// Cooperatively cancels a sweep: forwards cancel to the backends
-  /// holding its shards; shards between dispatches turn cancelled locally.
-  void cancel(const std::shared_ptr<ClusterSweep>& sweep);
-
-  /// Aggregate `stats` event across all reachable backends: summed
-  /// service/cache counters plus a per_backend array (docs/cluster.md).
-  [[nodiscard]] std::string stats_line();
-
-  /// Aggregate `pong` event: pings every backend, reports backends/alive
-  /// and the summed worker count of the ones that answered.
-  [[nodiscard]] std::string ping_line();
+  // core::SweepBackend. Every sweep is admitted; stats and pong aggregate
+  // across the backends, within stats_timeout_ms.
+  void hello_fields(json::JsonWriter& w) override;
+  /// backends / backends_alive / the summed worker count of the backends
+  /// that answered a ping.
+  void pong_fields(json::JsonWriter& w) override;
+  /// Summed service/cache counters plus a per_backend array
+  /// (docs/cluster.md); `traffic` is not reported — drained_sessions is
+  /// the backends' sum.
+  void stats_fields(json::JsonWriter& w,
+                    const core::SessionTrafficStats* traffic) override;
+  std::shared_ptr<core::BackendSweep> admit(const core::SubmitRequest& request,
+                                            core::SessionEventWriter& out,
+                                            std::string& rejection) override;
 
   [[nodiscard]] std::size_t backend_count() const noexcept {
     return backends_.size();
@@ -188,6 +187,8 @@ class ClusterClient {
     std::atomic<std::uint64_t> hb_pongs{0};
   };
 
+  friend class ClusterSweep;
+
   /// A dispatched shard: backend submit id -> where its events belong.
   struct Route {
     std::shared_ptr<ClusterSweep> sweep;
@@ -207,6 +208,7 @@ class ClusterClient {
   void finish_if_done(const std::shared_ptr<ClusterSweep>& sweep,
                       bool emit_lines = true);
   bool write_to_backend(std::size_t backend, const std::string& line);
+  void cancel(const std::shared_ptr<ClusterSweep>& sweep);
   /// Heartbeat prober (started when options_.heartbeat_ms > 0): probes
   /// every backend each cycle, drives the per-backend circuit breaker,
   /// and evicts/re-admits backends on the router's active ring.

@@ -125,9 +125,9 @@ bool RowMerger::shard_terminal(std::size_t shard) const {
   return shards_[shard].terminal;
 }
 
-bool RowMerger::all_terminal() const {
+std::size_t RowMerger::open_shards() const {
   const std::scoped_lock lock(mutex_);
-  return terminal_count_ == shards_.size();
+  return shards_.size() - terminal_count_;
 }
 
 std::optional<std::string> RowMerger::take_sweep_done() {

@@ -65,7 +65,8 @@ class RowMerger {
   [[nodiscard]] std::string cancel_shard(std::size_t shard);
 
   [[nodiscard]] bool shard_terminal(std::size_t shard) const;
-  [[nodiscard]] bool all_terminal() const;
+  /// Shards not yet terminal.
+  [[nodiscard]] std::size_t open_shards() const;
 
   /// The sweep_done line, exactly once, after the last shard turned
   /// terminal; nullopt before that (or on every later call).

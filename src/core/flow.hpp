@@ -11,7 +11,7 @@
 // (core/flow_engine.hpp): it runs the registry's "evolution" and "standard"
 // methods with the paper's section-5 coupling and keeps the historical
 // FlowResult accessors. New code that wants other method sets, explicit
-// budgets, or multi-circuit sweeps should use FlowEngine / BatchRunner
+// budgets, or multi-circuit sweeps should use FlowEngine / JobService
 // directly.
 #pragma once
 

@@ -97,6 +97,24 @@ struct JobControl {
 
 }  // namespace detail
 
+std::uint64_t shard_seed(const SubmitRequest& request, std::size_t shard) {
+  return shard < request.seeds.size() ? request.seeds[shard]
+                                      : Rng::mix_seed(request.seed, shard);
+}
+
+JobSpec shard_spec(const SubmitRequest& request, std::size_t shard) {
+  JobSpec spec;
+  spec.circuit = request.circuits[shard];
+  spec.methods = request.methods;
+  spec.base_seed = shard_seed(request, shard);
+  spec.max_evaluations = request.budget;
+  spec.priority = request.priority;
+  spec.deadline_ms = request.deadline_ms;
+  spec.cache_policy = request.use_cache ? JobSpec::CachePolicy::use
+                                        : JobSpec::CachePolicy::bypass;
+  return spec;
+}
+
 std::uint64_t JobHandle::id() const { return ctl_ ? ctl_->id : 0; }
 
 JobState JobHandle::status() const {
@@ -256,7 +274,7 @@ void JobService::execute(detail::JobControl& job) {
     // Chain rather than replace the config's default progress sink: the
     // service's event emitter would otherwise shadow it (run_method gives
     // per-run callbacks precedence), silencing e.g. the CLI's --progress
-    // ticker for every BatchRunner-shimmed run.
+    // ticker for every run it submits.
     const ProgressCallback config_progress = flow.on_progress;
     sequence.on_progress = [&job,
                             config_progress](const OptimizerProgress& p) {

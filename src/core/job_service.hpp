@@ -11,8 +11,14 @@
 // Execution is exactly FlowEngine::run_methods — same per-method derived
 // seeds (Rng::mix_seed(base_seed, method_index)), same section-5 standard
 // coupling, same cache keys — so a job at a given (circuit, methods, seed,
-// budget) is byte-identical to a direct engine call, and BatchRunner is a
-// thin shim over this service (tests/core/test_job_service.cpp pins both).
+// budget) is byte-identical to a direct engine call
+// (tests/core/test_job_service.cpp pins it).
+//
+// A sweep — one method list over many circuits — is a SubmitRequest; its
+// shard i runs as shard_spec(request, i), seeded by shard_seed(request,
+// i). The CLI, the protocol session's JobService backend and the cluster
+// front-end all derive shard seeds there, so one sweep is byte-identical
+// for any worker count, on one server or across a cluster.
 //
 // Cancellation is cooperative: cancel() sets a flag the sequence polls
 // before each method and at every live progress tick (evolution reports
@@ -65,6 +71,37 @@ struct JobSpec {
   };
   CachePolicy cache_policy = CachePolicy::use;
 };
+
+/// One sweep: a method list over many circuits, one job (shard) per
+/// circuit. The protocol's submit op parses into this; the CLI builds one
+/// from its arguments.
+struct SubmitRequest {
+  std::string id;  // client-chosen sweep id (protocol only)
+  std::vector<std::string> circuits;
+  std::vector<std::string> methods{"evolution", "standard"};
+  std::uint64_t seed = 1;
+  /// Explicit per-shard base seeds (same length as circuits). When present
+  /// they replace the mix_seed(seed, shard) derivation — a cluster front-
+  /// end ships each shard's seed with it as data, so retrying the shard on
+  /// another host cannot change its rows (docs/cluster.md).
+  std::vector<std::uint64_t> seeds;
+  std::size_t budget = 0;  // per-method evaluation budget, 0 = default
+  bool use_cache = true;
+  int priority = 0;
+  /// Per-job wall-clock budget (JobSpec::deadline_ms); 0 = none.
+  std::size_t deadline_ms = 0;
+};
+
+/// Base seed of shard `shard`: seeds[shard] when explicit seeds were
+/// given, else Rng::mix_seed(seed, shard). It depends on the shard index
+/// alone, never on scheduling or placement.
+[[nodiscard]] std::uint64_t shard_seed(const SubmitRequest& request,
+                                       std::size_t shard);
+
+/// The job of shard `shard`: its circuit at shard_seed(), with the
+/// request's methods, budget, priority, deadline and cache policy.
+[[nodiscard]] JobSpec shard_spec(const SubmitRequest& request,
+                                 std::size_t shard);
 
 /// Terminal outcome of one job.
 struct JobResult {

@@ -91,8 +91,8 @@ struct OptimizerOutcome {
   std::vector<GenerationStats> trace;  // non-empty only when recorded
 };
 
-/// Per-method tuning knobs shared by registry factories. The FlowEngine and
-/// BatchRunner carry one of these; the defaults match each wrapped
+/// Per-method tuning knobs shared by registry factories. The FlowEngine
+/// carries one of these; the defaults match each wrapped
 /// implementation's historical defaults.
 struct OptimizerConfig {
   EsParams es;  // seed/record_trace fields are overridden per request

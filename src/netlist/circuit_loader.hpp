@@ -1,6 +1,6 @@
 // Circuit specs: builtin generator names and .bench files behind one call.
 //
-// The CLI, the batch runner, and the examples all accept a "circuit spec":
+// The CLI, the job server, and the examples all accept a "circuit spec":
 // either one of the builtin generators (c17 plus the six Table 1 stand-ins)
 // or a path to an ISCAS85 .bench netlist. This helper centralizes the
 // resolution — including the error UX: a spec that *looks like* a builtin

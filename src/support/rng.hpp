@@ -67,7 +67,8 @@ class Rng {
 
   /// Deterministically combines a base seed with a salt (task index, method
   /// index, ...) into a well-mixed derived seed. Used by the flow engine and
-  /// batch runner so per-task streams are independent of scheduling order.
+  /// the sweep shard seeds so per-task streams are independent of
+  /// scheduling order.
   static std::uint64_t mix_seed(std::uint64_t base, std::uint64_t salt);
 
  private:

@@ -1,4 +1,4 @@
-// End-to-end cluster acceptance (ISSUE PR 8): a ClusterClient fanning
+// End-to-end cluster acceptance: a ClusterClient fanning
 // sweeps over real in-process TCP backends (TcpSocketListener +
 // JobService + JobProtocolSession — the same stack iddqsyn_server runs)
 // must produce a merged stream byte-identical to one direct server,
@@ -14,40 +14,66 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/shard_router.hpp"
-#include "core/flow_engine.hpp"
-#include "core/job_protocol.hpp"
-#include "core/job_service.hpp"
-#include "library/cell_library.hpp"
+#include "cluster_fixture.hpp"
 #include "library/fingerprint.hpp"
-#include "netlist/gen/random_dag.hpp"
-#include "support/json.hpp"
-#include "support/transport.hpp"
 
 namespace iddq::cluster {
 namespace {
 
-netlist::Netlist synthetic_circuit(const std::string& spec) {
-  const std::size_t gates = 120 + 40 * (spec.back() - 'a');
-  return netlist::gen::make_random_dag(
-      netlist::gen::DagProfile::basic(spec, gates, 10, 5));
+using core::SubmitRequest;
+
+/// Thread-safe sink for the cluster's merged stream.
+struct Collector {
+  std::mutex mutex;
+  std::vector<std::string> lines;
+  EmitFn fn() {
+    return [this](const std::string& line, bool) {
+      const std::scoped_lock lock(mutex);
+      lines.push_back(line);
+    };
+  }
+  std::vector<std::string> snapshot() {
+    const std::scoped_lock lock(mutex);
+    return lines;
+  }
+};
+
+/// The must-deliver kinds: progress ticks are droppable (and count-
+/// nondeterministic), everything else must arrive exactly once.
+const std::set<std::string> kAllMustDeliver{
+    "queued", "running", "row", "done", "failed", "cancelled", "sweep_done"};
+const std::set<std::string> kDataOnly{"row", "done", "failed", "cancelled",
+                                      "sweep_done"};
+
+/// Starts a sweep on `client` and returns it (the API a session's
+/// admit() + start() drive).
+std::shared_ptr<ClusterSweep> submit_sweep(ClusterClient& client,
+                                           const SubmitRequest& request,
+                                           EmitFn emit) {
+  auto sweep = client.open_sweep(request, std::move(emit));
+  sweep->start();
+  return sweep;
 }
 
-core::FlowEngineConfig quick_config() {
-  core::FlowEngineConfig config;
-  config.optimizers.es.mu = 3;
-  config.optimizers.es.lambda = 3;
-  config.optimizers.es.chi = 1;
-  config.optimizers.es.max_generations = 10;
-  config.optimizers.es.stall_generations = 5;
-  config.optimizers.random_samples = 50;
-  return config;
+/// The client's aggregate `stats` / `pong` event, parsed.
+std::optional<json::JsonValue> stats_of(ClusterClient& client) {
+  json::JsonWriter w;
+  w.field("event", "stats");
+  client.stats_fields(w, nullptr);
+  return json::JsonValue::parse(std::move(w).str());
+}
+std::optional<json::JsonValue> pong_of(ClusterClient& client) {
+  json::JsonWriter w;
+  w.field("event", "pong").field("protocol", std::uint64_t{1});
+  client.pong_fields(w);
+  return json::JsonValue::parse(std::move(w).str());
 }
 
 /// Blocks the victim backend's circuit loader until released, so its
@@ -72,121 +98,6 @@ class LoaderGate {
   bool open_ = false;
 };
 
-/// One in-process backend: the exact iddqsyn_server serving stack — a TCP
-/// listener accepting FdChannel connections, each served by a
-/// JobProtocolSession over a shared JobService.
-class TestBackend {
- public:
-  /// `port` 0 picks an ephemeral port; a fixed port lets a test restart a
-  /// killed backend at the same endpoint (breaker half-open re-admission).
-  TestBackend(const lib::CellLibrary& library,
-              core::JobService::CircuitLoader loader,
-              core::FlowEngineConfig flow = quick_config(),
-              std::uint16_t port = 0)
-      : listener_("127.0.0.1", port), endpoint_(listener_.endpoint()) {
-    core::JobServiceConfig config;
-    config.workers = 2;
-    config.flow = std::move(flow);
-    service_ = std::make_unique<core::JobService>(library, std::move(config));
-    service_->set_circuit_loader(std::move(loader));
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
-
-  ~TestBackend() {
-    kill();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    for (auto& t : session_threads_)
-      if (t.joinable()) t.join();
-  }
-
-  [[nodiscard]] const std::string& endpoint() const { return endpoint_; }
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  [[nodiscard]] core::JobService& service() { return *service_; }
-
-  /// Simulates the backend dying: stop accepting and sever every live
-  /// session connection (the cluster's readers see EOF).
-  void kill() {
-    listener_.close();
-    const std::scoped_lock lock(mutex_);
-    for (const auto& channel : channels_) {
-      channel->shutdown_read();
-      channel->shutdown_write();
-    }
-  }
-
- private:
-  void accept_loop() {
-    while (auto accepted = listener_.accept()) {
-      std::shared_ptr<support::FdChannel> channel = std::move(accepted);
-      const std::scoped_lock lock(mutex_);
-      channels_.push_back(channel);
-      session_threads_.emplace_back([this, channel] {
-        core::JobProtocolSession session(*service_, *channel, {});
-        (void)session.run();
-      });
-    }
-  }
-
-  support::TcpSocketListener listener_;
-  std::string endpoint_;
-  std::unique_ptr<core::JobService> service_;
-  std::thread accept_thread_;
-  std::mutex mutex_;  // channels_ and session_threads_ vs kill()
-  std::vector<std::shared_ptr<support::FdChannel>> channels_;
-  std::vector<std::thread> session_threads_;
-};
-
-/// Thread-safe sink for the cluster's merged stream.
-struct Collector {
-  std::mutex mutex;
-  std::vector<std::string> lines;
-  EmitFn fn() {
-    return [this](const std::string& line, bool) {
-      const std::scoped_lock lock(mutex);
-      lines.push_back(line);
-    };
-  }
-  std::vector<std::string> snapshot() {
-    const std::scoped_lock lock(mutex);
-    return lines;
-  }
-};
-
-std::string kind_of(const std::string& line) {
-  const auto event = json::JsonValue::parse(line);
-  return event ? event->get_string("event") : "";
-}
-
-/// The must-deliver subset, sorted — progress ticks are droppable (and
-/// count-nondeterministic), everything else must arrive exactly once.
-/// Sorting removes interleaving: every line is unique per (circuit, kind,
-/// index), so sorted byte-equality IS stream equality up to schedule.
-std::vector<std::string> must_deliver_sorted(
-    const std::vector<std::string>& lines,
-    const std::set<std::string>& kinds) {
-  std::vector<std::string> out;
-  for (const auto& line : lines)
-    if (kinds.contains(kind_of(line))) out.push_back(line);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Runs `input` through a direct pipe-mode session (no cluster) and
-/// returns the raw emitted lines — the golden stream.
-std::vector<std::string> direct_stream(core::JobService& service,
-                                       const std::string& input) {
-  std::istringstream in(input);
-  std::ostringstream out;
-  support::StreamChannel channel(in, out);
-  core::JobProtocolSession session(service, channel, {});
-  (void)session.run();
-  std::vector<std::string> lines;
-  std::istringstream split(out.str());
-  std::string line;
-  while (std::getline(split, line)) lines.push_back(line);
-  return lines;
-}
-
 /// Picks `count` distinct loadable specs whose ring owner is (or is not,
 /// per `owned`) `endpoint`, at the explicit per-shard seed the request
 /// will ship. Deterministic given the endpoints (a local ShardRouter
@@ -209,40 +120,6 @@ std::vector<std::string> specs_owned_by(ShardRouter& router,
   return out;
 }
 
-std::string submit_line(const std::string& id,
-                        const std::vector<std::string>& circuits,
-                        const std::vector<std::string>& methods,
-                        std::uint64_t seed, const std::uint64_t* flat_seed) {
-  json::JsonWriter cs(json::JsonWriter::Kind::Array);
-  for (const auto& c : circuits) cs.element(std::string_view(c));
-  json::JsonWriter ms(json::JsonWriter::Kind::Array);
-  for (const auto& m : methods) ms.element(std::string_view(m));
-  json::JsonWriter w;
-  w.field("op", "submit")
-      .field("id", id)
-      .field_raw("circuits", std::move(cs).str())
-      .field_raw("methods", std::move(ms).str())
-      .field("seed", seed);
-  if (flat_seed != nullptr) {
-    json::JsonWriter seeds(json::JsonWriter::Kind::Array);
-    for (std::size_t i = 0; i < circuits.size(); ++i)
-      seeds.element(*flat_seed);
-    w.field_raw("seeds", std::move(seeds).str());
-  }
-  return std::move(w).str() + "\n";
-}
-
-const std::set<std::string> kAllMustDeliver{
-    "queued", "running", "row", "done", "failed", "cancelled", "sweep_done"};
-const std::set<std::string> kDataOnly{"row", "done", "failed", "cancelled",
-                                      "sweep_done"};
-
-ClusterOptions fast_options() {
-  ClusterOptions options;
-  options.backoff_ms = 5;
-  return options;
-}
-
 TEST(ClusterClient, MergedStreamIsByteIdenticalToDirectServer) {
   // The determinism contract, healthy path: 6 shards fanned over 3 TCP
   // backends merge to the byte-exact stream one direct server produces
@@ -258,12 +135,12 @@ TEST(ClusterClient, MergedStreamIsByteIdenticalToDirectServer) {
   {
     ClusterClient client({b1.endpoint(), b2.endpoint(), b3.endpoint()},
                          lib::library_fingerprint(library), fast_options());
-    SweepRequest request;
+    SubmitRequest request;
     request.id = "t";
     request.circuits = circuits;
     request.methods = methods;
     request.seed = 42;
-    const auto sweep = client.submit_sweep(request, merged.fn());
+    const auto sweep = submit_sweep(client, request, merged.fn());
     sweep->wait();
     EXPECT_TRUE(sweep->finished());
   }
@@ -281,8 +158,8 @@ TEST(ClusterClient, MergedStreamIsByteIdenticalToDirectServer) {
   const auto golden =
       direct_stream(direct, submit_line("t", circuits, methods, 42, nullptr));
 
-  EXPECT_EQ(must_deliver_sorted(merged.snapshot(), kAllMustDeliver),
-            must_deliver_sorted(golden, kAllMustDeliver));
+  EXPECT_EQ(lines_of_kinds(merged.snapshot(), kAllMustDeliver),
+            lines_of_kinds(golden, kAllMustDeliver));
 }
 
 TEST(ClusterClient, ConnectRefusedFailsOverToRingSuccessor) {
@@ -318,12 +195,12 @@ TEST(ClusterClient, ConnectRefusedFailsOverToRingSuccessor) {
   {
     ClusterClient client({dead_endpoint, live.endpoint()},
                          lib::library_fingerprint(library), options);
-    SweepRequest request;
+    SubmitRequest request;
     request.id = "r";
     request.circuits = circuits;
     request.methods = methods;
     request.seeds.assign(circuits.size(), seed);
-    const auto sweep = client.submit_sweep(request, merged.fn());
+    const auto sweep = submit_sweep(client, request, merged.fn());
     sweep->wait();
   }
 
@@ -335,8 +212,8 @@ TEST(ClusterClient, ConnectRefusedFailsOverToRingSuccessor) {
   const auto golden = direct_stream(
       direct, submit_line("r", circuits, methods, 1, &seed));
 
-  EXPECT_EQ(must_deliver_sorted(merged.snapshot(), kDataOnly),
-            must_deliver_sorted(golden, kDataOnly));
+  EXPECT_EQ(lines_of_kinds(merged.snapshot(), kDataOnly),
+            lines_of_kinds(golden, kDataOnly));
   for (const auto& line : merged.snapshot())
     EXPECT_NE(kind_of(line), "failed") << line;
 }
@@ -375,12 +252,12 @@ TEST(ClusterClient, BackendKilledAfterAcceptedBeforeFirstRowRecovers) {
   {
     ClusterClient client({healthy.endpoint(), victim.endpoint()},
                          lib::library_fingerprint(library), options);
-    SweepRequest request;
+    SubmitRequest request;
     request.id = "k";
     request.circuits = circuits;
     request.methods = methods;
     request.seeds.assign(circuits.size(), seed);
-    const auto sweep = client.submit_sweep(request, merged.fn());
+    const auto sweep = submit_sweep(client, request, merged.fn());
 
     // Both victim-owned shards were accepted into the victim's service
     // (they cannot progress past the gated loader, so no row exists yet).
@@ -408,8 +285,8 @@ TEST(ClusterClient, BackendKilledAfterAcceptedBeforeFirstRowRecovers) {
   // Rows and terminals: complete, deduplicated, byte-identical. (The
   // queued/running lifecycle of retried shards is intentionally emitted
   // once, on the first attempt — compare the data events only.)
-  EXPECT_EQ(must_deliver_sorted(merged.snapshot(), kDataOnly),
-            must_deliver_sorted(golden, kDataOnly));
+  EXPECT_EQ(lines_of_kinds(merged.snapshot(), kDataOnly),
+            lines_of_kinds(golden, kDataOnly));
   for (const auto& line : merged.snapshot())
     EXPECT_NE(kind_of(line), "failed") << line;
 }
@@ -432,10 +309,10 @@ TEST(ClusterClient, ExhaustedRetriesSynthesizeFailedTerminals) {
   ClusterClient client({dead1, dead2}, 0x1234, options);
 
   Collector merged;
-  SweepRequest request;
+  SubmitRequest request;
   request.id = "x";
   request.circuits = {"ca", "cb"};
-  const auto sweep = client.submit_sweep(request, merged.fn());
+  const auto sweep = submit_sweep(client, request, merged.fn());
   sweep->wait();
 
   const auto lines = merged.snapshot();
@@ -462,13 +339,13 @@ TEST(ClusterClient, StatsAndPingAggregateAcrossBackends) {
                        lib::library_fingerprint(library), fast_options());
 
   Collector merged;
-  SweepRequest request;
+  SubmitRequest request;
   request.id = "s";
   request.circuits = {"ca", "cb", "cc"};
   request.methods = {"standard"};
-  client.submit_sweep(request, merged.fn())->wait();
+  submit_sweep(client, request, merged.fn())->wait();
 
-  const auto stats = json::JsonValue::parse(client.stats_line());
+  const auto stats = stats_of(client);
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->get_string("event"), "stats");
   EXPECT_EQ(stats->get_u64("backends"), 2u);
@@ -484,7 +361,7 @@ TEST(ClusterClient, StatsAndPingAggregateAcrossBackends) {
   for (const auto& entry : per_backend->items())
     EXPECT_TRUE(entry.get_bool("alive", false));
 
-  const auto pong = json::JsonValue::parse(client.ping_line());
+  const auto pong = pong_of(client);
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->get_string("event"), "pong");
   EXPECT_EQ(pong->get_u64("protocol"), 1u);
@@ -505,7 +382,7 @@ TEST(ClusterClient, PingReportsDeadBackends) {
   options.stats_timeout_ms = 500;
   ClusterClient client({dead, live.endpoint()},
                        lib::library_fingerprint(library), options);
-  const auto pong = json::JsonValue::parse(client.ping_line());
+  const auto pong = pong_of(client);
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->get_u64("backends"), 2u);
   EXPECT_EQ(pong->get_u64("backends_alive"), 1u);
@@ -526,7 +403,7 @@ bool eventually(Pred pred, std::chrono::milliseconds limit) {
 }
 
 std::string breaker_state(ClusterClient& client, const std::string& endpoint) {
-  const auto stats = json::JsonValue::parse(client.stats_line());
+  const auto stats = stats_of(client);
   if (!stats) return "";
   const json::JsonValue* per = stats->find("per_backend");
   if (per == nullptr) return "";
@@ -562,19 +439,19 @@ TEST(ClusterClient, HeartbeatOpensBreakerAndHalfOpenReadmits) {
   ASSERT_TRUE(eventually(
       [&] { return breaker_state(client, victim_endpoint) == "open"; },
       std::chrono::seconds(20)));
-  const auto opened = json::JsonValue::parse(client.stats_line());
+  const auto opened = stats_of(client);
   ASSERT_TRUE(opened.has_value());
   EXPECT_GE(opened->get_u64("breaker_opens"), 1u);
 
   // Evicted, not erased: a sweep routed while the victim is down lands
   // entirely on the healthy backend and finishes with zero failures.
   Collector merged;
-  SweepRequest request;
+  SubmitRequest request;
   request.id = "evicted";
   request.circuits = {"ca", "cb", "cc", "cd"};
   request.methods = {"standard"};
   request.seed = 7;
-  client.submit_sweep(request, merged.fn())->wait();
+  submit_sweep(client, request, merged.fn())->wait();
   std::size_t verdicts = 0;
   for (const auto& line : merged.snapshot()) {
     const auto event = json::JsonValue::parse(line);
@@ -591,7 +468,7 @@ TEST(ClusterClient, HeartbeatOpensBreakerAndHalfOpenReadmits) {
   ASSERT_TRUE(eventually(
       [&] { return breaker_state(client, victim_endpoint) == "closed"; },
       std::chrono::seconds(20)));
-  const auto readmitted = json::JsonValue::parse(client.stats_line());
+  const auto readmitted = stats_of(client);
   ASSERT_TRUE(readmitted.has_value());
   EXPECT_GE(readmitted->get_u64("breaker_reopens"), 1u);
 }

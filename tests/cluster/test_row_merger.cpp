@@ -88,7 +88,7 @@ TEST(RowMerger, RetryLifecycleIsSuppressedAndRowsDedupe) {
   ASSERT_TRUE(done.line.has_value());
   EXPECT_TRUE(done.became_terminal);
   EXPECT_TRUE(merger.shard_terminal(0));
-  EXPECT_TRUE(merger.all_terminal());
+  EXPECT_EQ(merger.open_shards(), 0u);
 
   const auto sweep_done = merger.take_sweep_done();
   ASSERT_TRUE(sweep_done.has_value());
@@ -130,12 +130,12 @@ TEST(RowMerger, FailShardSynthesizesTerminalOnce) {
   EXPECT_EQ(failed, R"({"event":"failed","id":"s","circuit":"ca","job":1,)"
                     R"("error":"no reachable backend after 3 attempts"})");
   EXPECT_EQ(merger.fail_shard(0, "again"), "");  // already terminal
-  EXPECT_FALSE(merger.all_terminal());
+  EXPECT_NE(merger.open_shards(), 0u);
 
   const std::string cancelled = merger.cancel_shard(1);
   EXPECT_EQ(cancelled,
             R"({"event":"cancelled","id":"s","circuit":"cb","job":2})");
-  EXPECT_TRUE(merger.all_terminal());
+  EXPECT_EQ(merger.open_shards(), 0u);
   const auto sweep_done = merger.take_sweep_done();
   ASSERT_TRUE(sweep_done.has_value());
   EXPECT_EQ(*sweep_done, R"({"event":"sweep_done","id":"s","ok":0,)"
@@ -196,7 +196,7 @@ TEST(RowMerger, SecondFailedForTheSameShardCountsOnce) {
   EXPECT_FALSE(second.became_terminal);
   EXPECT_EQ(merger.fail_shard(0, "synthesized too"), "");
 
-  EXPECT_TRUE(merger.all_terminal());
+  EXPECT_EQ(merger.open_shards(), 0u);
   const auto sweep_done = merger.take_sweep_done();
   ASSERT_TRUE(sweep_done.has_value());
   EXPECT_EQ(*sweep_done, R"({"event":"sweep_done","id":"s","ok":0,)"

@@ -129,8 +129,9 @@ HealthyRun run_healthy_session(JobService& service,
   std::istringstream in(std::string(kHealthySubmit) + "\n");
   std::ostringstream out;
   support::StreamChannel channel(in, out);
+  JobServiceBackend backend(service);
   const auto start = std::chrono::steady_clock::now();
-  JobProtocolSession session(service, channel, options);
+  JobProtocolSession session(backend, channel, options);
   (void)session.run();
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
@@ -154,8 +155,8 @@ std::pair<double, std::vector<HealthyRun>> run_healthy_pair(
   std::thread stalled_thread;
   if (stalled_channel != nullptr) {
     stalled_thread = std::thread([&] {
-      JobProtocolSession session(*service, *stalled_channel,
-                                 stalled_options);
+      JobServiceBackend backend(*service);
+      JobProtocolSession session(backend, *stalled_channel, stalled_options);
       (void)session.run();
     });
   }
@@ -266,8 +267,9 @@ TEST(FaultInjection, StalledSessionJobsAreCancelled) {
   options.session_queue = 2;
   options.traffic = &traffic;
 
+  JobServiceBackend backend(*service);
   const auto start = std::chrono::steady_clock::now();
-  JobProtocolSession session(*service, stalled, options);
+  JobProtocolSession session(backend, stalled, options);
   EXPECT_FALSE(session.run());
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;

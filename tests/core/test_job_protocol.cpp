@@ -11,7 +11,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -61,14 +60,14 @@ std::unique_ptr<JobService> make_service(const lib::CellLibrary& library,
 
 /// Runs one pipe-mode session over the given request lines and returns
 /// every emitted event, parsed.
-std::vector<json::JsonValue> run_session(JobService& service,
+std::vector<json::JsonValue> run_session(SweepBackend& backend,
                                          const std::string& input,
                                          bool* shutdown_requested = nullptr,
                                          JobProtocolOptions options = {}) {
   std::istringstream in(input);
   std::ostringstream out;
   support::StreamChannel channel(in, out);
-  JobProtocolSession session(service, channel, options);
+  JobProtocolSession session(backend, channel, options);
   const bool requested = session.run();
   if (shutdown_requested != nullptr) *shutdown_requested = requested;
 
@@ -83,6 +82,16 @@ std::vector<json::JsonValue> run_session(JobService& service,
   return events;
 }
 
+/// The same over a JobService backend with admission bound `max_queue`.
+std::vector<json::JsonValue> run_session(JobService& service,
+                                         const std::string& input,
+                                         bool* shutdown_requested = nullptr,
+                                         JobProtocolOptions options = {},
+                                         std::size_t max_queue = 0) {
+  JobServiceBackend backend(service, max_queue);
+  return run_session(backend, input, shutdown_requested, options);
+}
+
 std::vector<const json::JsonValue*> events_of_kind(
     const std::vector<json::JsonValue>& events, const std::string& kind) {
   std::vector<const json::JsonValue*> out;
@@ -90,6 +99,45 @@ std::vector<const json::JsonValue*> events_of_kind(
     if (e.get_string("event") == kind) out.push_back(&e);
   return out;
 }
+
+/// A sweep that is over as soon as it starts: sweep_done with no shards.
+class InstantSweep final : public BackendSweep {
+ public:
+  InstantSweep(std::string id, SessionEventWriter& out)
+      : id_(std::move(id)), out_(&out) {}
+  void start() override {
+    (void)out_->post(R"({"event":"sweep_done","id":")" + id_ + R"("})",
+                     EventDeliveryClass::must_deliver);
+  }
+  void cancel() override {}
+  void wait() override {}
+  bool wait_for(std::chrono::milliseconds) override { return true; }
+  [[nodiscard]] std::size_t unfinished() const override { return 0; }
+
+ private:
+  std::string id_;
+  SessionEventWriter* out_;
+};
+
+/// A backend that runs nothing: it admits every submit and records the
+/// request the session parsed.
+class RecordingBackend final : public SweepBackend {
+ public:
+  void hello_fields(json::JsonWriter& w) override { w.field("fake", true); }
+  void pong_fields(json::JsonWriter& w) override { w.field("fake", true); }
+  void stats_fields(json::JsonWriter& w,
+                    const SessionTrafficStats* /*traffic*/) override {
+    w.field("fake", true);
+  }
+  std::shared_ptr<BackendSweep> admit(const SubmitRequest& request,
+                                      SessionEventWriter& out,
+                                      std::string& /*rejection*/) override {
+    requests.push_back(request);
+    return std::make_shared<InstantSweep>(request.id, out);
+  }
+
+  std::vector<SubmitRequest> requests;
+};
 
 void expect_bits_eq(double got, double want, const char* field) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
@@ -293,8 +341,6 @@ TEST(JobProtocol, MaxQueueBoundRejectsSubmitWithErrorEvent) {
   config.optimizers.es.stall_generations = 1000000;
   const auto service = make_service(library, 1, config);
 
-  JobProtocolOptions options;
-  options.max_queue = 3;
   const auto events = run_session(
       *service,
       R"({"op":"submit","id":"big","circuits":["ca","cb","cc"],)"
@@ -305,7 +351,7 @@ TEST(JobProtocol, MaxQueueBoundRejectsSubmitWithErrorEvent) {
       "\n"
       R"({"op":"cancel","id":"big"})"
       "\n",
-      nullptr, options);
+      nullptr, {}, /*max_queue=*/3);
 
   const auto accepted = events_of_kind(events, "accepted");
   ASSERT_EQ(accepted.size(), 1u);
@@ -325,14 +371,24 @@ TEST(JobProtocol, MaxQueueBoundRejectsSubmitWithErrorEvent) {
 }
 
 TEST(JobProtocol, PriorityIsClampedNotUndefined) {
-  // The one guard the server session and the cluster front-end share:
-  // an int cast of 1e300 or NaN would be undefined behavior.
-  EXPECT_EQ(submit_priority(1e300), 1000000);
-  EXPECT_EQ(submit_priority(-1e300), -1000000);
-  EXPECT_EQ(submit_priority(std::numeric_limits<double>::quiet_NaN()), 0);
-  EXPECT_EQ(submit_priority(std::numeric_limits<double>::infinity()), 0);
-  EXPECT_EQ(submit_priority(-2.0), -2);
-  EXPECT_EQ(submit_priority(5.9), 5);
+  // The session parses "priority" for every backend: an int cast of 1e300
+  // would be undefined behavior, so finite values clamp to +-1e6.
+  RecordingBackend recorder;
+  (void)run_session(
+      recorder,
+      R"({"op":"submit","id":"a","circuits":["ca"],"priority":1e300})"
+      "\n"
+      R"({"op":"submit","id":"b","circuits":["ca"],"priority":-1e300})"
+      "\n"
+      R"({"op":"submit","id":"c","circuits":["ca"],"priority":-2})"
+      "\n"
+      R"({"op":"submit","id":"d","circuits":["ca"],"priority":5.9})"
+      "\n");
+  ASSERT_EQ(recorder.requests.size(), 4u);
+  EXPECT_EQ(recorder.requests[0].priority, 1000000);
+  EXPECT_EQ(recorder.requests[1].priority, -1000000);
+  EXPECT_EQ(recorder.requests[2].priority, -2);
+  EXPECT_EQ(recorder.requests[3].priority, 5);
 
   // End to end: huge priorities in both directions are accepted and run.
   const auto library = lib::default_library();
@@ -518,7 +574,8 @@ TEST(JobProtocol, BoundedSessionQueueKeepsRowStreamIdentical) {
   std::istringstream in(submit);
   std::ostringstream out;
   ThrottledStreamChannel channel(in, out);
-  JobProtocolSession session(*service, channel, bounded_options);
+  JobServiceBackend backend(*service);
+  JobProtocolSession session(backend, channel, bounded_options);
   (void)session.run();
   std::vector<json::JsonValue> bounded;
   {

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_runner.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "support/error.hpp"
 #include "support/executor.hpp"
@@ -20,8 +19,7 @@
 namespace iddq::core {
 namespace {
 
-// Small synthetic circuits keyed by spec name (same scheme as the batch
-// runner tests); "bad" fails in the loader.
+// Small synthetic circuits keyed by spec name; "bad" fails in the loader.
 netlist::Netlist synthetic_circuit(const std::string& spec) {
   if (spec == "bad") throw Error("synthetic loader: bad circuit");
   const std::size_t gates = 120 + 40 * (spec.back() - 'a');
@@ -161,34 +159,48 @@ TEST(JobService, RunsAJobAndStreamsOrderedEvents) {
   expect_rows_identical(*rows[1]->row, result.rows[1]);
 }
 
+/// Runs every shard of `sweep` on a fresh `workers`-thread service and
+/// returns the results in shard order — the CLI's sweep path.
+std::vector<JobResult> run_sweep(const lib::CellLibrary& library,
+                                 std::size_t workers, FlowEngineConfig config,
+                                 const SubmitRequest& sweep) {
+  const auto service = make_service(library, workers, std::move(config));
+  std::vector<JobHandle> handles;
+  for (std::size_t i = 0; i < sweep.circuits.size(); ++i)
+    handles.push_back(service->submit(shard_spec(sweep, i)));
+  std::vector<JobResult> results;
+  for (const auto& handle : handles) results.push_back(handle.wait());
+  return results;
+}
+
 TEST(JobService, ShimBatchRunnerMatchesDirectEngineLoop) {
-  // The acceptance pin: BatchRunner (now a JobService shim) must produce
-  // byte-identical MethodResult rows to the pre-redesign behavior — a
-  // per-circuit FlowEngine::run_methods at mix_seed(base, task_index).
+  // The acceptance pin of the sweep path the CLI runs (named after the
+  // shim it replaced): one JobService job per circuit at shard_spec() must
+  // produce byte-identical MethodResult rows to a per-circuit
+  // FlowEngine::run_methods at mix_seed(base, index).
   const auto library = lib::default_library();
   const auto config = quick_config();
-  const std::vector<std::string> circuits{"ca", "cb", "cc"};
-  const std::vector<std::string> methods{"evolution", "random", "standard"};
-  const std::uint64_t base_seed = 42;
+  SubmitRequest sweep;
+  sweep.circuits = {"ca", "cb", "cc"};
+  sweep.methods = {"evolution", "random", "standard"};
+  sweep.seed = 42;
 
-  BatchRunner runner(library, config);
-  runner.set_circuit_loader(synthetic_circuit);
-  const auto items = runner.run(circuits, methods, base_seed, 3);
-  ASSERT_EQ(items.size(), circuits.size());
+  const auto results = run_sweep(library, 3, config, sweep);
+  ASSERT_EQ(results.size(), sweep.circuits.size());
 
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    SCOPED_TRACE(circuits[i]);
-    const netlist::Netlist nl = synthetic_circuit(circuits[i]);
+  for (std::size_t i = 0; i < sweep.circuits.size(); ++i) {
+    SCOPED_TRACE(sweep.circuits[i]);
+    const netlist::Netlist nl = synthetic_circuit(sweep.circuits[i]);
     FlowEngine engine(nl, library, config);
     const auto expected =
-        engine.run_methods(methods, Rng::mix_seed(base_seed, i));
+        engine.run_methods(sweep.methods, Rng::mix_seed(sweep.seed, i));
 
-    ASSERT_TRUE(items[i].ok());
-    EXPECT_EQ(items[i].plan.module_count, engine.plan().module_count);
-    ASSERT_EQ(items[i].methods.size(), expected.size());
+    ASSERT_TRUE(results[i].ok());
+    EXPECT_EQ(results[i].plan.module_count, engine.plan().module_count);
+    ASSERT_EQ(results[i].rows.size(), expected.size());
     for (std::size_t m = 0; m < expected.size(); ++m) {
-      SCOPED_TRACE(methods[m]);
-      expect_rows_identical(items[i].methods[m], expected[m]);
+      SCOPED_TRACE(sweep.methods[m]);
+      expect_rows_identical(results[i].rows[m], expected[m]);
     }
   }
 }
@@ -201,31 +213,132 @@ TEST(JobService, ShimWithSharedPoolMatchesDirectSerialEngineLoop) {
   support::ExecutorPool pool(3);
   FlowEngineConfig threaded = quick_config();
   threaded.pool = &pool;
-  const std::vector<std::string> circuits{"ca", "cb", "cc"};
-  const std::vector<std::string> methods{"evolution", "tabu", "standard"};
-  const std::uint64_t base_seed = 42;
+  SubmitRequest sweep;
+  sweep.circuits = {"ca", "cb", "cc"};
+  sweep.methods = {"evolution", "tabu", "standard"};
+  sweep.seed = 42;
 
-  BatchRunner runner(library, threaded);
-  runner.set_circuit_loader(synthetic_circuit);
-  const auto items = runner.run(circuits, methods, base_seed, 3);
-  ASSERT_EQ(items.size(), circuits.size());
+  const auto results = run_sweep(library, 3, threaded, sweep);
+  ASSERT_EQ(results.size(), sweep.circuits.size());
 
   support::ExecutorPool serial(1);
   FlowEngineConfig serial_config = quick_config();
   serial_config.pool = &serial;
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    SCOPED_TRACE(circuits[i]);
-    const netlist::Netlist nl = synthetic_circuit(circuits[i]);
+  for (std::size_t i = 0; i < sweep.circuits.size(); ++i) {
+    SCOPED_TRACE(sweep.circuits[i]);
+    const netlist::Netlist nl = synthetic_circuit(sweep.circuits[i]);
     FlowEngine engine(nl, library, serial_config);
     const auto expected =
-        engine.run_methods(methods, Rng::mix_seed(base_seed, i));
-    ASSERT_TRUE(items[i].ok());
-    ASSERT_EQ(items[i].methods.size(), expected.size());
+        engine.run_methods(sweep.methods, Rng::mix_seed(sweep.seed, i));
+    ASSERT_TRUE(results[i].ok());
+    ASSERT_EQ(results[i].rows.size(), expected.size());
     for (std::size_t m = 0; m < expected.size(); ++m) {
-      SCOPED_TRACE(methods[m]);
-      expect_rows_identical(items[i].methods[m], expected[m]);
+      SCOPED_TRACE(sweep.methods[m]);
+      expect_rows_identical(results[i].rows[m], expected[m]);
     }
   }
+}
+
+TEST(JobService, SweepRowsAreIdenticalForAnyWorkerCount) {
+  const auto library = lib::default_library();
+  SubmitRequest sweep;
+  sweep.circuits = {"ca", "cb", "cc", "cd", "ce"};
+  sweep.methods = {"evolution", "random", "standard"};
+  sweep.seed = 42;
+
+  const auto serial = run_sweep(library, 1, quick_config(), sweep);
+  const auto parallel = run_sweep(library, 4, quick_config(), sweep);
+
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE(sweep.circuits[i]);
+    ASSERT_TRUE(serial[i].ok());
+    ASSERT_TRUE(parallel[i].ok());
+    EXPECT_EQ(serial[i].circuit, parallel[i].circuit);
+    EXPECT_EQ(serial[i].plan.module_count, parallel[i].plan.module_count);
+    ASSERT_EQ(serial[i].rows.size(), sweep.methods.size());
+    ASSERT_EQ(parallel[i].rows.size(), sweep.methods.size());
+    for (std::size_t m = 0; m < sweep.methods.size(); ++m) {
+      SCOPED_TRACE(sweep.methods[m]);
+      expect_rows_identical(serial[i].rows[m], parallel[i].rows[m]);
+      EXPECT_EQ(serial[i].rows[m].evaluations,
+                parallel[i].rows[m].evaluations);
+    }
+  }
+}
+
+TEST(JobService, SweepShardsCarryTheirIndexSeedsInOrder) {
+  SubmitRequest sweep;
+  sweep.circuits = {"ca", "cb"};
+  sweep.methods = {"evolution"};
+  sweep.seed = 42;
+  sweep.budget = 7;
+  sweep.priority = -3;
+  sweep.deadline_ms = 500;
+  sweep.use_cache = false;
+  // The one shard-seed rule: the shard index alone picks the seed...
+  for (std::size_t i = 0; i < sweep.circuits.size(); ++i) {
+    const JobSpec spec = shard_spec(sweep, i);
+    EXPECT_EQ(spec.circuit, sweep.circuits[i]);
+    EXPECT_EQ(spec.methods, sweep.methods);
+    EXPECT_EQ(spec.base_seed, Rng::mix_seed(42, i));
+    EXPECT_EQ(spec.max_evaluations, 7u);
+    EXPECT_EQ(spec.priority, -3);
+    EXPECT_EQ(spec.deadline_ms, 500u);
+    EXPECT_EQ(spec.cache_policy, JobSpec::CachePolicy::bypass);
+  }
+  EXPECT_NE(shard_seed(sweep, 0), shard_seed(sweep, 1));
+  // ...unless the submitter shipped explicit per-shard seeds.
+  sweep.seeds = {5, 5};
+  EXPECT_EQ(shard_seed(sweep, 0), 5u);
+  EXPECT_EQ(shard_seed(sweep, 1), 5u);
+
+  sweep.seeds.clear();
+  sweep.budget = 0;
+  sweep.deadline_ms = 0;
+  const auto library = lib::default_library();
+  const auto results = run_sweep(library, 2, quick_config(), sweep);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].circuit, "ca");
+  EXPECT_EQ(results[1].circuit, "cb");
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.ok());
+    EXPECT_GT(result.rows.front().evaluations, 0u);
+  }
+}
+
+TEST(JobService, FailedShardLeavesTheRestOfItsSweepRunning) {
+  const auto library = lib::default_library();
+  SubmitRequest sweep;
+  sweep.circuits = {"ca", "bad", "cb"};
+  sweep.methods = {"standard"};
+  const auto results = run_sweep(library, 2, quick_config(), sweep);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_FALSE(results[1].ok());
+  EXPECT_NE(results[1].error.find("bad circuit"), std::string::npos);
+  EXPECT_TRUE(results[2].ok());
+}
+
+TEST(JobService, UnknownMethodFailsItsJob) {
+  const auto library = lib::default_library();
+  SubmitRequest sweep;
+  sweep.circuits = {"ca"};
+  sweep.methods = {"no-such-method"};
+  const auto results = run_sweep(library, 1, quick_config(), sweep);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].ok());
+  EXPECT_NE(results[0].error.find("unknown optimizer"), std::string::npos);
+}
+
+TEST(JobService, ZeroWorkersClampToOne) {
+  const auto library = lib::default_library();
+  SubmitRequest sweep;
+  sweep.circuits = {"ca"};
+  sweep.methods = {"standard"};
+  const auto results = run_sweep(library, 0, quick_config(), sweep);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].ok());
 }
 
 TEST(JobService, HigherPriorityJobOvertakesQueuedBulkWork) {

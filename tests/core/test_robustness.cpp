@@ -74,7 +74,8 @@ std::vector<json::JsonValue> run_session(JobService& service,
   std::istringstream in(input);
   std::ostringstream out;
   support::StreamChannel channel(in, out);
-  JobProtocolSession session(service, channel, options);
+  JobServiceBackend backend(service);
+  JobProtocolSession session(backend, channel, options);
   const bool requested = session.run();
   if (shutdown_requested != nullptr) *shutdown_requested = requested;
 

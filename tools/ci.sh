@@ -12,20 +12,23 @@
 #
 #   $ tools/ci.sh threads [build-dir]  default build dir: build-ci
 #
-# ThreadSanitizer leg: rebuild the support + core + partition test
-# binaries with -fsanitize=thread and run the parallelism-relevant suites
-# (executor, optimizers, job queue/service/protocol, probe_moves and
-# probe_move) threaded.
+# ThreadSanitizer leg: rebuild the support, core, partition and cluster
+# test binaries with -fsanitize=thread and run the parallelism-relevant
+# suites (executor, optimizers, job queue/service/protocol, drain and
+# deadlines, probe_moves and probe_move, the cluster client and the
+# protocol session over both of its backends) threaded.
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
-# AddressSanitizer leg: rebuild the netlist, estimator, partition and
-# core test binaries with -fsanitize=address,undefined and leak detection
-# on, and run the whole netlist, estimator and partition suites (the
-# timing engine and its slack certificate, the evaluator, its probes and
-# delay memo) plus the core suites behind the standard clustering, the
-# job protocol/service stack, the parallel optimizers and the tabu,
-# annealing and greedy searches that probe_move serves.
+# AddressSanitizer leg: rebuild the netlist, estimator, partition, core
+# and cluster test binaries with -fsanitize=address,undefined and leak
+# detection on, and run the whole netlist, estimator, partition and
+# cluster suites (the timing engine and its slack certificate, the
+# evaluator, its probes and delay memo; the cluster client, its merger
+# and the shared protocol session) plus the core suites behind the
+# standard clustering, the job protocol/service stack, the parallel
+# optimizers and the tabu, annealing and greedy searches that probe_move
+# serves.
 #
 #   $ tools/ci.sh asan [build-dir]     default build dir: build-asan
 #
@@ -482,19 +485,25 @@ if [ "$MODE" = "tsan" ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR" -j "$JOBS" \
-    --target iddq_tests_support iddq_tests_core iddq_tests_partition
+    --target iddq_tests_support iddq_tests_core iddq_tests_partition \
+    iddq_tests_cluster
   # The parallelism surface: executor pool, TCP transport, the parallel
   # optimizers and their invariance pins, the job queue/service/protocol
-  # stack, and the per-session event writer + fault-injection layer —
-  # plus the probe_moves and probe_move differential suites behind the
-  # threaded child and candidate scoring. Annealing and the greedy
-  # refiner run here too: their evaluator copies carry the delay memo.
+  # stack with its drain and deadline paths, and the per-session event
+  # writer + fault-injection layer — plus the probe_moves and probe_move
+  # differential suites behind the threaded child and candidate scoring.
+  # Annealing and the greedy refiner run here too: their evaluator copies
+  # carry the delay memo. On the cluster side: ClusterClient's reader
+  # threads, heartbeat prober and failover, and the shared session and
+  # serve loop over both backends.
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_support" \
     --gtest_filter='Executor.*:Transport.*'
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_partition" \
     --gtest_filter='ProbeMoves.*:Probe.*'
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_core" \
-    --gtest_filter='ParallelInvariance.*:Evolution.*:Tabu.*:Annealing.*:Refiner.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*'
+    --gtest_filter='ParallelInvariance.*:Evolution.*:Tabu.*:Annealing.*:Refiner.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*:Drain.*:Deadline.*'
+  IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_cluster" \
+    --gtest_filter='ClusterClient.*:SessionBackends.*:ServeListener.*'
   echo "tsan OK"
   exit 0
 fi
@@ -508,12 +517,13 @@ if [ "$MODE" = "asan" ]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$BUILD_DIR" -j "$JOBS" \
     --target iddq_tests_netlist iddq_tests_estimators iddq_tests_partition \
-    iddq_tests_core
+    iddq_tests_core iddq_tests_cluster
   export ASAN_OPTIONS=detect_leaks=1:abort_on_error=1
   export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
   "$BUILD_DIR/iddq_tests_netlist"
   "$BUILD_DIR/iddq_tests_estimators"
   "$BUILD_DIR/iddq_tests_partition"
+  "$BUILD_DIR/iddq_tests_cluster"
   "$BUILD_DIR/iddq_tests_core" \
     --gtest_filter='StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*:Tabu.*:Annealing.*:Refiner.*:OptimizerEquivalence.*'
   echo "asan OK"

@@ -76,6 +76,7 @@
 //
 // One summary row is printed per (circuit, method) pair, in argument order.
 // Exit code 0 on success, 1 on bad usage, 2 on flow errors.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -85,8 +86,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch_runner.hpp"
 #include "core/flow_engine.hpp"
+#include "core/job_service.hpp"
 #include "core/result_cache.hpp"
 #include "core/resynth.hpp"
 #include "library/cell_library.hpp"
@@ -461,11 +462,12 @@ void print_pareto_front(std::ostream& os, const std::string& circuit,
 
 // Retiming + partition writing only apply to single-circuit runs; they act
 // on the first method's partition, matching the historical CLI.
-int finish_single_circuit(const CliOptions& opts, const core::BatchItem& item,
+int finish_single_circuit(const CliOptions& opts,
+                          const core::JobResult& result,
                           const lib::CellLibrary& library) {
   if (!opts.output_path && !opts.retime) return 0;  // nothing left to do
   const auto nl = netlist::load_circuit(opts.circuits.front());
-  auto partition = item.methods.front().partition;
+  auto partition = result.rows.front().partition;
   const netlist::Netlist* final_nl = &nl;
   netlist::Netlist retimed_nl;  // populated only with --retime
   if (opts.retime) {
@@ -677,7 +679,7 @@ int main(int argc, char** argv) {
     config.coverage.minimize = opts->minimize_patterns;
 
     // One pool shared by all --jobs workers (bounded fan-out); declared
-    // before the runner so it outlives every optimizer run.
+    // before the service so it outlives every optimizer run.
     support::ExecutorPool pool(
         support::ExecutorPool::from_option(opts->threads));
     config.pool = &pool;
@@ -701,26 +703,39 @@ int main(int argc, char** argv) {
       };
     }
 
-    const core::BatchRunner runner(library, config);
-    const auto items =
-        runner.run(opts->circuits, opts->methods, opts->seed, opts->jobs);
+    // One job per circuit on min(--jobs, #circuits) workers. Shard seeds
+    // depend on the circuit's position alone, so the rows are byte-
+    // identical for any --jobs.
+    core::SubmitRequest sweep;
+    sweep.circuits = opts->circuits;
+    sweep.methods = opts->methods;
+    sweep.seed = opts->seed;
+    core::JobServiceConfig service_config;
+    service_config.workers = std::min(opts->jobs, sweep.circuits.size());
+    service_config.flow = config;
+    core::JobService service(library, std::move(service_config));
+    std::vector<core::JobHandle> handles;
+    for (std::size_t i = 0; i < sweep.circuits.size(); ++i)
+      handles.push_back(service.submit(core::shard_spec(sweep, i)));
 
     bool failed = false;
-    for (const auto& item : items) {
-      if (!item.ok()) {
+    for (const auto& handle : handles) {
+      const core::JobResult& result = handle.wait();
+      if (!result.ok()) {
         failed = true;
-        std::cerr << "iddqsyn: " << item.circuit << ": " << item.error
+        std::cerr << "iddqsyn: " << result.circuit << ": " << result.error
                   << "\n";
         continue;
       }
       if (!opts->quiet)
-        std::cout << item.circuit << ": K=" << item.plan.module_count
-                  << " planned (leakage bound " << item.plan.k_min_leakage
-                  << ", target module size " << item.plan.target_module_size
-                  << ")\n";
-      for (const auto& r : item.methods)
-        print_method_row(std::cout, item.circuit, r);
-      if (opts->pareto) print_pareto_front(std::cout, item.circuit, item.methods);
+        std::cout << result.circuit << ": K=" << result.plan.module_count
+                  << " planned (leakage bound " << result.plan.k_min_leakage
+                  << ", target module size "
+                  << result.plan.target_module_size << ")\n";
+      for (const auto& r : result.rows)
+        print_method_row(std::cout, result.circuit, r);
+      if (opts->pareto)
+        print_pareto_front(std::cout, result.circuit, result.rows);
     }
     if (cache) {
       const auto hits = cache->hits();
@@ -748,7 +763,7 @@ int main(int argc, char** argv) {
     if (failed) return 2;
 
     if (opts->circuits.size() == 1)
-      return finish_single_circuit(*opts, items.front(), library);
+      return finish_single_circuit(*opts, handles.front().wait(), library);
     return 0;
   } catch (const Error& e) {
     std::cerr << "iddqsyn: " << e.what() << "\n";

@@ -50,23 +50,20 @@
 //   --generations N   ES generation cap (default 350)
 //   --help            this text
 //
-// A client "shutdown" op stops the whole server (pipe mode: ends the
-// session); EOF on a connection ends only that session. Determinism: a
-// sweep submitted with seed S is byte-identical to `iddqsyn --jobs N
-// --seed S` over the same circuits/methods — per-shard seeds derive from
-// the shard index, never from scheduling.
+// A client "shutdown" op or SIGTERM drains and stops the whole server
+// (core::serve_listener; pipe mode: ends the session); EOF on a
+// connection ends only that session. Determinism: a sweep submitted with
+// seed S is byte-identical to `iddqsyn --jobs N --seed S` over the same
+// circuits/methods — per-shard seeds derive from the shard index, never
+// from scheduling.
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <iostream>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "core/job_protocol.hpp"
 #include "core/job_service.hpp"
@@ -311,81 +308,6 @@ std::optional<ServerOptions> parse(int argc, char** argv) {
   return opts;
 }
 
-// SIGTERM → graceful drain (docs/robustness.md): the handler may only
-// touch async-signal-safe state, so it flips an atomic and closes the
-// listener fd (atomic exchange + shutdown/close), which unblocks the
-// accept loop; everything else happens on normal threads.
-std::atomic<support::SocketListener*> g_signal_listener{nullptr};
-
-extern "C" void handle_sigterm(int /*signum*/) {
-  if (auto* listener = g_signal_listener.exchange(nullptr))
-    listener->close();
-}
-
-int serve_listener(core::JobService& service,
-                   support::SocketListener& listener,
-                   core::JobProtocolOptions protocol_options,
-                   std::atomic<bool>& draining) {
-  // Tests (and `--listen host:0` deployments) parse the endpoint — which
-  // carries the kernel-assigned port — from this line.
-  std::cerr << "iddqsyn_server: listening on " << listener.endpoint()
-            << "\n";
-
-  g_signal_listener.store(&listener);
-  (void)std::signal(SIGTERM, handle_sigterm);
-
-  std::atomic<bool> shutdown_requested{false};
-  std::mutex threads_mutex;
-  std::vector<std::thread> sessions;
-  // Live session channels, so drain can stop their blocked read loops.
-  std::mutex conns_mutex;
-  std::vector<std::weak_ptr<support::FdChannel>> conns;
-
-  while (auto channel = listener.accept()) {
-    std::shared_ptr<support::FdChannel> conn = std::move(channel);
-    {
-      const std::scoped_lock lock(conns_mutex);
-      std::erase_if(conns,
-                    [](const auto& weak) { return weak.expired(); });
-      conns.push_back(conn);
-    }
-    std::thread session([&service, &listener, &shutdown_requested, conn,
-                         protocol_options] {
-      core::JobProtocolSession protocol(service, *conn, protocol_options);
-      if (protocol.run()) {
-        // A client-requested shutdown stops the whole server: closing
-        // the listener unblocks accept() in the main thread.
-        shutdown_requested.store(true);
-        listener.close();
-      }
-    });
-    const std::scoped_lock lock(threads_mutex);
-    sessions.push_back(std::move(session));
-  }
-  // Accept loop over — client shutdown op or SIGTERM. Enter drain mode
-  // (new submits already rejected by any session that checks the flag)
-  // and stop every session's blocked read so each finishes its in-flight
-  // jobs bounded by --drain-timeout-ms, flushes, and says bye.
-  g_signal_listener.store(nullptr);
-  draining.store(true);
-  {
-    const std::scoped_lock lock(conns_mutex);
-    for (const auto& weak : conns)
-      if (const auto conn = weak.lock()) conn->shutdown_read();
-  }
-  {
-    const std::scoped_lock lock(threads_mutex);
-    for (auto& t : sessions)
-      if (t.joinable()) t.join();
-  }
-  std::cerr << "iddqsyn_server: "
-            << (shutdown_requested.load() ? "shutdown requested by client"
-                                          : "drained (signal or listener "
-                                            "closed)")
-            << "\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -438,29 +360,34 @@ int main(int argc, char** argv) {
     }
 
     core::JobService service(library, std::move(config));
+    core::JobServiceBackend backend(service, opts->max_queue);
 
     core::SessionTrafficStats traffic;
     core::JobProtocolOptions protocol_options;
-    protocol_options.max_queue = opts->max_queue;
     protocol_options.session_queue = opts->session_queue;
     protocol_options.max_jobs_per_session = opts->max_jobs_per_session;
     protocol_options.traffic = &traffic;
     protocol_options.default_deadline_ms = opts->job_timeout_ms;
     protocol_options.drain_timeout_ms = opts->drain_timeout_ms;
-    std::atomic<bool> draining{false};
-    protocol_options.draining = &draining;
     if (opts->listen) {
       support::TcpSocketListener listener(opts->listen->first,
                                           opts->listen->second);
-      return serve_listener(service, listener, protocol_options, draining);
+      core::serve_listener(backend, listener, protocol_options,
+                           "iddqsyn_server");
+      return 0;
     }
     if (opts->socket_path) {
       support::UnixSocketListener listener(*opts->socket_path);
-      return serve_listener(service, listener, protocol_options, draining);
+      core::serve_listener(backend, listener, protocol_options,
+                           "iddqsyn_server");
+      return 0;
     }
 
+    // Pipe mode: a shutdown op drains the one session the same way.
+    std::atomic<bool> draining{false};
+    protocol_options.draining = &draining;
     support::StreamChannel channel(std::cin, std::cout);
-    core::JobProtocolSession session(service, channel, protocol_options);
+    core::JobProtocolSession session(backend, channel, protocol_options);
     (void)session.run();
     return 0;
   } catch (const Error& e) {
