@@ -50,7 +50,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -67,11 +66,13 @@
 #include "report/pareto.hpp"
 #include "report/table.hpp"
 #include "support/executor.hpp"
+#include "support/flags.hpp"
 #include "support/json.hpp"
 
 int main(int argc, char** argv) {
   using namespace iddq;
-  const char* cache_dir = std::getenv("IDDQ_CACHE_DIR");
+  std::optional<std::string> cache_dir;
+  if (const char* env = std::getenv("IDDQ_CACHE_DIR")) cache_dir = env;
   std::size_t service_workers = 0;  // 0 = direct FlowEngine path
   std::size_t threads = support::ExecutorPool::env_threads();
   std::optional<std::string> json_path;
@@ -79,68 +80,40 @@ int main(int argc, char** argv) {
   bool pareto = false;
   std::string tier = "table1";
   std::optional<std::string> only;
-  const auto usage = [] {
-    std::cerr << "usage: bench_table1 [cache-dir] [--service N] "
-                 "[--threads N] [--json FILE] [--coverage] [--pareto] "
-                 "[--tier table1|big] [--only CIRCUIT]\n";
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--service") == 0) {
-      const long workers = i + 1 < argc ? std::atol(argv[++i]) : 0;
-      if (workers <= 0) {
-        std::cerr << "bench_table1: --service needs a worker count >= 1\n";
-        usage();
-        return 1;
-      }
-      service_workers = static_cast<std::size_t>(workers);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      const long n = i + 1 < argc ? std::atol(argv[++i]) : 0;
-      if (n <= 0) {
-        std::cerr << "bench_table1: --threads needs a count >= 1\n";
-        usage();
-        return 1;
-      }
-      threads = static_cast<std::size_t>(n);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_table1: --json needs a file path\n";
-        usage();
-        return 1;
-      }
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--coverage") == 0) {
-      coverage = true;
-    } else if (std::strcmp(argv[i], "--pareto") == 0) {
-      pareto = true;
-    } else if (std::strcmp(argv[i], "--tier") == 0) {
-      const char* name = i + 1 < argc ? argv[++i] : "";
-      if (std::strcmp(name, "table1") != 0 && std::strcmp(name, "big") != 0) {
-        std::cerr << "bench_table1: --tier must be 'table1' or 'big'\n";
-        usage();
-        return 1;
-      }
-      tier = name;
-    } else if (std::strcmp(argv[i], "--only") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_table1: --only needs a circuit name\n";
-        usage();
-        return 1;
-      }
-      only = argv[++i];
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::cerr << "bench_table1: unknown option '" << argv[i] << "'\n";
-      usage();
-      return 1;
-    } else {
-      cache_dir = argv[i];
-    }
-  }
-  if (pareto && !coverage) {
-    std::cerr << "bench_table1: --pareto needs --coverage (its coverage "
-                 "axis comes from fault grading)\n";
-    usage();
-    return 1;
-  }
+  using namespace support::flags;
+  support::FlagTable flags("bench_table1",
+                           "usage: bench_table1 [cache-dir] [options]");
+  flags.positionals(optional_text(cache_dir))
+      .add("--service", "N",
+           "run through the JobService path on N workers (default: direct "
+           "FlowEngine runs)",
+           positive_count(service_workers))
+      .add("--threads", "N",
+           "intra-run thread pool (default 1 or IDDQ_THREADS; identical rows)",
+           positive_count(threads))
+      .add("--json", "FILE", "also write the rows as JSON to FILE",
+           optional_text(json_path))
+      .add("--coverage", "",
+           "grade every partition by measured IDDQ fault coverage",
+           switch_on(coverage))
+      .add("--pareto", "",
+           "print each circuit's (area overhead, coverage) frontier; needs "
+           "--coverage",
+           switch_on(pareto))
+      .add("--tier", "table1|big", "circuit ladder to sweep (default table1)",
+           [&tier](const std::string& v) -> std::optional<std::string> {
+             if (v != "table1" && v != "big")
+               return "must be 'table1' or 'big'";
+             tier = v;
+             return std::nullopt;
+           })
+      .add("--only", "CIRCUIT", "sweep just this circuit of the tier",
+           optional_text(only));
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
+  if (pareto && !coverage)
+    return flags.usage_error(
+        "--pareto needs --coverage (its coverage axis comes from fault "
+        "grading)");
   const bool big_tier = tier == "big";
   if (big_tier) {
     std::cout << "=== BIG tier: evolution-based vs standard partitioning "
@@ -201,9 +174,9 @@ int main(int argc, char** argv) {
     }
   }
   std::optional<core::ResultCache> cache;
-  if (cache_dir != nullptr) {
-    cache.emplace(cache_dir);
-    std::cout << "(result cache: " << cache_dir << ", " << cache->size()
+  if (cache_dir) {
+    cache.emplace(*cache_dir);
+    std::cout << "(result cache: " << *cache_dir << ", " << cache->size()
               << " entries loaded)\n\n";
   }
   if (service_workers > 0)

@@ -725,4 +725,20 @@ void serve_listener(SweepBackend& backend, support::SocketListener& listener,
             << "\n";
 }
 
+void serve_endpoint(SweepBackend& backend, const ServeEndpoint& endpoint,
+                    JobProtocolOptions options, std::string_view tool) {
+  if (endpoint.kind == ServeEndpoint::Kind::tcp) {
+    support::TcpSocketListener listener(endpoint.address, endpoint.port);
+    serve_listener(backend, listener, std::move(options), tool);
+  } else if (endpoint.kind == ServeEndpoint::Kind::unix_socket) {
+    support::UnixSocketListener listener(endpoint.address);
+    serve_listener(backend, listener, std::move(options), tool);
+  } else {
+    std::atomic<bool> draining{false};
+    options.draining = &draining;
+    support::StreamChannel channel(std::cin, std::cout);
+    (void)JobProtocolSession(backend, channel, options).run();
+  }
+}
+
 }  // namespace iddq::core

@@ -222,4 +222,18 @@ class JobProtocolSession {
 void serve_listener(SweepBackend& backend, support::SocketListener& listener,
                     JobProtocolOptions options, std::string_view tool);
 
+/// Where a front-end serves sessions (--pipe / --socket / --listen).
+struct ServeEndpoint {
+  enum class Kind { pipe, unix_socket, tcp };
+  Kind kind = Kind::pipe;
+  std::string address;     // socket path, or TCP host
+  std::uint16_t port = 0;  // TCP only; 0 = ephemeral
+};
+
+/// Serves `backend` on `endpoint`: one session on stdin/stdout for pipe
+/// mode (its shutdown op drains it through a local drain flag), else
+/// serve_listener on a unix-domain or TCP listener.
+void serve_endpoint(SweepBackend& backend, const ServeEndpoint& endpoint,
+                    JobProtocolOptions options, std::string_view tool);
+
 }  // namespace iddq::core

@@ -1,20 +1,32 @@
 #!/usr/bin/env sh
-# Checks that docs/methods.md and the optimizer registry cannot drift:
+# Checks that the docs cannot drift from the binaries:
 #  * every name printed by `iddqsyn --list-methods` has a `## `name``
-#    section in docs/methods.md;
-#  * every `## `name`` section (except the `portfolio:` spec family)
-#    names a registered optimizer;
-#  * every coverage flag the CLI's --help advertises is documented in
-#    docs/coverage.md (same drift guard, different page).
+#    section in docs/methods.md, and every such section (except the
+#    `portfolio:` spec family) names a registered optimizer;
+#  * every flag a tool's --help prints (the help is generated from the
+#    tool's flag table) appears in the README flag table;
+#  * every iddqsyn_server / iddqsyn_cluster flag is documented on the
+#    tool's own page (docs/server.md, docs/cluster.md), or failing that in
+#    docs/robustness.md or docs/caching.md.
 #
-#   $ tools/check_docs.sh path/to/iddqsyn
+#   $ tools/check_docs.sh path/to/iddqsyn path/to/iddqsyn_server \
+#       path/to/iddqsyn_cluster
 set -eu
 
-exe="$1"
-docs="$(dirname "$0")/../docs/methods.md"
-[ -f "$docs" ] || { echo "check_docs: $docs not found"; exit 1; }
+[ $# -eq 3 ] || {
+  echo "usage: check_docs.sh IDDQSYN IDDQSYN_SERVER IDDQSYN_CLUSTER"; exit 1; }
+cli="$1"
+server="$2"
+cluster="$3"
+root="$(dirname "$0")/.."
+docs="$root/docs/methods.md"
+for f in "$docs" "$root/README.md" "$root/docs/server.md" \
+    "$root/docs/cluster.md" "$root/docs/robustness.md" \
+    "$root/docs/caching.md" "$root/docs/architecture.md"; do
+  [ -f "$f" ] || { echo "check_docs: $f not found"; exit 1; }
+done
 
-names="$("$exe" --list-methods | sed -n 's/^registered optimizers: *//p')"
+names="$("$cli" --list-methods | sed -n 's/^registered optimizers: *//p')"
 [ -n "$names" ] || { echo "check_docs: --list-methods printed no names"; exit 1; }
 
 status=0
@@ -35,111 +47,49 @@ for doc in $(sed -n 's/^## `\([a-z:+]*\)`.*/\1/p' "$docs"); do
   fi
 done
 
-coverage_docs="$(dirname "$0")/../docs/coverage.md"
-[ -f "$coverage_docs" ] || {
-  echo "check_docs: $coverage_docs not found"; exit 1; }
-for flag in --coverage --fault-model --patterns --minimize-patterns \
-    --cache-resident; do
-  if ! grep -q -e "$flag" "$coverage_docs" \
-      && ! grep -q -e "$flag" "$(dirname "$0")/../docs/caching.md"; then
-    echo "check_docs: '$flag' is undocumented (docs/coverage.md, docs/caching.md)"
-    status=1
-  fi
+# The flags a tool's --help lists, one per line (-h/--help itself aside).
+help_flags() {
+  "$1" --help | sed -n 's/^  \(-[-a-z]*\) .*/\1/p' | grep -v -x -e '-h,'
+}
+
+# True when file $2 mentions flag $1 as a whole word.
+mentions() {
+  grep -q -E -e "(^|[^a-z-])$1([^a-z-]|\$)" "$2"
+}
+
+table="$(mktemp)"
+trap 'rm -f "$table"' EXIT
+sed -n '/^## Command line/,/^## /p' "$root/README.md" | grep '^|' > "$table"
+
+for exe in "$cli" "$server" "$cluster"; do
+  tool="$(basename "$exe")"
+  flags="$(help_flags "$exe")"
+  [ -n "$flags" ] || { echo "check_docs: $tool --help listed no flags"; exit 1; }
+  case "$tool" in
+    iddqsyn_server) page="$root/docs/server.md" ;;
+    iddqsyn_cluster) page="$root/docs/cluster.md" ;;
+    *) page="" ;;
+  esac
+  for flag in $flags; do
+    if ! mentions "$flag" "$table"; then
+      echo "check_docs: $tool $flag is missing from the README flag table"
+      status=1
+    fi
+    [ -n "$page" ] || continue
+    if ! mentions "$flag" "$page" \
+        && ! mentions "$flag" "$root/docs/robustness.md" \
+        && ! mentions "$flag" "$root/docs/caching.md"; then
+      echo "check_docs: $tool $flag is undocumented ($(basename "$page"), robustness.md, caching.md)"
+      status=1
+    fi
+  done
 done
 
-# The server's transport + traffic-hardening surface must be documented
-# in docs/server.md (and surfaced in the README flag table).
-server_docs="$(dirname "$0")/../docs/server.md"
-readme="$(dirname "$0")/../README.md"
-[ -f "$server_docs" ] || {
-  echo "check_docs: $server_docs not found"; exit 1; }
-for flag in --listen --submit --session-queue --max-jobs-per-session \
-    --cache-idle-evict; do
-  if ! grep -q -e "$flag" "$server_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/server.md"
-    status=1
-  fi
-  if ! grep -q -e "$flag" "$readme"; then
-    echo "check_docs: '$flag' is missing from the README flag table"
-    status=1
-  fi
-done
-
-# The Pareto reporting mode lives with the coverage docs it depends on.
-for flag in --pareto; do
-  if ! grep -q -e "$flag" "$coverage_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/coverage.md"
-    status=1
-  fi
-  if ! grep -q -e "$flag" "$readme"; then
-    echo "check_docs: '$flag' is missing from the README flag table"
-    status=1
-  fi
-done
-
-# The bench tiers (bench_table1_main --tier/--only) must be documented
-# in the README's bench section and docs/architecture.md's big-circuit
-# scaling section.
-arch_docs="$(dirname "$0")/../docs/architecture.md"
-[ -f "$arch_docs" ] || {
-  echo "check_docs: $arch_docs not found"; exit 1; }
-for flag in --tier --only; do
-  if ! grep -q -e "$flag" "$readme"; then
-    echo "check_docs: '$flag' is missing from the README bench section"
-    status=1
-  fi
-done
-if ! grep -q -e "--tier big" "$arch_docs"; then
+if ! grep -q -e "--tier big" "$root/docs/architecture.md"; then
   echo "check_docs: '--tier big' is undocumented in docs/architecture.md"
   status=1
 fi
-
-# The cluster front-end's routing/failover knobs must be documented in
-# docs/cluster.md (and surfaced in the README flag table).
-cluster_docs="$(dirname "$0")/../docs/cluster.md"
-[ -f "$cluster_docs" ] || {
-  echo "check_docs: $cluster_docs not found"; exit 1; }
-for flag in --backend --replicas --retry --backoff-ms; do
-  if ! grep -q -e "$flag" "$cluster_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/cluster.md"
-    status=1
-  fi
-  if ! grep -q -e "$flag" "$readme"; then
-    echo "check_docs: '$flag' is missing from the README flag table"
-    status=1
-  fi
-done
-
-# The robustness surface (deadlines, breaker, drain) must be documented
-# in docs/robustness.md, cross-linked from its home page, and surfaced
-# in the README flag table.
-robustness_docs="$(dirname "$0")/../docs/robustness.md"
-[ -f "$robustness_docs" ] || {
-  echo "check_docs: $robustness_docs not found"; exit 1; }
-for flag in --job-timeout-ms --drain-timeout-ms --heartbeat-ms \
-    --breaker-threshold --breaker-cooldown-ms; do
-  if ! grep -q -e "$flag" "$robustness_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/robustness.md"
-    status=1
-  fi
-  if ! grep -q -e "$flag" "$readme"; then
-    echo "check_docs: '$flag' is missing from the README flag table"
-    status=1
-  fi
-done
-for flag in --job-timeout-ms --drain-timeout-ms; do
-  if ! grep -q -e "$flag" "$server_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/server.md"
-    status=1
-  fi
-done
-for flag in --heartbeat-ms --breaker-threshold --breaker-cooldown-ms; do
-  if ! grep -q -e "$flag" "$cluster_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/cluster.md"
-    status=1
-  fi
-done
-if ! grep -q "IDDQ_FAULT_PLAN" "$robustness_docs"; then
+if ! grep -q "IDDQ_FAULT_PLAN" "$root/docs/robustness.md"; then
   echo "check_docs: IDDQ_FAULT_PLAN grammar is missing from docs/robustness.md"
   status=1
 fi

@@ -1,78 +1,10 @@
 // iddqsyn — command-line driver for the BIC-sensor partitioning flow.
 //
-// Usage:
 //   iddqsyn [options] <circuit> [<circuit> ...]
 //
-//   <circuit>             path to an ISCAS85 .bench file, or one of the
-//                         built-in generators: c17, c1908, c2670, c3540,
-//                         c5315, c6288, c7552, or a parametric family: an
-//                         AND-EXOR iterative logic array ila<R>x<C> (2..256
-//                         rows, 1..256 columns, e.g. ila8x8), a layered
-//                         random DAG big_dag<N>k (1..128 thousand gates,
-//                         e.g. big_dag10k), or an array multiplier mult<N>
-//                         (width 2..64, e.g. mult64)
-//
-// Options:
-//   --method NAMES        comma-separated optimizer specs from the registry
-//                         (default: evolution,standard). Specs may compose
-//                         stages with '+', e.g. evolution+greedy, or race a
-//                         list on a shared budget with portfolio:, e.g.
-//                         portfolio:evolution,annealing. Because portfolio
-//                         specs contain commas, use ';' to separate methods
-//                         when mixing them: --method "evolution;portfolio:
-//                         evolution,annealing".
-//   --jobs N              run circuits on N worker threads (default 1);
-//                         results are identical for any N
-//   --threads N           intra-run parallelism (default 1, or the
-//                         IDDQ_THREADS environment variable): evaluate ES
-//                         descendants and tabu candidate sets, and race
-//                         portfolio members, on a shared N-thread pool;
-//                         results are byte-identical for any N
-//   --cache-dir DIR       content-addressed result cache: look up every
-//                         (circuit, method, seed, budget) point in DIR
-//                         before running it and store new results there
-//                         (see docs/caching.md); prints hit/miss stats to
-//                         stderr at the end (including corrupt-line counts
-//                         when the cache file has degraded)
-//   --no-cache            disable the cache even when --cache-dir is given
-//   --cache-stats DIR     inspect DIR/results.jsonl (entries, duplicate
-//                         keys, corrupt lines, hit-age histogram) and exit.
-//                         With --submit ENDPOINT the DIR is ignored (pass
-//                         "-"): the cache counters of the remote server —
-//                         or the aggregate of an iddqsyn_cluster front-end
-//                         — are fetched over the protocol's stats op
-//   --cache-compact DIR   rewrite DIR/results.jsonl keeping only the last
-//                         row per key, and exit
-//   --pareto              after the summary rows, print each circuit's
-//                         Pareto frontier over (relative sensor-area
-//                         overhead, measured fault coverage) across the
-//                         requested methods; needs --coverage
-//                         (docs/coverage.md)
-//   --submit ENDPOINT     client mode: send the job to an iddqsyn_server
-//                         instead of running locally; ENDPOINT is a unix
-//                         socket path, or host:port for a --listen TCP
-//                         server (anything whose last ':'-suffix is a
-//                         valid port parses as TCP). Rows stream back as
-//                         they complete (docs/server.md)
-//   --stall-ms N          (--submit only) sleep N ms after submitting
-//                         before reading any events — a deliberately slow
-//                         reader for backpressure tests and the stress
-//                         harness (tools/ci.sh stress)
-//   --progress            stream optimizer progress to stderr (live per-
-//                         generation/per-step ticks)
-//   --list-methods        print the registered optimizer names and exit
-//   -o FILE               write the first method's partition to FILE
-//                         (single-circuit runs only)
-//   --lib FILE            load a cell library (default: built-in 5V CMOS)
-//   --rail MV             virtual-rail perturbation limit r (default 200)
-//   --disc D              required discriminability d (default 10)
-//   --seed N              base seed (default 42); per-circuit/method seeds
-//                         are derived deterministically from it
-//   --generations N       ES generation cap (default 350, must be >= 1)
-//   --retime              run partition-aware wave retiming afterwards
-//                         (single-circuit runs only)
-//   --quiet               only print the summary rows
-//   --help                this text
+// A circuit is an ISCAS85 .bench path or a built-in generator name (README,
+// "Built-in circuits"). `iddqsyn --help` lists every option; the flags
+// shared with iddqsyn_server are declared once in core/tool_flags.hpp.
 //
 // One summary row is printed per (circuit, method) pair, in argument order.
 // Exit code 0 on success, 1 on bad usage, 2 on flow errors.
@@ -90,6 +22,7 @@
 #include "core/job_service.hpp"
 #include "core/result_cache.hpp"
 #include "core/resynth.hpp"
+#include "core/tool_flags.hpp"
 #include "library/cell_library.hpp"
 #include "library/lib_io.hpp"
 #include "netlist/circuit_loader.hpp"
@@ -97,9 +30,9 @@
 #include "partition/partition_io.hpp"
 #include "report/pareto.hpp"
 #include "report/table.hpp"
-#include "sim/coverage.hpp"
 #include "support/error.hpp"
 #include "support/executor.hpp"
+#include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -113,74 +46,22 @@ struct CliOptions {
   std::vector<std::string> circuits;
   std::vector<std::string> methods{"evolution", "standard"};
   std::size_t jobs = 1;
-  std::size_t threads = 0;  // 0 = IDDQ_THREADS default (1 when unset)
-  std::optional<std::string> cache_dir;
+  core::EngineFlags engine;
+  core::FlowEngineConfig flow;
   bool no_cache = false;
-  std::size_t cache_resident = 0;  // 0 = unbounded residency
   std::optional<std::string> cache_stats_dir;
   std::optional<std::string> cache_compact_dir;
-  bool coverage = false;
-  std::string fault_model = "mixed";
-  std::size_t patterns = 256;
-  bool minimize_patterns = false;
   bool pareto = false;
   std::optional<std::string> submit_socket;
   std::size_t stall_ms = 0;  // test hook: delay before draining events
   std::size_t deadline_ms = 0;  // per-job deadline shipped with the submit
   bool progress = false;
+  bool list_methods = false;
   std::optional<std::string> output_path;
-  std::optional<std::string> lib_path;
-  double rail_mv = 200.0;
-  double disc = 10.0;
-  std::uint64_t seed = 42;
-  std::size_t generations = 350;
+  std::size_t seed = 42;
   bool retime = false;
   bool quiet = false;
 };
-
-void print_usage(std::ostream& os) {
-  os << "usage: iddqsyn [options] <circuit.bench | c17 | c1908 | c2670 | "
-        "c3540 | c5315 | c6288 | c7552 | ila<R>x<C> | big_dag<N>k | "
-        "mult<N>> [<circuit> ...]\n"
-        "  --method NAMES   comma-separated optimizer specs "
-        "(default: evolution,standard)\n"
-        "  --jobs N         worker threads over circuits (default 1)\n"
-        "  --threads N      intra-run thread pool (default 1 or "
-        "IDDQ_THREADS; identical results for any N)\n"
-        "  --cache-dir DIR  content-addressed result cache (docs/caching.md)\n"
-        "  --no-cache       disable the cache even with --cache-dir\n"
-        "  --cache-resident N   cap in-memory cache entries (LRU eviction "
-        "to disk; default 0 = unbounded)\n"
-        "  --cache-stats DIR    inspect DIR/results.jsonl and exit\n"
-        "  --cache-compact DIR  drop shadowed cache rows and exit\n"
-        "  --coverage       grade each row's partition by measured IDDQ "
-        "fault coverage (docs/coverage.md)\n"
-        "  --fault-model M  coverage fault model: mixed | bridges | shorts "
-        "| bridges=N[,shorts=M] (default mixed)\n"
-        "  --patterns N     coverage test patterns (default 256)\n"
-        "  --minimize-patterns  greedy set-cover pattern minimization\n"
-        "  --pareto         print each circuit's (area overhead, fault "
-        "coverage) Pareto frontier; needs --coverage\n"
-        "  --submit ENDPOINT  send the job to an iddqsyn_server (unix "
-        "socket path, or host:port for TCP)\n"
-        "  --stall-ms N     (--submit only) sleep N ms before reading "
-        "events — a deliberately slow reader for stress tests\n"
-        "  --deadline-ms N  (--submit only) per-job deadline: jobs past N "
-        "ms of wall clock fail with reason \"timeout\"\n"
-        "  --progress       stream optimizer progress to stderr\n"
-        "  --list-methods   print registered optimizer names and exit\n"
-        "  -o FILE          write the first method's partition to FILE "
-        "(one circuit only)\n"
-        "  --lib FILE       cell library file (default: built-in 5V CMOS)\n"
-        "  --rail MV        rail perturbation limit r in mV (default 200, "
-        "> 0)\n"
-        "  --disc D         required discriminability d (default 10, > 0)\n"
-        "  --seed N         base seed (default 42)\n"
-        "  --generations N  ES generation cap (default 350, >= 1)\n"
-        "  --retime         partition-aware wave retiming (one circuit "
-        "only)\n"
-        "  --quiet          summary rows only\n";
-}
 
 void print_methods(std::ostream& os) {
   os << "registered optimizers:";
@@ -191,229 +72,127 @@ void print_methods(std::ostream& os) {
         "portfolio:evolution,annealing\n";
 }
 
-std::optional<CliOptions> parse(int argc, char** argv) {
-  CliOptions opts;
-  bool fault_model_set = false;
-  bool patterns_set = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= argc) {
-        std::cerr << "iddqsyn: " << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      return std::string(argv[++i]);
-    };
-    if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      std::exit(0);
-    } else if (arg == "--list-methods") {
-      print_methods(std::cout);
-      std::exit(0);
-    } else if (arg == "--method") {
-      const auto v = need_value("--method");
-      if (!v) return std::nullopt;
-      opts.methods.clear();
-      // Portfolio specs contain commas, so ';' separates methods when
-      // present; a ';'-free value containing a portfolio is one spec.
-      std::vector<std::string_view> pieces;
-      if (v->find(';') != std::string::npos)
-        pieces = str::split(*v, ';');
-      else if (v->find("portfolio:") != std::string::npos)
-        pieces.push_back(str::trim(*v));
-      else
-        pieces = str::split(*v, ',');
-      for (const auto piece : pieces)
-        if (!piece.empty()) opts.methods.emplace_back(piece);
-      if (opts.methods.empty()) {
-        std::cerr << "iddqsyn: --method needs at least one name\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--jobs") {
-      const auto v = need_value("--jobs");
-      if (!v || !str::parse_size(*v, opts.jobs) || opts.jobs == 0) {
-        std::cerr << "iddqsyn: --jobs must be a positive integer\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--threads") {
-      const auto v = need_value("--threads");
-      if (!v || !str::parse_size(*v, opts.threads) || opts.threads == 0) {
-        std::cerr << "iddqsyn: --threads must be a positive integer\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--cache-dir") {
-      const auto v = need_value("--cache-dir");
-      if (!v) return std::nullopt;
-      opts.cache_dir = *v;
-    } else if (arg == "--no-cache") {
-      opts.no_cache = true;
-    } else if (arg == "--cache-resident") {
-      const auto v = need_value("--cache-resident");
-      if (!v || !str::parse_size(*v, opts.cache_resident) ||
-          opts.cache_resident == 0) {
-        std::cerr << "iddqsyn: --cache-resident must be >= 1\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--coverage") {
-      opts.coverage = true;
-    } else if (arg == "--fault-model") {
-      const auto v = need_value("--fault-model");
-      if (!v) return std::nullopt;
-      opts.fault_model = *v;
-      fault_model_set = true;
-    } else if (arg == "--patterns") {
-      const auto v = need_value("--patterns");
-      if (!v || !str::parse_size(*v, opts.patterns) || opts.patterns == 0) {
-        std::cerr << "iddqsyn: --patterns must be >= 1\n";
-        return std::nullopt;
-      }
-      patterns_set = true;
-    } else if (arg == "--minimize-patterns") {
-      opts.minimize_patterns = true;
-    } else if (arg == "--pareto") {
-      opts.pareto = true;
-    } else if (arg == "--cache-stats") {
-      const auto v = need_value("--cache-stats");
-      if (!v) return std::nullopt;
-      opts.cache_stats_dir = *v;
-    } else if (arg == "--cache-compact") {
-      const auto v = need_value("--cache-compact");
-      if (!v) return std::nullopt;
-      opts.cache_compact_dir = *v;
-    } else if (arg == "--submit") {
-      const auto v = need_value("--submit");
-      if (!v) return std::nullopt;
-      opts.submit_socket = *v;
-    } else if (arg == "--stall-ms") {
-      const auto v = need_value("--stall-ms");
-      if (!v || !str::parse_size(*v, opts.stall_ms)) {
-        std::cerr << "iddqsyn: --stall-ms must be an integer >= 0\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--deadline-ms") {
-      const auto v = need_value("--deadline-ms");
-      if (!v || !str::parse_size(*v, opts.deadline_ms) ||
-          opts.deadline_ms == 0) {
-        std::cerr << "iddqsyn: --deadline-ms must be >= 1\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--progress") {
-      opts.progress = true;
-    } else if (arg == "-o") {
-      const auto v = need_value("-o");
-      if (!v) return std::nullopt;
-      opts.output_path = *v;
-    } else if (arg == "--lib") {
-      const auto v = need_value("--lib");
-      if (!v) return std::nullopt;
-      opts.lib_path = *v;
-    } else if (arg == "--rail") {
-      const auto v = need_value("--rail");
-      if (!v || !str::parse_double(*v, opts.rail_mv)) return std::nullopt;
-      if (opts.rail_mv <= 0.0) {
-        std::cerr << "iddqsyn: --rail must be > 0 mV (got " << *v << ")\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--disc") {
-      const auto v = need_value("--disc");
-      if (!v || !str::parse_double(*v, opts.disc)) return std::nullopt;
-      if (opts.disc <= 0.0) {
-        std::cerr << "iddqsyn: --disc must be > 0 (got " << *v << ")\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--seed") {
-      const auto v = need_value("--seed");
-      std::size_t seed = 0;
-      if (!v || !str::parse_size(*v, seed)) return std::nullopt;
-      opts.seed = seed;
-    } else if (arg == "--generations") {
-      const auto v = need_value("--generations");
-      if (!v || !str::parse_size(*v, opts.generations) ||
-          opts.generations == 0) {
-        std::cerr << "iddqsyn: --generations must be >= 1\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--retime") {
-      opts.retime = true;
-    } else if (arg == "--quiet") {
-      opts.quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "iddqsyn: unknown option '" << arg << "'\n";
-      return std::nullopt;
-    } else {
-      opts.circuits.push_back(arg);
-    }
-  }
-  // Cache-maintenance commands run without circuits and skip the rest of
-  // the validation. (--cache-stats with --submit inspects a remote
-  // server's cache over the protocol instead of a local directory.)
-  if (opts.cache_stats_dir || opts.cache_compact_dir) return opts;
-  if (opts.circuits.empty()) {
-    std::cerr << "iddqsyn: at least one circuit argument expected\n";
-    return std::nullopt;
-  }
-  if (opts.circuits.size() > 1 && (opts.output_path || opts.retime)) {
-    std::cerr << "iddqsyn: -o/--retime need exactly one circuit\n";
-    return std::nullopt;
-  }
-  if (opts.submit_socket && (opts.output_path || opts.retime)) {
-    std::cerr << "iddqsyn: -o/--retime do not work in --submit mode\n";
-    return std::nullopt;
-  }
-  if (opts.deadline_ms > 0 && !opts.submit_socket) {
-    std::cerr << "iddqsyn: --deadline-ms only works in --submit mode\n";
-    return std::nullopt;
-  }
-  if (opts.stall_ms > 0 && !opts.submit_socket) {
-    std::cerr << "iddqsyn: --stall-ms only works in --submit mode\n";
-    return std::nullopt;
-  }
-  if (opts.submit_socket && opts.threads > 0) {
-    std::cerr << "iddqsyn: --threads has no effect in --submit mode "
-                 "(set --threads on the server)\n";
-    return std::nullopt;
-  }
-  if (!opts.coverage &&
-      (fault_model_set || patterns_set || opts.minimize_patterns)) {
-    std::cerr << "iddqsyn: --fault-model/--patterns/--minimize-patterns "
-                 "need --coverage\n";
-    return std::nullopt;
-  }
-  if (opts.submit_socket && opts.coverage) {
-    std::cerr << "iddqsyn: --coverage has no effect in --submit mode "
-                 "(enable coverage on the server)\n";
-    return std::nullopt;
-  }
-  if (opts.pareto && opts.submit_socket) {
-    std::cerr << "iddqsyn: --pareto does not work in --submit mode (run "
-                 "it on locally printed rows)\n";
-    return std::nullopt;
-  }
-  if (opts.pareto && !opts.coverage) {
-    std::cerr << "iddqsyn: --pareto needs --coverage (the frontier's "
-                 "coverage axis comes from fault grading)\n";
-    return std::nullopt;
-  }
-  if (opts.coverage) {
-    // Validate the spec grammar up front, like the method specs below.
-    try {
-      (void)sim::FaultModelSpec::parse(opts.fault_model);
-    } catch (const Error& e) {
-      std::cerr << "iddqsyn: " << e.what() << "\n";
-      return std::nullopt;
-    }
-  }
-  // Validate method specs up front so typos report the registry's names
-  // instead of failing mid-batch.
-  for (const auto& spec : opts.methods) {
+// Portfolio specs contain commas, so ';' separates methods when present;
+// a ';'-free value containing a portfolio is one spec. Specs are checked
+// against the registry here, so a typo reports the registry's names
+// instead of failing mid-batch.
+std::optional<std::string> set_methods(std::vector<std::string>& methods,
+                                       const std::string& value) {
+  std::vector<std::string_view> pieces;
+  if (value.find(';') != std::string::npos)
+    pieces = str::split(value, ';');
+  else if (value.find("portfolio:") != std::string::npos)
+    pieces.push_back(str::trim(value));
+  else
+    pieces = str::split(value, ',');
+  methods.clear();
+  for (const auto piece : pieces)
+    if (!piece.empty()) methods.emplace_back(piece);
+  if (methods.empty()) return "needs at least one name";
+  for (const auto& spec : methods) {
     try {
       (void)core::OptimizerRegistry::global().make(spec);
     } catch (const Error& e) {
-      std::cerr << "iddqsyn: " << e.what() << "\n";
-      return std::nullopt;
+      return e.what();
     }
   }
-  return opts;
+  return std::nullopt;
+}
+
+support::FlagTable cli_flags(CliOptions& opts) {
+  using namespace support::flags;
+  support::FlagTable flags(
+      "iddqsyn",
+      "usage: iddqsyn [options] <circuit.bench | c17 | c1908 | c2670 | "
+      "c3540 | c5315 | c6288 | c7552 | ila<R>x<C> | big_dag<N>k | "
+      "mult<N>> [<circuit> ...]");
+  flags.positionals(append(opts.circuits));
+  flags
+      .add("--method", "NAMES",
+           "comma-separated optimizer specs (default: evolution,standard); "
+           "separate with ';' when a portfolio: spec is present",
+           [&opts](const std::string& v) {
+             return set_methods(opts.methods, v);
+           })
+      .add("--jobs", "N", "worker threads over circuits (default 1)",
+           positive_count(opts.jobs))
+      .add("--seed", "N",
+           "base seed (default 42); per-circuit/method seeds derive from it",
+           size_at_least(opts.seed, 0));
+  core::add_flow_flags(flags, opts.flow);
+  core::add_engine_flags(flags, opts.engine);
+  flags
+      .add("--no-cache", "", "disable the cache even with --cache-dir",
+           switch_on(opts.no_cache))
+      .add("--cache-stats", "DIR",
+           "inspect DIR/results.jsonl and exit (with --submit: the "
+           "server's cache counters)",
+           optional_text(opts.cache_stats_dir))
+      .add("--cache-compact", "DIR", "drop shadowed cache rows and exit",
+           optional_text(opts.cache_compact_dir))
+      .add("--pareto", "",
+           "print each circuit's (area overhead, fault coverage) Pareto "
+           "frontier; needs --coverage",
+           switch_on(opts.pareto))
+      .add("--submit", "ENDPOINT",
+           "send the job to an iddqsyn_server (unix socket path, or "
+           "host:port for TCP)",
+           optional_text(opts.submit_socket))
+      .add("--stall-ms", "N",
+           "(--submit only) sleep N ms before reading events — a "
+           "deliberately slow reader for stress tests",
+           size_at_least(opts.stall_ms, 0))
+      .add("--deadline-ms", "N",
+           "(--submit only) per-job deadline: jobs past N ms of wall clock "
+           "fail with reason \"timeout\"",
+           size_at_least(opts.deadline_ms, 1))
+      .add("--progress", "", "stream optimizer progress to stderr",
+           switch_on(opts.progress))
+      .add("--list-methods", "", "print registered optimizer names and exit",
+           switch_on(opts.list_methods))
+      .add("-o", "FILE",
+           "write the first method's partition to FILE (one circuit only)",
+           optional_text(opts.output_path))
+      .add("--retime", "", "partition-aware wave retiming (one circuit only)",
+           switch_on(opts.retime))
+      .add("--quiet", "", "summary rows only", switch_on(opts.quiet));
+  return flags;
+}
+
+// The cross-flag rules a single flag's setter cannot check; returns the
+// usage error, if any.
+std::optional<std::string> validate(const CliOptions& opts,
+                                    const support::FlagTable& flags) {
+  // Cache-maintenance commands run without circuits and skip the rest of
+  // the validation. (--cache-stats with --submit inspects a remote
+  // server's cache over the protocol instead of a local directory.)
+  if (opts.cache_stats_dir || opts.cache_compact_dir) return std::nullopt;
+  if (opts.circuits.empty()) return "at least one circuit argument expected";
+  if (opts.circuits.size() > 1 && (opts.output_path || opts.retime))
+    return "-o/--retime need exactly one circuit";
+  if (opts.submit_socket && (opts.output_path || opts.retime))
+    return "-o/--retime do not work in --submit mode";
+  if (opts.deadline_ms > 0 && !opts.submit_socket)
+    return "--deadline-ms only works in --submit mode";
+  if (opts.stall_ms > 0 && !opts.submit_socket)
+    return "--stall-ms only works in --submit mode";
+  if (opts.submit_socket && opts.engine.threads > 0)
+    return "--threads has no effect in --submit mode (set --threads on the "
+           "server)";
+  if (!opts.flow.coverage.enabled &&
+      (flags.seen("--fault-model") || flags.seen("--patterns") ||
+       flags.seen("--minimize-patterns")))
+    return "--fault-model/--patterns/--minimize-patterns need --coverage";
+  if (opts.submit_socket && opts.flow.coverage.enabled)
+    return "--coverage has no effect in --submit mode (enable coverage on "
+           "the server)";
+  if (opts.pareto && opts.submit_socket)
+    return "--pareto does not work in --submit mode (run it on locally "
+           "printed rows)";
+  if (opts.pareto && !opts.flow.coverage.enabled)
+    return "--pareto needs --coverage (the frontier's coverage axis comes "
+           "from fault grading)";
+  return std::nullopt;
 }
 
 void print_method_row(std::ostream& os, const std::string& circuit,
@@ -562,9 +341,7 @@ int run_remote_cache_stats(const CliOptions& opts) {
 // host:port when its last ':'-suffix parses as a port, a unix socket path
 // otherwise; the protocol bytes are identical either way.
 int run_submit_client(const CliOptions& opts) {
-  const auto tcp = support::parse_host_port(*opts.submit_socket);
-  const auto channel = tcp ? support::connect_tcp(tcp->first, tcp->second)
-                           : support::connect_unix_socket(*opts.submit_socket);
+  const auto channel = support::connect_endpoint(*opts.submit_socket);
 
   json::JsonWriter circuits(json::JsonWriter::Kind::Array);
   for (const auto& c : opts.circuits) circuits.element(std::string_view(c));
@@ -653,45 +430,41 @@ int run_submit_client(const CliOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = parse(argc, argv);
-  if (!opts) {
-    print_usage(std::cerr);
-    return 1;
+  CliOptions opts;
+  auto flags = cli_flags(opts);
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
+  if (opts.list_methods) {
+    print_methods(std::cout);
+    return 0;
   }
+  if (const auto problem = validate(opts, flags))
+    return flags.usage_error(*problem);
   try {
-    if (opts->cache_stats_dir && opts->submit_socket)
-      return run_remote_cache_stats(*opts);
-    if (opts->cache_stats_dir || opts->cache_compact_dir)
-      return run_cache_maintenance(*opts);
-    if (opts->submit_socket) return run_submit_client(*opts);
+    if (opts.cache_stats_dir && opts.submit_socket)
+      return run_remote_cache_stats(opts);
+    if (opts.cache_stats_dir || opts.cache_compact_dir)
+      return run_cache_maintenance(opts);
+    if (opts.submit_socket) return run_submit_client(opts);
 
-    const auto library = opts->lib_path
-                             ? lib::read_library_file(*opts->lib_path)
+    const auto library = opts.engine.lib_path
+                             ? lib::read_library_file(*opts.engine.lib_path)
                              : lib::default_library();
-
-    core::FlowEngineConfig config;
-    config.sensor.r_max_mv = opts->rail_mv;
-    config.sensor.d_min = opts->disc;
-    config.optimizers.es.max_generations = opts->generations;
-    config.coverage.enabled = opts->coverage;
-    config.coverage.fault_model = opts->fault_model;
-    config.coverage.patterns = opts->patterns;
-    config.coverage.minimize = opts->minimize_patterns;
+    core::FlowEngineConfig& config = opts.flow;
 
     // One pool shared by all --jobs workers (bounded fan-out); declared
     // before the service so it outlives every optimizer run.
     support::ExecutorPool pool(
-        support::ExecutorPool::from_option(opts->threads));
+        support::ExecutorPool::from_option(opts.engine.threads));
     config.pool = &pool;
 
     std::optional<core::ResultCache> cache;
-    if (opts->cache_dir && !opts->no_cache) {
-      cache.emplace(*opts->cache_dir);
-      if (opts->cache_resident > 0)
-        cache->set_max_resident(opts->cache_resident);
+    if (opts.engine.cache_dir && !opts.no_cache) {
+      cache.emplace(*opts.engine.cache_dir);
+      if (opts.engine.cache_resident > 0)
+        cache->set_max_resident(opts.engine.cache_resident);
       config.cache = &*cache;
     }
-    if (opts->progress) {
+    if (opts.progress) {
       // Worker threads report concurrently; serialize the ticker lines.
       static std::mutex progress_mutex;
       config.on_progress = [](const core::OptimizerProgress& p) {
@@ -707,11 +480,11 @@ int main(int argc, char** argv) {
     // depend on the circuit's position alone, so the rows are byte-
     // identical for any --jobs.
     core::SubmitRequest sweep;
-    sweep.circuits = opts->circuits;
-    sweep.methods = opts->methods;
-    sweep.seed = opts->seed;
+    sweep.circuits = opts.circuits;
+    sweep.methods = opts.methods;
+    sweep.seed = opts.seed;
     core::JobServiceConfig service_config;
-    service_config.workers = std::min(opts->jobs, sweep.circuits.size());
+    service_config.workers = std::min(opts.jobs, sweep.circuits.size());
     service_config.flow = config;
     core::JobService service(library, std::move(service_config));
     std::vector<core::JobHandle> handles;
@@ -727,14 +500,14 @@ int main(int argc, char** argv) {
                   << "\n";
         continue;
       }
-      if (!opts->quiet)
+      if (!opts.quiet)
         std::cout << result.circuit << ": K=" << result.plan.module_count
                   << " planned (leakage bound " << result.plan.k_min_leakage
                   << ", target module size "
                   << result.plan.target_module_size << ")\n";
       for (const auto& r : result.rows)
         print_method_row(std::cout, result.circuit, r);
-      if (opts->pareto)
+      if (opts.pareto)
         print_pareto_front(std::cout, result.circuit, result.rows);
     }
     if (cache) {
@@ -762,8 +535,8 @@ int main(int argc, char** argv) {
     }
     if (failed) return 2;
 
-    if (opts->circuits.size() == 1)
-      return finish_single_circuit(*opts, handles.front().wait(), library);
+    if (opts.circuits.size() == 1)
+      return finish_single_circuit(opts, handles.front().wait(), library);
     return 0;
   } catch (const Error& e) {
     std::cerr << "iddqsyn: " << e.what() << "\n";
