@@ -8,7 +8,6 @@
 // at its final-arrival depth).
 #include <iostream>
 
-#include "core/flow.hpp"
 #include "core/start_partition.hpp"
 #include "estimators/current_profile.hpp"
 #include "library/cell_library.hpp"

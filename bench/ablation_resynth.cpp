@@ -30,14 +30,16 @@ int main() {
 
     // Step 1: partition the original circuit (the paper's flow).
     auto cfg = bench::paper_flow_config();
-    cfg.es.max_generations = 150;
-    const auto base = core::run_flow(nl, library, cfg);
+    cfg.optimizers.es.max_generations = 150;
+    core::FlowEngine engine(nl, library, cfg);
+    const auto base =
+        engine.run_method("evolution", {.seed = cfg.optimizers.es.seed});
 
     // Step 2: partition-aware wave retiming against that partition.
     std::vector<std::vector<netlist::GateId>> groups(
-        base.evolution.partition.module_count());
+        base.partition.module_count());
     for (std::uint32_t m = 0; m < groups.size(); ++m) {
-      const auto gates = base.evolution.partition.module(m);
+      const auto gates = base.partition.module(m);
       groups[m].assign(gates.begin(), gates.end());
     }
     core::ResynthOptions opts;
@@ -54,11 +56,11 @@ int main() {
         part::Partition::from_groups(retimed.netlist, retimed.groups));
 
     const double saved_pct =
-        (1.0 - improved.sensor_area / base.evolution.sensor_area) * 100.0;
+        (1.0 - improved.sensor_area / base.sensor_area) * 100.0;
     table.add_row(
         {std::string(name), "original",
          report::format_fixed(retimed.sum_peak_before_ua / 1000.0, 1),
-         report::format_eng(base.evolution.sensor_area), "0",
+         report::format_eng(base.sensor_area), "0",
          report::format_fixed(retimed.delay_before_ps / 1000.0, 2), "--"});
     table.add_row(
         {std::string(name), "retimed",

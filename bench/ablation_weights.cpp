@@ -7,7 +7,7 @@
 // in each regime (DESIGN.md section 5, decision 8).
 #include <iostream>
 
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/gen/iscas_profiles.hpp"
 #include "report/table.hpp"
@@ -36,19 +36,20 @@ int main() {
   report::TextTable table({"weights", "K", "area", "c2", "c3", "c4",
                            "std area ovh"});
   for (const auto& v : variants) {
-    core::FlowConfig cfg;
+    core::FlowEngineConfig cfg;
     cfg.weights = v.weights;
-    cfg.es.max_generations = 150;
-    cfg.es.stall_generations = 40;
-    cfg.es.seed = 42;
-    const auto result = core::run_flow(nl, library, cfg);
-    table.add_row({v.label, std::to_string(result.evolution.module_count),
-                   report::format_eng(result.evolution.sensor_area),
-                   report::format_eng(result.evolution.costs.c2),
-                   report::format_fixed(result.evolution.costs.c3, 1),
-                   report::format_eng(result.evolution.costs.c4),
-                   report::format_pct(result.standard_area_overhead_pct(),
-                                      true)});
+    cfg.optimizers.es.max_generations = 150;
+    cfg.optimizers.es.stall_generations = 40;
+    core::FlowEngine engine(nl, library, cfg);
+    const auto [evolution, standard] = engine.run_paper_pair(42);
+    table.add_row(
+        {v.label, std::to_string(evolution.module_count),
+         report::format_eng(evolution.sensor_area),
+         report::format_eng(evolution.costs.c2),
+         report::format_fixed(evolution.costs.c3, 1),
+         report::format_eng(evolution.costs.c4),
+         report::format_pct(
+             core::standard_area_overhead_pct(evolution, standard), true)});
   }
   table.print(std::cout);
   std::cout <<

@@ -7,27 +7,30 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 
 namespace iddq::bench {
 
-/// The flow configuration used by the Table 1 reproduction. The evolution
-/// budget can be scaled down for smoke runs via IDDQSYN_BENCH_FAST=1.
-inline core::FlowConfig paper_flow_config(std::uint64_t seed = 42) {
-  core::FlowConfig cfg;
-  cfg.es.mu = 8;
-  cfg.es.lambda = 7;
-  cfg.es.chi = 2;
-  cfg.es.kappa = 8;
-  cfg.es.m0 = 4;
-  cfg.es.epsilon = 1.0;
-  cfg.es.max_generations = 350;
-  cfg.es.stall_generations = 60;
-  cfg.es.seed = seed;
+/// The FlowEngine configuration used by the Table 1 reproduction; its
+/// optimizers.es.seed is the seed of FlowEngine::run_paper_pair. The
+/// evolution budget can be scaled down for smoke runs via
+/// IDDQSYN_BENCH_FAST=1.
+inline core::FlowEngineConfig paper_flow_config(std::uint64_t seed = 42) {
+  core::FlowEngineConfig cfg;
+  core::EsParams& es = cfg.optimizers.es;
+  es.mu = 8;
+  es.lambda = 7;
+  es.chi = 2;
+  es.kappa = 8;
+  es.m0 = 4;
+  es.epsilon = 1.0;
+  es.max_generations = 350;
+  es.stall_generations = 60;
+  es.seed = seed;
   if (const char* fast = std::getenv("IDDQSYN_BENCH_FAST");
       fast != nullptr && std::string(fast) == "1") {
-    cfg.es.max_generations = 60;
-    cfg.es.stall_generations = 20;
+    es.max_generations = 60;
+    es.stall_generations = 20;
   }
   return cfg;
 }

@@ -7,7 +7,6 @@
 // larger bypass switches to hold the same virtual-rail perturbation limit.
 #include <iostream>
 
-#include "core/flow.hpp"
 #include "electrical/sensor_model.hpp"
 #include "estimators/current_profile.hpp"
 #include "library/cell_library.hpp"

@@ -209,13 +209,9 @@ int main(int argc, char** argv) {
   }
   report::TextTable table(headers);
 
-  const auto cfg = bench::paper_flow_config();
   support::ExecutorPool pool(threads);
-  core::FlowEngineConfig engine_config;
-  engine_config.sensor = cfg.sensor;
-  engine_config.weights = cfg.weights;
-  engine_config.rho = cfg.rho;
-  engine_config.optimizers.es = cfg.es;
+  core::FlowEngineConfig engine_config = bench::paper_flow_config();
+  const std::uint64_t seed = engine_config.optimizers.es.seed;
   engine_config.pool = &pool;
   if (coverage) {
     engine_config.coverage.enabled = true;
@@ -244,7 +240,7 @@ int main(int argc, char** argv) {
       core::JobSpec spec;
       spec.circuit = name;
       spec.methods = {"evolution", "standard"};
-      spec.base_seed = cfg.es.seed;
+      spec.base_seed = seed;
       handles.push_back(service->submit(std::move(spec)));
     }
   }
@@ -263,8 +259,7 @@ int main(int argc, char** argv) {
   for (const auto& name : circuit_names) {
     const auto t0 = std::chrono::steady_clock::now();
 
-    core::MethodResult evolution;
-    core::MethodResult standard;
+    core::PaperPair pair;
     std::size_t gate_count = 0;
     if (service_workers > 0) {
       const core::JobResult& job = handles[idx].wait();
@@ -272,26 +267,15 @@ int main(int argc, char** argv) {
         std::cerr << "table1: " << name << ": " << job.error << "\n";
         return 1;
       }
-      evolution = job.rows.at(0);
-      standard = job.rows.at(1);
+      pair = {job.rows.at(0), job.rows.at(1)};
       gate_count = load_tier_circuit(name).logic_gate_count();
     } else {
       const auto nl = load_tier_circuit(name);
       gate_count = nl.logic_gate_count();
-      // Same runs and seeds as core::run_flow, but through a cache-aware
-      // engine: evolution first, then the standard baseline clustered at
-      // the module sizes the ES discovered (paper section 5).
       core::FlowEngine engine(nl, library, engine_config);
-
-      core::FlowEngine::RunOptions es_options;
-      es_options.seed = cfg.es.seed;
-      evolution = engine.run_method("evolution", es_options);
-
-      core::FlowEngine::RunOptions std_options;
-      std_options.seed = cfg.es.seed;
-      std_options.start = &evolution.partition;
-      standard = engine.run_method("standard", std_options);
+      pair = engine.run_paper_pair(seed);
     }
+    const auto& [evolution, standard] = pair;
 
     const double seconds =
         std::chrono::duration<double>(
@@ -299,9 +283,7 @@ int main(int argc, char** argv) {
             (service_workers > 0 ? sweep_start : t0))
             .count();
     const double overhead_pct =
-        evolution.sensor_area > 0.0
-            ? (standard.sensor_area / evolution.sensor_area - 1.0) * 100.0
-            : 0.0;
+        core::standard_area_overhead_pct(evolution, standard);
 
     if (json_out || pareto)
       json_rows.push_back(

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "partition/partition.hpp"
@@ -31,11 +31,11 @@ int main() {
       netlist::gen::DagProfile::basic("asic9k", 9000, 30, 2024));
   const auto library = lib::default_library();
 
-  core::FlowConfig flow_config;
-  flow_config.es.max_generations = 60;
-  flow_config.es.stall_generations = 20;
-  flow_config.es.seed = 7;
-  const auto flow = core::run_flow(nl, library, flow_config);
+  core::FlowEngineConfig flow_config;
+  flow_config.optimizers.es.max_generations = 60;
+  flow_config.optimizers.es.stall_generations = 20;
+  core::FlowEngine flow(nl, library, flow_config);
+  const auto [evolution, standard] = flow.run_paper_pair(7);
 
   // Monolithic baseline: every gate in one module, one sensor.
   std::vector<std::vector<netlist::GateId>> one(1);
@@ -48,8 +48,8 @@ int main() {
   };
   const std::vector<Point> points{
       {"monolithic", &monolithic},
-      {"evolution", &flow.evolution.partition},
-      {"standard", &flow.standard.partition},
+      {"evolution", &evolution.partition},
+      {"standard", &standard.partition},
   };
 
   std::cout << "circuit: " << nl.name() << ", "

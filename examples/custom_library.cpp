@@ -11,7 +11,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "library/cell_library.hpp"
 #include "library/lib_io.hpp"
 #include "netlist/gen/iscas_profiles.hpp"
@@ -61,18 +61,17 @@ int main() {
   report::TextTable table({"library", "K", "sensor area", "delay ovh",
                            "test ovh", "D_nominal [ns]"});
   for (const auto* library : {&default_lib, &reloaded}) {
-    core::FlowConfig config;
-    config.es.max_generations = 100;
-    config.es.stall_generations = 25;
-    config.es.seed = 42;
-    const auto result = core::run_flow(nl, *library, config);
-    const part::EvalContext ctx(nl, *library, config.sensor, config.weights);
-    table.add_row({library->name(),
-                   std::to_string(result.evolution.module_count),
-                   report::format_eng(result.evolution.sensor_area),
-                   report::format_pct(result.evolution.delay_overhead),
-                   report::format_pct(result.evolution.test_overhead),
-                   report::format_fixed(ctx.d_nominal_ps / 1000.0, 2)});
+    core::FlowEngineConfig config;
+    config.optimizers.es.max_generations = 100;
+    config.optimizers.es.stall_generations = 25;
+    core::FlowEngine engine(nl, *library, config);
+    const auto result = engine.run_method("evolution", {.seed = 42});
+    table.add_row(
+        {library->name(), std::to_string(result.module_count),
+         report::format_eng(result.sensor_area),
+         report::format_pct(result.delay_overhead),
+         report::format_pct(result.test_overhead),
+         report::format_fixed(engine.context().d_nominal_ps / 1000.0, 2)});
   }
   table.print(std::cout);
   std::cout <<

@@ -11,7 +11,7 @@
 // per-module sensors restore the margin and the coverage.
 #include <iostream>
 
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "report/table.hpp"
@@ -28,12 +28,12 @@ int main() {
   const auto library = lib::default_library();
 
   // Partition via the paper's flow (reduced budget: this is a demo).
-  core::FlowConfig config;
-  config.es.max_generations = 60;
-  config.es.stall_generations = 20;
-  config.es.seed = 7;
-  const auto flow = core::run_flow(nl, library, config);
-  const auto& partitioned = flow.evolution.partition;
+  core::FlowEngineConfig config;
+  config.optimizers.es.max_generations = 60;
+  config.optimizers.es.stall_generations = 20;
+  core::FlowEngine engine(nl, library, config);
+  const auto evolution = engine.run_method("evolution", {.seed = 7});
+  const auto& partitioned = evolution.partition;
 
   // Monolithic "partition": every gate in one module.
   std::vector<std::vector<netlist::GateId>> one(1);

@@ -8,7 +8,7 @@
 // partition with its cost breakdown.
 #include <iostream>
 
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/bench_io.hpp"
 #include "partition/partition_io.hpp"
@@ -36,25 +36,24 @@ OUTPUT(23)
 
   const auto library = lib::default_library();
 
-  core::FlowConfig config;          // paper defaults: d=10, r=200mV,
-  config.es.seed = 1;               // weights 9/1e5/1/1/10
-  const auto result = core::run_flow(netlist, library, config);
+  // Paper defaults: d=10, r=200mV, weights 9/1e5/1/1/10.
+  core::FlowEngine engine(netlist, library);
+  const auto result = engine.run_method("evolution", {.seed = 1});
 
   std::cout << "circuit: " << netlist.name() << " ("
             << netlist.logic_gate_count() << " gates)\n";
-  std::cout << "planned modules: " << result.plan.module_count
-            << " (leakage bound: " << result.plan.k_min_leakage << ")\n\n";
+  std::cout << "planned modules: " << engine.plan().module_count
+            << " (leakage bound: " << engine.plan().k_min_leakage << ")\n\n";
 
   std::cout << "best partition found by the evolution strategy:\n";
-  part::write_partition(std::cout, netlist, result.evolution.partition);
+  part::write_partition(std::cout, netlist, result.partition);
 
-  std::cout << "\ncosts: sensor area = " << result.evolution.sensor_area
-            << " units, delay overhead = "
-            << result.evolution.delay_overhead * 100.0
-            << "%, test-time overhead = "
-            << result.evolution.test_overhead * 100.0 << "%\n";
-  for (std::size_t m = 0; m < result.evolution.modules.size(); ++m) {
-    const auto& mod = result.evolution.modules[m];
+  std::cout << "\ncosts: sensor area = " << result.sensor_area
+            << " units, delay overhead = " << result.delay_overhead * 100.0
+            << "%, test-time overhead = " << result.test_overhead * 100.0
+            << "%\n";
+  for (std::size_t m = 0; m < result.modules.size(); ++m) {
+    const auto& mod = result.modules[m];
     std::cout << "module " << m << ": " << mod.gates << " gates, iDD_max "
               << mod.idd_max_ua << " uA, Rs " << mod.rs_kohm
               << " kOhm, discriminability " << mod.discriminability << "\n";

@@ -29,6 +29,13 @@ MethodResult evaluate_method(const part::EvalContext& ctx, std::string method,
   return r;
 }
 
+double standard_area_overhead_pct(const MethodResult& evolution,
+                                  const MethodResult& standard) {
+  return evolution.sensor_area > 0.0
+             ? (standard.sensor_area / evolution.sensor_area - 1.0) * 100.0
+             : 0.0;
+}
+
 FlowEngine::FlowEngine(const netlist::Netlist& nl,
                        const lib::CellLibrary& library,
                        FlowEngineConfig config,
@@ -185,9 +192,12 @@ MethodResult FlowEngine::run_method(std::string_view spec,
   return result;
 }
 
-std::vector<MethodResult> FlowEngine::run_methods(
-    std::span<const std::string> specs, std::uint64_t base_seed) {
-  return run_methods(specs, base_seed, FlowSequenceOptions{});
+PaperPair FlowEngine::run_paper_pair(std::uint64_t seed) {
+  PaperPair pair;
+  pair.evolution = run_method("evolution", {.seed = seed});
+  pair.standard = run_method(
+      "standard", {.seed = seed, .start = &pair.evolution.partition});
+  return pair;
 }
 
 std::vector<MethodResult> FlowEngine::run_methods(

@@ -3,9 +3,9 @@
 // FlowEngine owns the per-circuit state the paper's flow precomputes once —
 // the EvalContext (estimators, distance oracle, settling model) and the
 // section-4.2 module-size plan — and runs any registered optimizer spec
-// against it, returning uniform MethodResult rows. run_flow (core/flow.hpp)
-// is a thin compatibility wrapper over this engine; the benches and the
-// JobService use it directly.
+// against it, returning uniform MethodResult rows. The CLI, the JobService,
+// the benches and the examples all drive it directly; run_paper_pair is the
+// paper's Table 1 row (evolution, then standard at the ES module sizes).
 #pragma once
 
 #include <cstdint>
@@ -56,6 +56,19 @@ struct MethodResult {
   std::size_t patterns_minimized = 0;  // greedy set-cover suite size
 };
 
+/// The paper's Table 1 row pair (section 5), from FlowEngine::run_paper_pair.
+struct PaperPair {
+  MethodResult evolution;
+  MethodResult standard;
+};
+
+/// The paper's headline metric: extra BIC-sensor area the standard baseline
+/// needs relative to the evolution result, in percent. Returns 0 when the
+/// evolution result carries no sensor area (e.g. a single zero-area module)
+/// instead of inf/NaN.
+[[nodiscard]] double standard_area_overhead_pct(const MethodResult& evolution,
+                                                const MethodResult& standard);
+
 /// Evaluates an externally produced partition under the flow's cost model
 /// (used by the figure-2 bench and the examples).
 [[nodiscard]] MethodResult evaluate_method(const part::EvalContext& ctx,
@@ -105,13 +118,14 @@ struct FlowRunOptions {
   const part::Partition* start = nullptr;
   std::size_t max_evaluations = 0;  // 0 = optimizer default budget
   bool record_trace = false;
-  ProgressCallback on_progress;
+  // `{}`: designated initializers like {.seed = S} may leave it out
+  // without -Wmissing-field-initializers.
+  ProgressCallback on_progress{};
 };
 
-/// Per-sequence knobs for the streaming FlowEngine::run_methods overload.
-/// The default-constructed value reproduces the plain overload exactly —
-/// this is what keeps JobService runs (CLI and job server) byte-identical
-/// to direct run_methods calls.
+/// Per-sequence knobs for FlowEngine::run_methods. The default-constructed
+/// value adds nothing to the sequence, so JobService runs (CLI and job
+/// server) stay byte-identical to direct run_methods calls.
 struct FlowSequenceOptions {
   std::size_t max_evaluations = 0;  // per-method budget, 0 = default
   /// Forwarded into every method's run (overrides the config default).
@@ -150,21 +164,22 @@ class FlowEngine {
   [[nodiscard]] MethodResult run_method(std::string_view spec,
                                         const RunOptions& options = {});
 
+  /// The paper's Table 1 row (section 5): "evolution" at `seed`, then
+  /// "standard" clustered at the module sizes the ES found ("we take the
+  /// numbers obtained by the evolution based algorithm"), also at `seed`.
+  /// Both runs share the one seed, unlike run_methods' per-method derived
+  /// seeds; the committed Table 1 rows follow this convention.
+  [[nodiscard]] PaperPair run_paper_pair(std::uint64_t seed);
+
   /// Runs every spec in order at per-method derived seeds
   /// (Rng::mix_seed(base_seed, index)). Special case, after the paper's
   /// section 5: a "standard" spec that follows at least one other method
-  /// clusters at the module sizes of the first preceding method's result
-  /// ("we take the numbers obtained by the evolution based algorithm").
-  [[nodiscard]] std::vector<MethodResult> run_methods(
-      std::span<const std::string> specs, std::uint64_t base_seed);
-
-  /// Streaming variant: same sequence semantics (same seeds, same
-  /// standard-coupling), plus per-row delivery, live progress, and
-  /// cooperative cancellation. With a default-constructed `sequence` this
-  /// is exactly the plain overload.
+  /// clusters at the module sizes of the first preceding method's result.
+  /// `sequence` adds per-row delivery, live progress and cooperative
+  /// cancellation without changing seeds or results.
   [[nodiscard]] std::vector<MethodResult> run_methods(
       std::span<const std::string> specs, std::uint64_t base_seed,
-      const FlowSequenceOptions& sequence);
+      const FlowSequenceOptions& sequence = {});
 
   /// Fingerprint of everything constant per engine (circuit, library,
   /// sensor/weights/rho, optimizer tuning); combined with per-run inputs

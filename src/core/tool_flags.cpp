@@ -18,8 +18,22 @@ void add_flow_flags(support::FlagTable& flags, FlowEngineConfig& config) {
            positive_double(config.sensor.r_max_mv))
       .add("--disc", "D",
            "required discriminability d (default " +
-               str::format_sig(config.sensor.d_min) + ", > 0)",
-           positive_double(config.sensor.d_min))
+               str::format_sig(config.sensor.d_min) + ", > 1)",
+           // SensorSpec::validate owns the bound, so a d the flow would
+           // reject at run time is a usage error here.
+           [&sensor = config.sensor](
+               const std::string& v) -> std::optional<std::string> {
+             elec::SensorSpec probe = sensor;
+             if (!str::parse_double(v, probe.d_min))
+               return "must be a number (got " + v + ")";
+             try {
+               probe.validate();
+             } catch (const Error& e) {
+               return std::string(e.what()) + " (got " + v + ")";
+             }
+             sensor.d_min = probe.d_min;
+             return std::nullopt;
+           })
       .add("--generations", "N",
            "ES generation cap (default " + std::to_string(kToolGenerations) +
                ", >= 1)",

@@ -1,4 +1,4 @@
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,14 +10,15 @@
 namespace iddq::core {
 namespace {
 
-FlowConfig quick_config() {
-  FlowConfig cfg;
-  cfg.es.mu = 4;
-  cfg.es.lambda = 4;
-  cfg.es.chi = 1;
-  cfg.es.max_generations = 40;
-  cfg.es.stall_generations = 15;
-  cfg.es.seed = 42;
+constexpr std::uint64_t kSeed = 42;
+
+FlowEngineConfig quick_config() {
+  FlowEngineConfig cfg;
+  cfg.optimizers.es.mu = 4;
+  cfg.optimizers.es.lambda = 4;
+  cfg.optimizers.es.chi = 1;
+  cfg.optimizers.es.max_generations = 40;
+  cfg.optimizers.es.stall_generations = 15;
   return cfg;
 }
 
@@ -25,9 +26,10 @@ TEST(Flow, EndToEndOnMidSizeCircuit) {
   const auto nl = netlist::gen::make_random_dag(
       netlist::gen::DagProfile::basic("flow", 600, 18, 3));
   const auto library = lib::default_library();
-  const auto result = run_flow(nl, library, quick_config());
+  FlowEngine engine(nl, library, quick_config());
+  const auto result = engine.run_paper_pair(kSeed);
 
-  EXPECT_GE(result.plan.module_count, result.plan.k_min_leakage);
+  EXPECT_GE(engine.plan().module_count, engine.plan().k_min_leakage);
   EXPECT_TRUE(result.evolution.fitness.feasible());
   EXPECT_TRUE(result.evolution.partition.covers(nl));
   EXPECT_TRUE(result.standard.partition.covers(nl));
@@ -40,7 +42,8 @@ TEST(Flow, StandardUsesEvolutionModuleSizes) {
   const auto nl = netlist::gen::make_random_dag(
       netlist::gen::DagProfile::basic("flow", 500, 16, 4));
   const auto library = lib::default_library();
-  const auto result = run_flow(nl, library, quick_config());
+  FlowEngine engine(nl, library, quick_config());
+  const auto result = engine.run_paper_pair(kSeed);
   ASSERT_EQ(result.standard.module_count, result.evolution.module_count);
   std::vector<std::size_t> evo_sizes;
   std::vector<std::size_t> std_sizes;
@@ -55,8 +58,9 @@ TEST(Flow, EvolutionNoWorseThanStandardOnObjective) {
   const auto nl = netlist::gen::make_iscas_like("c1908");
   const auto library = lib::default_library();
   auto cfg = quick_config();
-  cfg.es.max_generations = 80;
-  const auto result = run_flow(nl, library, cfg);
+  cfg.optimizers.es.max_generations = 80;
+  FlowEngine engine(nl, library, cfg);
+  const auto result = engine.run_paper_pair(kSeed);
   EXPECT_FALSE(result.standard.fitness < result.evolution.fitness);
 }
 
@@ -64,29 +68,21 @@ TEST(Flow, AreaOverheadMetric) {
   const auto nl = netlist::gen::make_random_dag(
       netlist::gen::DagProfile::basic("flow", 400, 14, 5));
   const auto library = lib::default_library();
-  const auto result = run_flow(nl, library, quick_config());
+  FlowEngine engine(nl, library, quick_config());
+  const auto result = engine.run_paper_pair(kSeed);
   const double expected =
       (result.standard.sensor_area / result.evolution.sensor_area - 1.0) *
       100.0;
-  EXPECT_DOUBLE_EQ(result.standard_area_overhead_pct(), expected);
-}
-
-TEST(Flow, RefineOptionDoesNotBreakFeasibility) {
-  const auto nl = netlist::gen::make_random_dag(
-      netlist::gen::DagProfile::basic("flow", 300, 12, 6));
-  const auto library = lib::default_library();
-  auto cfg = quick_config();
-  cfg.refine_result = true;
-  const auto result = run_flow(nl, library, cfg);
-  EXPECT_TRUE(result.evolution.fitness.feasible());
-  EXPECT_TRUE(result.evolution.partition.covers(nl));
+  EXPECT_DOUBLE_EQ(
+      standard_area_overhead_pct(result.evolution, result.standard),
+      expected);
 }
 
 TEST(Flow, EvaluateMethodReportsConsistentNumbers) {
   const auto nl = netlist::gen::make_random_dag(
       netlist::gen::DagProfile::basic("flow", 200, 10, 7));
   const auto library = lib::default_library();
-  const FlowConfig cfg = quick_config();
+  const FlowEngineConfig cfg = quick_config();
   part::EvalContext ctx(nl, library, cfg.sensor, cfg.weights, cfg.rho);
   Rng rng(1);
   const auto p = make_start_partition(nl, 2, rng);

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/flow.hpp"
 #include "core/result_cache.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "support/executor.hpp"
@@ -213,20 +212,20 @@ TEST(FlowEngineCoverage, CoverageOptionsChangeTheCacheKey) {
   EXPECT_TRUE(replay.has_coverage);
 }
 
-TEST(FlowResultOverhead, DegenerateZeroAreaReportsZeroWithFlag) {
-  FlowResult result;
-  result.evolution.sensor_area = 0.0;  // e.g. single-module degenerate plan
-  result.standard.sensor_area = 5.0;
-  EXPECT_FALSE(result.overhead_comparable());
-  EXPECT_EQ(result.standard_area_overhead_pct(), 0.0);
+TEST(StandardAreaOverhead, DegenerateZeroAreaReportsZero) {
+  MethodResult evolution;
+  MethodResult standard;
+  evolution.sensor_area = 0.0;  // e.g. single-module degenerate plan
+  standard.sensor_area = 5.0;
+  EXPECT_EQ(standard_area_overhead_pct(evolution, standard), 0.0);
 }
 
-TEST(FlowResultOverhead, NormalCaseMatchesFormula) {
-  FlowResult result;
-  result.evolution.sensor_area = 4.0;
-  result.standard.sensor_area = 5.0;
-  EXPECT_TRUE(result.overhead_comparable());
-  EXPECT_DOUBLE_EQ(result.standard_area_overhead_pct(), 25.0);
+TEST(StandardAreaOverhead, NormalCaseMatchesFormula) {
+  MethodResult evolution;
+  MethodResult standard;
+  evolution.sensor_area = 4.0;
+  standard.sensor_area = 5.0;
+  EXPECT_DOUBLE_EQ(standard_area_overhead_pct(evolution, standard), 25.0);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 
 #include "core/annealing.hpp"
 #include "core/evolution.hpp"
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "core/optimizer_registry.hpp"
 #include "core/random_search.hpp"
 #include "core/refiner.hpp"
@@ -201,26 +201,29 @@ TEST(OptimizerEquivalence, ComposedPipelineKeepsBestStageResult) {
   EXPECT_FALSE(greedy.fitness < composed.fitness);
 }
 
-// The compatibility wrapper must keep producing the direct ES result.
+// The engine's ES row (the first half of run_paper_pair) must be the
+// direct ES result at the planned module count.
 TEST(OptimizerEquivalence, RunFlowMatchesDirectEvolution) {
   Fixture f;
-  FlowConfig config;
-  config.es.mu = 4;
-  config.es.lambda = 4;
-  config.es.chi = 1;
-  config.es.max_generations = 25;
-  config.es.stall_generations = 10;
-  config.es.seed = Fixture::kSeed;
-  const auto flow = run_flow(f.nl, f.library, config);
+  FlowEngineConfig config;
+  EsParams& es = config.optimizers.es;
+  es.mu = 4;
+  es.lambda = 4;
+  es.chi = 1;
+  es.max_generations = 25;
+  es.stall_generations = 10;
+  es.seed = Fixture::kSeed;
+  FlowEngine flow(f.nl, f.library, config);
+  const auto evolution = flow.run_paper_pair(Fixture::kSeed).evolution;
 
   part::EvalContext ctx(f.nl, f.library, config.sensor, config.weights,
                         config.rho);
-  EvolutionEngine engine(ctx, config.es);
-  const auto direct = engine.run_with_module_count(flow.plan.module_count);
-  EXPECT_EQ(flow.evolution.partition, direct.best_partition);
-  EXPECT_EQ(flow.evolution.fitness.cost, direct.best_fitness.cost);
-  EXPECT_EQ(flow.es_detail.evaluations, direct.evaluations);
-  EXPECT_EQ(flow.es_detail.generations, direct.generations);
+  EvolutionEngine engine(ctx, es);
+  const auto direct = engine.run_with_module_count(flow.plan().module_count);
+  EXPECT_EQ(evolution.partition, direct.best_partition);
+  EXPECT_EQ(evolution.fitness.cost, direct.best_fitness.cost);
+  EXPECT_EQ(evolution.evaluations, direct.evaluations);
+  EXPECT_EQ(evolution.iterations, direct.generations);
 }
 
 }  // namespace

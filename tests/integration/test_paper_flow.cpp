@@ -6,7 +6,7 @@
 //      essentially method-independent.
 #include <gtest/gtest.h>
 
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "netlist/gen/iscas_profiles.hpp"
 #include "support/math.hpp"
 
@@ -15,15 +15,14 @@ namespace {
 
 class PaperFlow : public ::testing::Test {
  protected:
-  static const core::FlowResult& result() {
-    static const core::FlowResult r = [] {
+  static const core::PaperPair& result() {
+    static const core::PaperPair r = [] {
       const auto nl = netlist::gen::make_iscas_like("c1908");
       const auto library = lib::default_library();
-      core::FlowConfig cfg;
-      cfg.es.max_generations = 150;
-      cfg.es.stall_generations = 40;
-      cfg.es.seed = 42;
-      return core::run_flow(nl, library, cfg);
+      core::FlowEngineConfig cfg;
+      cfg.optimizers.es.max_generations = 150;
+      cfg.optimizers.es.stall_generations = 40;
+      return core::FlowEngine(nl, library, cfg).run_paper_pair(42);
     }();
     return r;
   }
@@ -42,7 +41,8 @@ TEST_F(PaperFlow, BothMethodsFeasible) {
 TEST_F(PaperFlow, StandardNeedsMoreSensorArea) {
   // Paper band for the area overhead: 14.5%..30.6% across circuits; accept
   // a widened band for the reduced test budget.
-  const double overhead = result().standard_area_overhead_pct();
+  const double overhead =
+      core::standard_area_overhead_pct(result().evolution, result().standard);
   EXPECT_GT(overhead, 3.0);
   EXPECT_LT(overhead, 60.0);
 }

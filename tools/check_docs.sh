@@ -7,7 +7,9 @@
 #    tool's flag table) appears in the README flag table;
 #  * every iddqsyn_server / iddqsyn_cluster flag is documented on the
 #    tool's own page (docs/server.md, docs/cluster.md), or failing that in
-#    docs/robustness.md or docs/caching.md.
+#    docs/robustness.md or docs/caching.md;
+#  * every file path README.md or docs/*.md names under src/, tests/,
+#    tools/, bench/, examples/ or perfbench/ exists.
 #
 #   $ tools/check_docs.sh path/to/iddqsyn path/to/iddqsyn_server \
 #       path/to/iddqsyn_cluster
@@ -93,6 +95,21 @@ if ! grep -q "IDDQ_FAULT_PLAN" "$root/docs/robustness.md"; then
   echo "check_docs: IDDQ_FAULT_PLAN grammar is missing from docs/robustness.md"
   status=1
 fi
+
+# "DOC PATH" per named file path; a path must end in an extension, so
+# directory names and brace forms like job_protocol.{hpp,cpp} are skipped.
+paths="$(cd "$root" && grep -oE \
+    '(^|[^A-Za-z0-9_./-])(src|tests|tools|bench|examples|perfbench)/[A-Za-z0-9_/-]*\.[A-Za-z0-9]+' \
+    README.md docs/*.md | sed -E 's/^([^:]*):[^a-z]?/\1 /' | sort -u)"
+while read -r doc path; do
+  [ -n "$path" ] || continue
+  if [ ! -e "$root/$path" ]; then
+    echo "check_docs: $doc names $path, which does not exist"
+    status=1
+  fi
+done <<EOF
+$paths
+EOF
 
 [ "$status" -eq 0 ] && echo "check_docs: docs match the CLI surface"
 exit $status

@@ -20,15 +20,16 @@
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
-# AddressSanitizer leg: rebuild the netlist, estimator, partition, core
-# and cluster test binaries with -fsanitize=address,undefined and leak
-# detection on, and run the whole netlist, estimator, partition and
-# cluster suites (the timing engine and its slack certificate, the
-# evaluator, its probes and delay memo; the cluster client, its merger
-# and the shared protocol session) plus the core suites behind the
-# standard clustering, the job protocol/service stack, the parallel
-# optimizers and the tabu, annealing and greedy searches that probe_move
-# serves.
+# AddressSanitizer leg: rebuild every test binary with
+# -fsanitize=address,undefined and leak detection on, and run all of them
+# whole (support, electrical, library, netlist, estimators, partition,
+# sim, report, cluster and the integration flow: the timing engine and
+# its slack certificate, the evaluator, its probes and delay memo, the
+# cluster client, its merger and the shared protocol session) except
+# core, where it runs the suites behind the standard clustering, the
+# FlowEngine and its Table 1 pair, the job protocol/service stack, the
+# parallel optimizers and the tabu, annealing and greedy searches that
+# probe_move serves.
 #
 #   $ tools/ci.sh asan [build-dir]     default build dir: build-asan
 #
@@ -515,17 +516,17 @@ if [ "$MODE" = "asan" ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-  cmake --build "$BUILD_DIR" -j "$JOBS" \
-    --target iddq_tests_netlist iddq_tests_estimators iddq_tests_partition \
-    iddq_tests_core iddq_tests_cluster
+  WHOLE="support electrical library netlist estimators partition sim report
+    cluster integration"
+  TARGETS="iddq_tests_core"
+  for t in $WHOLE; do TARGETS="$TARGETS iddq_tests_$t"; done
+  # shellcheck disable=SC2086
+  cmake --build "$BUILD_DIR" -j "$JOBS" --target $TARGETS
   export ASAN_OPTIONS=detect_leaks=1:abort_on_error=1
   export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
-  "$BUILD_DIR/iddq_tests_netlist"
-  "$BUILD_DIR/iddq_tests_estimators"
-  "$BUILD_DIR/iddq_tests_partition"
-  "$BUILD_DIR/iddq_tests_cluster"
+  for t in $WHOLE; do "$BUILD_DIR/iddq_tests_$t"; done
   "$BUILD_DIR/iddq_tests_core" \
-    --gtest_filter='StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*:Tabu.*:Annealing.*:Refiner.*:OptimizerEquivalence.*'
+    --gtest_filter='StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*:Tabu.*:Annealing.*:Refiner.*:OptimizerEquivalence.*:FlowEngine*.*:Flow.*'
   echo "asan OK"
   exit 0
 fi
