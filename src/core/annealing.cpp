@@ -31,6 +31,7 @@ SaResult simulated_annealing(const part::EvalContext& ctx,
   double t0 = 1.0;
   {
     std::vector<double> uphill;
+    eval.certify();  // the calibration copy shares the certificate
     part::PartitionEvaluator probe = eval;
     for (int i = 0; i < 24; ++i) {
       const part::Move mv = sample_boundary_move(probe, rng);

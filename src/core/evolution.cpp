@@ -103,7 +103,8 @@ EsResult EvolutionEngine::run_with_module_count(std::size_t module_count) {
   std::vector<part::Partition> starts;
   starts.reserve(params_.mu);
   for (std::size_t i = 0; i < params_.mu; ++i)
-    starts.push_back(make_start_partition(ctx_->nl, module_count, rng_));
+    starts.push_back(make_start_partition(ctx_->nl, module_count, rng_,
+                                          ctx_->timing_graph.depths()));
   return run(starts);
 }
 

@@ -40,8 +40,9 @@ std::size_t resolve_module_count(const OptimizerRequest& req) {
 part::Partition resolve_start(const OptimizerRequest& req) {
   if (req.start) return *req.start;
   Rng rng(req.seed);
-  return make_start_partition(context_of(req).nl, resolve_module_count(req),
-                              rng);
+  const part::EvalContext& ctx = context_of(req);
+  return make_start_partition(ctx.nl, resolve_module_count(req), rng,
+                              ctx.timing_graph.depths());
 }
 
 void report_final(const OptimizerRequest& req, const OptimizerOutcome& out) {
@@ -280,7 +281,8 @@ class StandardOptimizer final : public Optimizer {
       for (std::size_t i = 0; i < n % k; ++i) ++sizes[i];
     }
     part::PartitionEvaluator eval(
-        ctx, standard_partition(ctx.nl, ctx.oracle, sizes));
+        ctx, standard_partition(ctx.nl, ctx.oracle, sizes,
+                                ctx.timing_graph.depths()));
     OptimizerOutcome out;
     out.method = std::string(name());
     out.fitness = eval.fitness();

@@ -40,7 +40,8 @@ RandomSearchResult random_search(const part::EvalContext& ctx,
     starts.clear();
     starts.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-      starts.push_back(make_start_partition(ctx.nl, module_count, rng));
+      starts.push_back(make_start_partition(ctx.nl, module_count, rng,
+                                            ctx.timing_graph.depths()));
     slots.assign(n, Slot{});
     support::parallel_for_indexed(pool, n, [&](std::size_t i) {
       part::PartitionEvaluator eval(ctx, starts[i]);

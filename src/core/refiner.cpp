@@ -77,7 +77,7 @@ RefineResult greedy_refine(part::PartitionEvaluator& eval,
           continue;
         }
         if (slots > 1) {
-          eval.refresh();  // worker copies fan out from a clean state
+          eval.certify();  // worker copies share one certificate
           const std::size_t per = (window.size() + slots - 1) / slots;
           support::parallel_for_indexed(
               pool, std::min(slots, window.size()), [&](std::size_t s) {

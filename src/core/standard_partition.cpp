@@ -34,7 +34,8 @@ bool ranks_below(const Candidate& a, const Candidate& b) {
 
 part::Partition standard_partition(const netlist::Netlist& nl,
                                    const netlist::DistanceOracle& oracle,
-                                   std::span<const std::size_t> module_sizes) {
+                                   std::span<const std::size_t> module_sizes,
+                                   std::span<const std::size_t> depth) {
   const std::size_t n = nl.logic_gate_count();
   const std::size_t total =
       std::accumulate(module_sizes.begin(), module_sizes.end(),
@@ -46,7 +47,12 @@ part::Partition standard_partition(const netlist::Netlist& nl,
     require(s >= 1, "standard partition: zero-size module requested");
 
   const auto logic = nl.logic_gates();
-  const auto levels = netlist::levelize(nl);
+  std::vector<std::size_t> levelized;
+  if (depth.empty()) {
+    levelized = netlist::levelize(nl).depth;
+    depth = levelized;
+  }
+  IDDQ_ASSERT(depth.size() == nl.gate_count());
   const std::uint32_t rho = oracle.rho();
 
   std::vector<std::uint32_t> position(nl.gate_count(), 0);
@@ -105,7 +111,7 @@ part::Partition standard_partition(const netlist::Netlist& nl,
   std::iota(seed_order.begin(), seed_order.end(), 0u);
   std::stable_sort(seed_order.begin(), seed_order.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
-                     return levels.depth[logic[a]] < levels.depth[logic[b]];
+                     return depth[logic[a]] < depth[logic[b]];
                    });
   std::size_t seed_cursor = 0;
 

@@ -22,9 +22,12 @@
 
 namespace iddq::core {
 
-/// `module_sizes` must sum to the number of logic gates of `nl`.
+/// `module_sizes` must sum to the number of logic gates of `nl`. `depth`
+/// is the per-gate logic depth (est::TimingGraph::depths()); empty
+/// levelizes `nl`.
 [[nodiscard]] part::Partition standard_partition(
     const netlist::Netlist& nl, const netlist::DistanceOracle& oracle,
-    std::span<const std::size_t> module_sizes);
+    std::span<const std::size_t> module_sizes,
+    std::span<const std::size_t> depth = {});
 
 }  // namespace iddq::core

@@ -9,12 +9,18 @@
 namespace iddq::core {
 
 part::Partition make_start_partition(const netlist::Netlist& nl,
-                                     std::size_t module_count, Rng& rng) {
+                                     std::size_t module_count, Rng& rng,
+                                     std::span<const std::size_t> depth) {
   const std::size_t n = nl.logic_gate_count();
   require(module_count >= 1 && module_count <= n,
           "start partition: module count must be in [1, logic gates]");
 
-  const auto levels = netlist::levelize(nl);
+  std::vector<std::size_t> levelized;
+  if (depth.empty()) {
+    levelized = netlist::levelize(nl).depth;
+    depth = levelized;
+  }
+  IDDQ_ASSERT(depth.size() == nl.gate_count());
   // Free logic gates, kept sorted by (depth, random tiebreak) lazily: we
   // repeatedly need "a free gate of minimum depth".
   std::vector<netlist::GateId> by_depth(nl.logic_gates().begin(),
@@ -22,7 +28,7 @@ part::Partition make_start_partition(const netlist::Netlist& nl,
   rng.shuffle(by_depth);  // random tie-break among equal depths
   std::stable_sort(by_depth.begin(), by_depth.end(),
                    [&](netlist::GateId a, netlist::GateId b) {
-                     return levels.depth[a] < levels.depth[b];
+                     return depth[a] < depth[b];
                    });
   std::vector<bool> free_gate(nl.gate_count(), false);
   for (const netlist::GateId g : by_depth) free_gate[g] = true;

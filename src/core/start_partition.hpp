@@ -12,6 +12,8 @@
 // strategy's initial population.
 #pragma once
 
+#include <span>
+
 #include "netlist/netlist.hpp"
 #include "partition/partition.hpp"
 #include "support/rng.hpp"
@@ -19,9 +21,11 @@
 namespace iddq::core {
 
 /// Builds a start partition with exactly `module_count` modules (>= 1 and
-/// <= logic gate count). Every module is non-empty.
-[[nodiscard]] part::Partition make_start_partition(const netlist::Netlist& nl,
-                                                   std::size_t module_count,
-                                                   Rng& rng);
+/// <= logic gate count). Every module is non-empty. `depth` is the per-gate
+/// logic depth (est::TimingGraph::depths() of the evaluation context, so
+/// repeated starts share one levelization); empty levelizes `nl`.
+[[nodiscard]] part::Partition make_start_partition(
+    const netlist::Netlist& nl, std::size_t module_count, Rng& rng,
+    std::span<const std::size_t> depth = {});
 
 }  // namespace iddq::core

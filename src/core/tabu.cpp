@@ -67,7 +67,7 @@ TabuResult tabu_search(const part::EvalContext& ctx,
     // copy — O(threads) copies per round instead of O(candidates), and
     // each slot writes only its own objectives, so the values are
     // byte-identical at any thread count.
-    eval.refresh();  // probes fan out from a clean round-start state
+    eval.certify();  // probes fan out from one round-start certificate
     const std::size_t slots =
         params.pool == nullptr || params.pool->worker_count() == 0
             ? 1

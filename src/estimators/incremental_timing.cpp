@@ -30,11 +30,11 @@ TimingGraph::TimingGraph(const netlist::Netlist& nl,
     fanout_flat_.insert(fanout_flat_.end(), g.fanouts.begin(),
                         g.fanouts.end());
   }
-  std::vector<std::uint32_t> level(n, 0);
+  gate_depth_.assign(n, 0);
   for (const netlist::GateId id : order_) {
     for (const netlist::GateId f : fanins(id))
-      level[id] = std::max(level[id], level[f] + 1);
-    depth_ = std::max<std::size_t>(depth_, level[id]);
+      gate_depth_[id] = std::max(gate_depth_[id], gate_depth_[f] + 1);
+    depth_ = std::max(depth_, gate_depth_[id]);
   }
 }
 
@@ -52,9 +52,9 @@ void IncrementalTiming::rescan_worst() {
   }
 }
 
-void IncrementalTiming::trace_chain() {
+void IncrementalTiming::trace_chain(Certificate& cert) const {
   for (netlist::GateId id = critical_; id != netlist::kNoGate;) {
-    chain_.push_back(id);
+    cert.chain.push_back(id);
     netlist::GateId next = netlist::kNoGate;
     for (const netlist::GateId f : graph_->fanins(id)) {
       if (graph_->fanins(f).empty()) continue;  // primary input: arrival 0
@@ -62,24 +62,22 @@ void IncrementalTiming::trace_chain() {
     }
     id = next;
   }
-  std::reverse(chain_.begin(), chain_.end());
+  std::reverse(cert.chain.begin(), cert.chain.end());
 }
 
-void IncrementalTiming::link_near_fanins() {
+void IncrementalTiming::link_near_fanins(Certificate& cert) {
   // Positions + 1 ride in the zeroed scratch array while the links are
   // collected (exact in a double: |N| < 2^53).
-  for (std::size_t i = 0; i < near_.size(); ++i)
-    scratch_arrival_[near_[i]] = static_cast<double>(i + 1);
-  near_link_off_.assign(1, 0);
-  near_link_.clear();
-  for (const netlist::GateId id : near_) {
+  for (std::size_t i = 0; i < cert.near.size(); ++i)
+    scratch_arrival_[cert.near[i]] = static_cast<double>(i + 1);
+  cert.link_off.assign(1, 0);
+  for (const netlist::GateId id : cert.near) {
     for (const netlist::GateId f : graph_->fanins(id))
       if (scratch_arrival_[f] != 0.0)
-        near_link_.push_back(static_cast<std::uint32_t>(scratch_arrival_[f]) -
-                             1);
-    near_link_off_.push_back(static_cast<std::uint32_t>(near_link_.size()));
+        cert.link.push_back(static_cast<std::uint32_t>(scratch_arrival_[f]) -
+                            1);
+    cert.link_off.push_back(static_cast<std::uint32_t>(cert.link.size()));
   }
-  near_arrival_.resize(near_.size());
   std::vector<double>().swap(scratch_arrival_);
 }
 

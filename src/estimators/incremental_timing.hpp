@@ -43,49 +43,59 @@
 // scores both the evaluator's single-move probe_move() and its
 // evolution-strategy children (probe_moves()). Either hypothetical dirties
 // whole modules, far past the kDenseSeedFactor cutover, where a worklist
-// degenerates into a suffix pass. Instead the current state carries a
-// slack certificate (certify()), built once from its live arrivals a(g),
-// worst D and factors phi:
+// degenerates into a suffix pass. Instead a slack certificate (certify())
+// is taken once from a full pass — live arrivals a(g), worst D0 and
+// factors phi0 — and every later state is judged against it:
 //
 //   * tails t(g), the longest path out of g, so P(g) = a(g) + t(g) is the
 //     longest path through g;
-//   * the near set N = {logic g : P(g) >= theta * D}, in topological
+//   * the near set N = {logic g : P(g) >= theta * D0}, in topological
 //     order. A backward walk finds it without a full backward pass: a
 //     flagged sweep down the topological order that starts at the gates
-//     with a(g) >= theta * D and flags fanins only of near gates. That is
+//     with a(g) >= theta * D0 and flags fanins only of near gates. That is
 //     complete because the argmax fanout of a near gate is itself near;
-//   * the chain C: the parent's critical path, argmax fanins back from
-//     the witness of D.
+//   * the chain C: the certified state's critical path, argmax fanins
+//     back from the witness of D0.
 //
-// For a child with factors phi' and a caller-supplied bound
-// r >= max phi'/phi, LB is the arrival along C under phi', by the full
-// pass's own expression. If theta*D*r*(1+eps) <= LB*(1-eps), the child's
-// critical path is the maximum over N of A(g) = max(0, A over fanins in
-// N) + D(g)*phi'(g), a pass over O(|N|) arrays that links N's internal
-// fanins by position; otherwise probe_certified() falls back to
-// probe_full(). Why that is exact: rounding is monotone, so A <= the full
-// pass's arrival everywhere and LB <= the child's computed critical path.
-// Every gate on the child's computed critical chain has a true
-// path-through length of at least LB*(1-eps) and at most r*P(g)*(1+eps),
-// so the whole chain lies in N, and along it A repeats the full pass
-// operand for operand: the two maxima are bit-identical. eps bounds the
-// relative rounding of a depth-long sum (certify() requires the depth to
-// stay below kMaxCertifiedDepth), and every comparison takes its margin on
-// the side that only grows N or forces the fallback; the walk's cut is
-// theta*D*(1-eps). The certificate describes the arrivals it was built
-// from: rebuild() and propagate() drop it, probe_full() and
-// probe_certified() keep it.
+// For factors phi' and a caller-supplied cumulative bound
+// r >= max phi'/phi0 — measured from the certified state, not from the
+// current one — LB is the arrival along C under phi', by the full pass's
+// own expression. If theta*D0*r*(1+eps) <= LB*(1-eps), the critical path
+// under phi' is the maximum over N of A(g) = max(0, A over fanins in N) +
+// D(g)*phi'(g), a pass over O(|N|) arrays that links N's internal fanins
+// by position; otherwise probe_certified() falls back to probe_full().
+// Why that is exact: rounding is monotone, so A <= the full pass's arrival
+// everywhere and LB <= the computed critical path under phi'. Every gate
+// on that computed critical chain has a true path-through length of at
+// least LB*(1-eps) under phi' and so at least LB*(1-eps)/(r*(1+eps)) >=
+// theta*D0 under phi0: the whole chain lies in N, and along it A repeats
+// the full pass operand for operand — the two maxima are bit-identical.
+// eps bounds the relative rounding of a depth-long sum (certify() requires
+// the depth to stay below kMaxCertifiedDepth), and every comparison takes
+// its margin on the side that only grows N or forces the fallback; the
+// walk's cut is theta*D0*(1-eps).
 //
-// Copying an IncrementalTiming (a tabu slice copying the round-start
-// evaluator, a materialized ES survivor) deliberately DROPS the arrival
-// state and the certificate: the copy reports !valid() and its next
-// rebuild recomputes the arrivals from the copied module caches —
-// bit-identical by the fixpoint argument above. A copy is usually probed
-// or mutated right away, and both paths start with a full pass, so
-// copying the O(V) arrival array would buy nothing.
+// Because the certificate depends only on phi0 and D0, never on the
+// current arrivals, it outlives the state it was taken from:
+//
+//   * commit_certified() commits a new factor assignment by the same check
+//     and the same O(|N|) pass, leaving the arrivals stale (!valid()); a
+//     failed check changes nothing, and the caller takes rebuild() or
+//     propagate(), which drop the certificate.
+//   * The certificate is immutable and held by shared_ptr<const>: copying
+//     an IncrementalTiming (a tabu slice copying the round-start
+//     evaluator, a materialized ES survivor) shares it, drops the O(V)
+//     arrival array (the copy reports !valid(); its next rebuild
+//     recomputes it bit-identically by the fixpoint argument above) and
+//     starts with its own O(|N|) scratch, so copies probe concurrently.
+//   * A certificate carried across a commit is dropped by the first probe
+//     it cannot vouch for, so the next certify() re-takes it from the
+//     current state; a fresh one is kept, as probing never changes state.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -132,6 +142,11 @@ class TimingGraph {
   }
   /// Logic depth: the most logic gates on any input-to-output path.
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
+  /// Per-gate logic depth, by GateId: inputs 0, a logic gate one more than
+  /// its deepest fanin (netlist::levelize's `depth`).
+  [[nodiscard]] std::span<const std::size_t> depths() const noexcept {
+    return gate_depth_;
+  }
 
  private:
   std::vector<netlist::GateId> order_;
@@ -141,6 +156,7 @@ class TimingGraph {
   std::vector<std::uint32_t> fanout_off_;  // size gate_count + 1
   std::vector<netlist::GateId> fanout_flat_;
   std::vector<double> delay_ps_;
+  std::vector<std::size_t> gate_depth_;
   std::size_t depth_ = 0;
 };
 
@@ -170,53 +186,67 @@ class IncrementalTiming {
   /// evaluator copies share it).
   explicit IncrementalTiming(const TimingGraph& graph) : graph_(&graph) {}
 
-  /// Copies share the circuit but drop the arrival state (see above);
-  /// moves keep it.
+  /// Copies share the circuit, the critical path and the certificate but
+  /// drop the arrival state, and start with zero counters (see above);
+  /// moves keep everything.
   IncrementalTiming(const IncrementalTiming& other)
-      : IncrementalTiming(*other.graph_) {}
+      : graph_(other.graph_),
+        worst_(other.worst_),
+        cert_(other.cert_),
+        carried_(other.carried_) {}
   IncrementalTiming& operator=(const IncrementalTiming& other) {
-    if (this != &other) *this = IncrementalTiming(*other.graph_);
+    if (this != &other) *this = IncrementalTiming(other);
     return *this;
   }
   IncrementalTiming(IncrementalTiming&&) = default;
   IncrementalTiming& operator=(IncrementalTiming&&) = default;
 
-  /// False until the first rebuild() (and again after being copied from
-  /// another instance): propagate() and certify() require a valid state.
+  /// False until the first rebuild(), after a commit_certified(), and in a
+  /// copy: propagate() and certify() require a valid state.
   [[nodiscard]] bool valid() const noexcept { return valid_; }
 
-  /// Critical path of the current state, in ps (requires valid()).
+  /// Critical path of the current state, in ps (after a rebuild(),
+  /// propagate() or commit_certified()).
   [[nodiscard]] double worst_ps() const noexcept { return worst_; }
 
-  /// Arrival time of a gate under the current state, in ps.
+  /// Arrival time of a gate under the current state, in ps (requires
+  /// valid()).
   [[nodiscard]] double arrival_ps(netlist::GateId g) const {
     return arrival_[g];
   }
 
-  /// True while a certificate of the current arrivals exists (certify()).
-  [[nodiscard]] bool certified() const noexcept { return certified_; }
+  /// True while a certificate is held (certify(); shared by copies).
+  [[nodiscard]] bool certified() const noexcept { return cert_ != nullptr; }
 
   /// The certificate's near set, in topological order (requires
   /// certified()).
   [[nodiscard]] std::span<const netlist::GateId> near_gates() const noexcept {
-    return near_;
+    return cert_->near;
   }
 
   /// How many probe_certified() calls this instance answered from the near
-  /// set, and how many fell back to probe_full(). Copies start at zero.
+  /// set, and how many fell back to probe_full(); how many commits
+  /// commit_certified() took from the near set; and how many certificates
+  /// certify() built. Copies start at zero.
   [[nodiscard]] std::size_t certified_probes() const noexcept {
     return certified_probes_;
   }
   [[nodiscard]] std::size_t fallback_probes() const noexcept {
     return fallback_probes_;
   }
+  [[nodiscard]] std::size_t certified_commits() const noexcept {
+    return certified_commits_;
+  }
+  [[nodiscard]] std::size_t recertifications() const noexcept {
+    return recertifications_;
+  }
 
   /// Full pass: recomputes every arrival from `factor` (a callable
   /// `double(GateId)`, >= 1 for logic gates), replacing the persistent
-  /// state. Returns the critical path in ps.
+  /// state and dropping the certificate. Returns the critical path in ps.
   template <class FactorFn>
   double rebuild(FactorFn&& factor) {
-    certified_ = false;
+    cert_.reset();
     arrival_.assign(graph_->gate_count(), 0.0);
     queued_.assign(graph_->gate_count(), 0);
     worst_ = 0.0;
@@ -244,12 +274,13 @@ class IncrementalTiming {
   /// Incremental pass: `changed` lists the gates whose factor may have
   /// changed since the last rebuild/propagate (duplicates and false
   /// positives are fine, order is irrelevant). Recomputes the affected
-  /// cone against `factor` and commits. Returns the critical path in ps.
+  /// cone against `factor`, commits, and drops the certificate. Returns
+  /// the critical path in ps.
   template <class FactorFn>
   double propagate(std::span<const netlist::GateId> changed,
                    FactorFn&& factor) {
     IDDQ_ASSERT(valid_);
-    certified_ = false;
+    cert_.reset();
     // Flag the seeds, then sweep the topological order from the lowest
     // seed rank, recomputing only flagged gates. A flag test per swept
     // gate is a load and a branch — far cheaper than a heap — so a dense
@@ -323,18 +354,20 @@ class IncrementalTiming {
     return worst;
   }
 
-  /// Builds the slack certificate of the current arrivals (see the header
+  /// Takes the slack certificate of the current arrivals (see the header
   /// comment); `factor` must be the one they were computed from. A no-op
-  /// while certified(). Requires valid().
+  /// while certified() — a held certificate with valid arrivals was taken
+  /// from them, since commits that keep it leave the arrivals stale.
+  /// Requires valid().
   template <class FactorFn>
   void certify(FactorFn&& factor) {
     IDDQ_ASSERT(valid_);
-    if (certified_) return;
+    if (cert_ != nullptr) return;
     require(graph_->depth() < kMaxCertifiedDepth,
             "timing: circuit too deep for the slack certificate's rounding "
             "margin");
-    near_.clear();
-    chain_.clear();
+    auto cert = std::make_shared<Certificate>();
+    cert->worst = worst_;
     if (worst_ > 0.0) {
       // A flagged sweep of the topological order downwards, like
       // propagate()'s upwards: tails accumulate in scratch_arrival_ and
@@ -360,7 +393,7 @@ class IncrementalTiming {
         const double tail = scratch_arrival_[id];
         scratch_arrival_[id] = 0.0;
         if (!(arrival_[id] + tail >= cut)) continue;
-        near_.push_back(id);
+        cert->near.push_back(id);
         const double through = graph_->delay_ps(id) * factor(id) + tail;
         for (const netlist::GateId f : graph_->fanins(id)) {
           if (graph_->fanins(f).empty()) continue;  // primary input
@@ -371,48 +404,93 @@ class IncrementalTiming {
         }
       }
       // The sweep settled N in decreasing rank.
-      std::reverse(near_.begin(), near_.end());
-      trace_chain();
-      link_near_fanins();
+      std::reverse(cert->near.begin(), cert->near.end());
+      trace_chain(*cert);
+      link_near_fanins(*cert);
     }
-    certified_ = true;
+    cert_ = std::move(cert);
+    carried_ = false;
+    ++recertifications_;
   }
 
-  /// The critical path under the child factors `factor`, bit-identical to
+  /// The critical path under `factor`, bit-identical to
   /// probe_full(factor), given a `ratio_bound` >= 1 that is >= factor(g)
   /// over the certified factor of g for every gate. Requires certified().
-  /// Answers from the near set when the certificate vouches for the child
-  /// and takes probe_full() otherwise.
+  /// Answers from the near set when the certificate vouches for `factor`
+  /// and takes probe_full() otherwise; a certificate carried across a
+  /// commit that fails to vouch is dropped.
   template <class FactorFn>
   double probe_certified(double ratio_bound, FactorFn&& factor) {
-    IDDQ_ASSERT(certified_ && ratio_bound >= 1.0);
-    double lower = 0.0;
-    for (const netlist::GateId id : chain_)
-      lower = lower + graph_->delay_ps(id) * factor(id);
-    if (!(lower > 0.0 && kNearFraction * worst_ * ratio_bound *
-                                 (1.0 + kRoundingMargin) <=
-                             lower * (1.0 - kRoundingMargin))) {
-      ++fallback_probes_;
-      return probe_full(std::forward<FactorFn>(factor));
-    }
-    // Fanins outside N count as arrival 0: only links inside N are kept.
     double worst = 0.0;
-    for (std::size_t i = 0; i < near_.size(); ++i) {
+    if (near_pass(ratio_bound, factor, worst)) {
+      ++certified_probes_;
+      return worst;
+    }
+    ++fallback_probes_;
+    if (carried_) cert_.reset();
+    return probe_full(std::forward<FactorFn>(factor));
+  }
+
+  /// Commits `factor` as the current state when the certificate vouches
+  /// for it (`ratio_bound` as for probe_certified): the critical path
+  /// becomes the near-set maximum, bit-identical to rebuild(factor), the
+  /// certificate is kept and the arrivals go stale (!valid()). Returns
+  /// false and changes nothing otherwise. Requires certified().
+  template <class FactorFn>
+  bool commit_certified(double ratio_bound, FactorFn&& factor) {
+    double worst = 0.0;
+    if (!near_pass(ratio_bound, factor, worst)) return false;
+    worst_ = worst;
+    critical_ = netlist::kNoGate;
+    valid_ = false;
+    carried_ = true;
+    ++certified_commits_;
+    return true;
+  }
+
+ private:
+  /// The slack certificate (see the header comment): immutable once
+  /// certify() has built it.
+  struct Certificate {
+    double worst = 0.0;                 // D0
+    std::vector<netlist::GateId> near;  // N, topological order
+    // CSR over N: the positions in `near` of near[i]'s fanins that are in
+    // N, in fanin order.
+    std::vector<std::uint32_t> link_off;  // size |N| + 1
+    std::vector<std::uint32_t> link;
+    std::vector<netlist::GateId> chain;  // C, from the inputs to the witness
+  };
+
+  /// The certificate's check and, when it passes, the O(|N|) pass: sets
+  /// `worst` and returns true, or returns false.
+  template <class FactorFn>
+  bool near_pass(double ratio_bound, FactorFn& factor, double& worst) {
+    IDDQ_ASSERT(cert_ != nullptr && ratio_bound >= 1.0);
+    const Certificate& cert = *cert_;
+    double lower = 0.0;
+    for (const netlist::GateId id : cert.chain)
+      lower = lower + graph_->delay_ps(id) * factor(id);
+    if (!(lower > 0.0 && kNearFraction * cert.worst * ratio_bound *
+                                 (1.0 + kRoundingMargin) <=
+                             lower * (1.0 - kRoundingMargin)))
+      return false;
+    // Fanins outside N count as arrival 0: only links inside N are kept.
+    if (near_arrival_.size() < cert.near.size())
+      near_arrival_.resize(cert.near.size());
+    worst = 0.0;
+    for (std::size_t i = 0; i < cert.near.size(); ++i) {
       double in_arrival = 0.0;
-      for (std::uint32_t k = near_link_off_[i]; k < near_link_off_[i + 1];
-           ++k)
-        in_arrival = std::max(in_arrival, near_arrival_[near_link_[k]]);
-      const netlist::GateId id = near_[i];
+      for (std::uint32_t k = cert.link_off[i]; k < cert.link_off[i + 1]; ++k)
+        in_arrival = std::max(in_arrival, near_arrival_[cert.link[k]]);
+      const netlist::GateId id = cert.near[i];
       const double delta = factor(id);
       IDDQ_ASSERT(delta >= 1.0);
       near_arrival_[i] = in_arrival + graph_->delay_ps(id) * delta;
       worst = std::max(worst, near_arrival_[i]);
     }
-    ++certified_probes_;
-    return worst;
+    return true;
   }
 
- private:
   void rescan_worst();
   /// Allocates scratch_arrival_ (all zero between calls) when a copy or
   /// a certify() left it empty.
@@ -422,9 +500,9 @@ class IncrementalTiming {
   }
   /// certify() helpers: trace the chain C back from the witness; index
   /// N's internal fanin links, then release the scratch array (a
-  /// certified parent scores its children in the O(|N|) arrays below).
-  void trace_chain();
-  void link_near_fanins();
+  /// certified state scores its what-ifs in O(|N|) arrays).
+  void trace_chain(Certificate& cert) const;
+  void link_near_fanins(Certificate& cert);
 
   const TimingGraph* graph_;
 
@@ -439,17 +517,14 @@ class IncrementalTiming {
   // empty after a certify().
   std::vector<double> scratch_arrival_;
 
-  // Slack certificate of the arrivals above (valid while certified_).
-  bool certified_ = false;
-  std::vector<netlist::GateId> near_;   // N, topological order
-  // CSR over N: the positions in near_ of near_[i]'s fanins that are in N,
-  // in fanin order.
-  std::vector<std::uint32_t> near_link_off_;  // size |N| + 1
-  std::vector<std::uint32_t> near_link_;
-  std::vector<double> near_arrival_;    // A, by position in near_
-  std::vector<netlist::GateId> chain_;  // C, from the inputs to the witness
+  std::shared_ptr<const Certificate> cert_;
+  // True once a commit has moved the state away from the certified one.
+  bool carried_ = false;
+  std::vector<double> near_arrival_;  // A, by position in the near set
   std::size_t certified_probes_ = 0;
   std::size_t fallback_probes_ = 0;
+  std::size_t certified_commits_ = 0;
+  std::size_t recertifications_ = 0;
 };
 
 }  // namespace iddq::est

@@ -109,6 +109,9 @@ void PartitionEvaluator::rebuild_all() {
                                             m, module_of);
   }
   type_delta_.assign(k * ctx_->type_count, 1.0);
+  type_floor_.assign(k * ctx_->type_count,
+                     std::numeric_limits<double>::infinity());
+  slot_ratio_.assign(k, 1.0);
   area_.assign(k, 0.0);
   settle_ps_.assign(k, 0.0);
   dirty_.assign(k, 1);
@@ -153,6 +156,9 @@ void PartitionEvaluator::move_gate(netlist::GateId g, std::uint32_t target) {
   IDDQ_ASSERT(hist_row(src)[type] > 0);
   hist_row(src)[type]--;
   hist_row(target)[type]++;
+  // g's certified factor is at least its old slot's floor.
+  double& tgt_floor = floor_row(target)[type];
+  tgt_floor = std::min(tgt_floor, floor_row(src)[type]);
 
   // A move dirties exactly its two endpoint modules; erase_module below
   // carries the flags through the slot swap.
@@ -176,6 +182,9 @@ void PartitionEvaluator::erase_module(std::uint32_t m) {
     std::copy(last_hist.begin(), last_hist.end(), hist_row(m).begin());
     const auto last_row = delta_row(last);
     std::copy(last_row.begin(), last_row.end(), delta_row(m).begin());
+    const auto last_floor = floor_row(last);
+    std::copy(last_floor.begin(), last_floor.end(), floor_row(m).begin());
+    slot_ratio_[m] = slot_ratio_[last];
     area_[m] = area_[last];
     settle_ps_[m] = settle_ps_[last];
     dirty_[m] = dirty_[last];
@@ -186,6 +195,8 @@ void PartitionEvaluator::erase_module(std::uint32_t m) {
   separation_.pop_back();
   type_histogram_.resize(last * ctx_->type_count);
   type_delta_.resize(last * ctx_->type_count);
+  type_floor_.resize(last * ctx_->type_count);
+  slot_ratio_.pop_back();
   area_.pop_back();
   settle_ps_.pop_back();
   dirty_.pop_back();
@@ -278,6 +289,8 @@ std::size_t PartitionEvaluator::derive_dirty_modules() {
     derive_module_delay(profiles_[m].max_current_ua(),
                         profiles_[m].max_switching(), cvr_ff_[m], hist_row(m),
                         delta_row(m), area_[m], settle_ps_[m]);
+    if (timing_.certified())  // the floors are meaningless otherwise
+      slot_ratio_[m] = slot_ratio(hist_row(m), delta_row(m), floor_row(m));
     dirty_gates += partition_.module_size(m);
   }
   return dirty_gates;
@@ -288,14 +301,20 @@ void PartitionEvaluator::refresh() {
   const std::size_t k = partition_.module_count();
   const std::size_t dirty_gates = derive_dirty_modules();
   const auto factor = [this](netlist::GateId g) { return gate_factor(g); };
-  // Dense updates (big mutations touching most gates, or a copied
-  // evaluator whose timing state was dropped) take the plain full pass;
-  // sparse ones seed the gates of the dirty modules and repropagate only
-  // the affected cone. Bit-identical either way: every arrival is the
-  // same pure function of the same factors.
-  if (!timing_.valid() ||
-      dirty_gates * est::IncrementalTiming::kDenseSeedFactor >=
-          ctx_->nl.gate_count()) {
+  // A held certificate answers from the near set when the cumulative
+  // ratio bound still lets it vouch for the new state. Otherwise dense
+  // updates (big mutations touching most gates, or stale arrivals) take
+  // the plain full pass; sparse ones seed the gates of the dirty modules
+  // and repropagate only the affected cone. Bit-identical every way:
+  // each is the same pure function of the same factors.
+  if (timing_.certified() &&
+      timing_.commit_certified(
+          *std::max_element(slot_ratio_.begin(), slot_ratio_.end()),
+          factor)) {
+    d_bic_ps_ = timing_.worst_ps();
+  } else if (!timing_.valid() ||
+             dirty_gates * est::IncrementalTiming::kDenseSeedFactor >=
+                 ctx_->nl.gate_count()) {
     d_bic_ps_ = timing_.rebuild(factor);
   } else {
     auto& seeds = scratch_.value.seeds;
@@ -361,7 +380,7 @@ MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
   require(partition_.module_size(src) >= 2,
           "probe_move: move would empty its source module (commit such "
           "moves with move_gate)");
-  certify_current_state();
+  certify();
 
   const auto& cell = ctx_->cells[g];
   // Overlay the two endpoint modules with exactly the expressions
@@ -414,14 +433,19 @@ MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
                       settle_tgt);
 
   // The critical path with the overlay rows substituted for the two
-  // endpoint modules (g itself lands in the target row). Only the gates of
-  // those two slots change factor — the ones staying in src, the ones of
-  // target, and g (old src row, new target row) — so the ratio bound
-  // covers just the two slots.
-  const TypeRows before[] = {{src_hist, delta_row(src)},
-                             {tgt_hist, delta_row(target)}};
-  const TypeRows after[] = {{scratch.hist_src, scratch.row_src},
-                            {scratch.hist_tgt, scratch.row_tgt}};
+  // endpoint modules (g itself lands in the target row). The ratio bound
+  // takes the other slots' committed ratios and the two overlay rows over
+  // their floors, with the target's floor of g's type lowered as move_gate
+  // would lower it.
+  const auto tgt_floor = floor_row(target);
+  scratch.floor_tgt.assign(tgt_floor.begin(), tgt_floor.end());
+  scratch.floor_tgt[type] =
+      std::min(scratch.floor_tgt[type], floor_row(src)[type]);
+  double ratio = std::max(
+      slot_ratio(scratch.hist_src, scratch.row_src, floor_row(src)),
+      slot_ratio(scratch.hist_tgt, scratch.row_tgt, scratch.floor_tgt));
+  for (std::size_t m = 0; m < slot_ratio_.size(); ++m)
+    if (m != src && m != target) ratio = std::max(ratio, slot_ratio_[m]);
   const auto probe_factor = [&](netlist::GateId x) {
     if (x == g) return scratch.row_tgt[ctx_->type_of[x]];
     const std::uint32_t m = partition_.module_of(x);
@@ -429,8 +453,7 @@ MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
     if (m == target) return scratch.row_tgt[ctx_->type_of[x]];
     return type_delta_[m * ctx_->type_count + ctx_->type_of[x]];
   };
-  const double d_bic = timing_.probe_certified(
-      factor_ratio_bound(before, after), probe_factor);
+  const double d_bic = timing_.probe_certified(ratio, probe_factor);
 
   // Assemble exactly what fitness()/costs() compute post-move: the same
   // index-ordered sums with the src/target slots overlaid.
@@ -478,10 +501,14 @@ void PartitionEvaluator::snapshot_slot(std::uint32_t m) {
   snap.area = area_[m];
   snap.settle_ps = settle_ps_[m];
   snap.dirty = dirty_[m];
+  snap.slot_ratio = slot_ratio_[m];
   const auto hist = hist_row(m);
   scratch.slot_hist.insert(scratch.slot_hist.end(), hist.begin(), hist.end());
   const auto row = delta_row(m);
   scratch.slot_delta.insert(scratch.slot_delta.end(), row.begin(), row.end());
+  const auto floor = floor_row(m);
+  scratch.slot_floor.insert(scratch.slot_floor.end(), floor.begin(),
+                            floor.end());
 }
 
 void PartitionEvaluator::restore_slots(std::size_t module_count) {
@@ -496,6 +523,8 @@ void PartitionEvaluator::restore_slots(std::size_t module_count) {
   separation_.resize(module_count);
   type_histogram_.resize(module_count * types);
   type_delta_.resize(module_count * types);
+  type_floor_.resize(module_count * types);
+  slot_ratio_.resize(module_count);
   area_.resize(module_count);
   settle_ps_.resize(module_count);
   dirty_.resize(module_count);
@@ -509,61 +538,58 @@ void PartitionEvaluator::restore_slots(std::size_t module_count) {
     area_[m] = snap.area;
     settle_ps_[m] = snap.settle_ps;
     dirty_[m] = snap.dirty;
+    slot_ratio_[m] = snap.slot_ratio;
     std::copy_n(scratch.slot_hist.begin() + i * types, types,
                 hist_row(m).begin());
     std::copy_n(scratch.slot_delta.begin() + i * types, types,
                 delta_row(m).begin());
+    std::copy_n(scratch.slot_floor.begin() + i * types, types,
+                floor_row(m).begin());
     scratch.touched[m] = 0;
   }
   scratch.slot_count = 0;
   scratch.slot_hist.clear();
   scratch.slot_delta.clear();
+  scratch.slot_floor.clear();
 }
 
-double PartitionEvaluator::factor_ratio_bound(
-    std::span<const TypeRows> before, std::span<const TypeRows> after) {
-  ProbeScratch& scratch = scratch_.value;
-  const std::size_t types = ctx_->type_count;
-  constexpr double kNone = std::numeric_limits<double>::infinity();
-  std::vector<double>& min_before = scratch.type_min_before;
-  std::vector<double>& max_after = scratch.type_max_after;
-  min_before.assign(types, kNone);
-  max_after.assign(types, 0.0);
-  for (const TypeRows& rows : before)
-    for (std::size_t t = 0; t < types; ++t)
-      if (rows.hist[t] != 0)
-        min_before[t] = std::min(min_before[t], rows.delta[t]);
-  for (const TypeRows& rows : after)
-    for (std::size_t t = 0; t < types; ++t)
-      if (rows.hist[t] != 0)
-        max_after[t] = std::max(max_after[t], rows.delta[t]);
-  // Gates outside the `before` slots keep their factor (ratio 1). A gate
-  // of type t in an `after` slot came from a `before` one, so its old
-  // factor is at least min_before[t].
+double PartitionEvaluator::slot_ratio(std::span<const std::uint32_t> hist,
+                                      std::span<const double> delta,
+                                      std::span<const double> floors) {
+  // A gate of type t in the slot had a certified factor of at least
+  // floors[t] and has delta[t] now. Types the slot lacks are skipped; the
+  // floors of the ones it holds are finite.
   double ratio = 1.0;
-  for (std::size_t t = 0; t < types; ++t) {
-    if (max_after[t] == 0.0) continue;
-    IDDQ_ASSERT(min_before[t] != kNone);
-    ratio = std::max(ratio, max_after[t] / min_before[t]);
+  for (std::size_t t = 0; t < hist.size(); ++t) {
+    if (hist[t] == 0) continue;
+    IDDQ_ASSERT(std::isfinite(floors[t]));
+    ratio = std::max(ratio, delta[t] / floors[t]);
   }
   return ratio;
 }
 
-void PartitionEvaluator::certify_current_state() {
+void PartitionEvaluator::certify() {
   const auto factor = [this](netlist::GateId x) { return gate_factor(x); };
   refresh();
-  // A fresh copy dropped its arrival state and nothing has dirtied it
-  // since; rebuild it (bit-identical to the dropped state).
+  if (timing_.certified()) return;
+  // Stale arrivals (a copy, or commits the certificate answered) are
+  // rebuilt bit-identically first.
   if (!timing_.valid()) d_bic_ps_ = timing_.rebuild(factor);
   timing_.certify(factor);
+  // Every gate's certified factor is its slot's delta row entry.
+  for (std::size_t i = 0; i < type_floor_.size(); ++i)
+    type_floor_[i] = type_histogram_[i] != 0
+                         ? type_delta_[i]
+                         : std::numeric_limits<double>::infinity();
+  std::fill(slot_ratio_.begin(), slot_ratio_.end(), 1.0);
 }
 
 MoveProbe PartitionEvaluator::probe_moves(std::span<const Move> moves) {
   // Settle lazy module state first so the moves below dirty exactly the
-  // slots they snapshot, and certify the arrivals the children are scored
-  // against. A copy (a materialized ES survivor) has none: it pays one
-  // forward pass here, and its later probes reuse the certificate.
-  certify_current_state();
+  // slots they snapshot, and make sure a certificate is held. A copy (a
+  // materialized ES survivor) shares its parent's and re-validates it in
+  // that refresh.
+  certify();
   const auto factor = [this](netlist::GateId x) { return gate_factor(x); };
   const std::size_t k_before = partition_.module_count();
   ProbeScratch& scratch = scratch_.value;
@@ -585,27 +611,13 @@ MoveProbe PartitionEvaluator::probe_moves(std::span<const Move> moves) {
   }
 
   // Score exactly what the copy's fitness()/costs() would: its refresh
-  // rederives the dirty (= snapshotted) modules and, its arrivals having
-  // been dropped by the copy, takes a full timing pass, which the
-  // certificate reproduces bit for bit from the near-critical gates.
+  // rederives the dirty (= snapshotted) modules and takes a full timing
+  // pass, which the certificate reproduces bit for bit from the
+  // near-critical gates. The rederivation also bounds the touched slots'
+  // ratios; an erasure only moves a touched slot's state.
   derive_dirty_modules();
-  // Every gate whose factor changed left a snapshotted slot and landed in
-  // one that still exists.
-  const std::size_t types = ctx_->type_count;
-  scratch.rows_before.clear();
-  scratch.rows_after.clear();
-  for (std::size_t i = 0; i < scratch.slot_count; ++i) {
-    scratch.rows_before.push_back(
-        {std::span<const std::uint32_t>(scratch.slot_hist)
-             .subspan(i * types, types),
-         std::span<const double>(scratch.slot_delta)
-             .subspan(i * types, types)});
-    const std::uint32_t m = scratch.slots[i].slot;
-    if (m < partition_.module_count())  // else erased by the moves
-      scratch.rows_after.push_back({hist_row(m), delta_row(m)});
-  }
   const double d_bic = timing_.probe_certified(
-      factor_ratio_bound(scratch.rows_before, scratch.rows_after), factor);
+      *std::max_element(slot_ratio_.begin(), slot_ratio_.end()), factor);
   double settle_max = 0.0;
   for (const double settle : settle_ps_)
     settle_max = std::max(settle_max, settle);

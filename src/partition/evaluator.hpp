@@ -25,8 +25,11 @@
 //
 // Hypothetical moves (probe_move for one gate, probe_moves for a move
 // list) are scored against the current state without a copy: the timing
-// engine's slack certificate of the current arrivals answers their
-// critical path from the ~1% near-critical gates. The delay derivation is
+// engine's slack certificate answers their critical path from the ~1%
+// near-critical gates. The certificate is taken once from a full pass and
+// then carried: commits re-validate it (a committed move costs a near-set
+// pass, not a timing pass), copies share it, and a per-slot floor matrix
+// bounds how far any factor rose since it was taken. The delay derivation is
 // memoized exactly — its outputs are a pure function of (iDD_max, n_max,
 // cvr), so a small direct-mapped table keyed by their bit patterns
 // returns the very bits a solve would (a commit's refresh re-derives
@@ -148,11 +151,10 @@ class PartitionEvaluator {
   /// committing it: returns bit-for-bit what `copy = *this;
   /// copy.move_gate(g, target); {copy.fitness(), copy.costs()}` would,
   /// using src/target scratch overlays instead of the O(gates + K*grid)
-  /// copy. The critical path comes from the slack certificate of the
-  /// current arrivals, as for probe_moves: the ratio bound covers only the
-  /// two endpoint slots, and the full pass into scratch storage is the
-  /// fallback. The certificate is built on the first probe after a state
-  /// change, so the probes of one round share it. The evaluator's logical
+  /// copy. The critical path comes from the slack certificate, as for
+  /// probe_moves, with the two endpoint slots' ratios taken from their
+  /// overlay rows; the full pass into scratch storage is the fallback.
+  /// The evaluator's logical
   /// state is unchanged (scratch and lazy caches may refresh). Requires a
   /// move that does not empty its source module (the accept/reject loops
   /// never propose one; commit emptying moves with move_gate directly).
@@ -166,20 +168,20 @@ class PartitionEvaluator {
   /// — and scored, and then the snapshots and the partition journal are
   /// restored, so no arithmetic residue remains and the persistent
   /// arrivals are never written. The critical path comes from the timing
-  /// engine's slack certificate of the current arrivals (built on the
-  /// first call after they change; a copy first pays one full pass to get
-  /// arrivals): a pass over the ~1% near-critical gates, bounded by how
-  /// far any gate's factor can rise (factor_ratio_bound), with a full pass
-  /// into scratch storage as the fallback when the bound does not vouch
-  /// for the child. Emptying moves are allowed; targets index the module
-  /// slots as they are when that move is applied. The evaluator's logical
-  /// state is unchanged (lazy module caches may be rederived). This is how
-  /// the evolution strategy scores a child on its parent instead of a
-  /// copy.
+  /// engine's slack certificate (shared with the evaluator this one was
+  /// copied from, or taken on the first probe that finds none): a pass
+  /// over the ~1% near-critical gates, bounded by how far any gate's
+  /// factor rose since the certificate was taken (the floor rows), with a
+  /// full pass into scratch storage as the fallback when the bound does
+  /// not vouch for the child. Emptying moves are allowed; targets index
+  /// the module slots as they are when that move is applied. The
+  /// evaluator's logical state is unchanged (lazy module caches may be
+  /// rederived). This is how the evolution strategy scores a child on its
+  /// parent instead of a copy.
   [[nodiscard]] MoveProbe probe_moves(std::span<const Move> moves);
 
-  /// The timing engine, read-only: tests count how many probes its
-  /// certificate answered and how many took the full pass.
+  /// The timing engine, read-only: tests count how many probes and
+  /// commits its certificate answered and how many took the full pass.
   [[nodiscard]] const est::IncrementalTiming& timing() const noexcept {
     return timing_;
   }
@@ -197,11 +199,18 @@ class PartitionEvaluator {
   /// Degraded critical path D_BIC, in ps (triggers delay evaluation).
   [[nodiscard]] double d_bic_ps();
 
-  /// Brings every lazy cache up to date now (dirty modules rederived, the
-  /// changed-gate cone repropagated). Queries do this on demand; call it
-  /// explicitly before fanning probe work out from a shared round-start
-  /// evaluator so each worker copy starts clean.
+  /// Brings every lazy cache up to date now (dirty modules rederived;
+  /// D_BIC from the certificate's near set when it still vouches, else
+  /// the changed-gate cone repropagated). Queries do this on demand.
   void refresh();
+
+  /// refresh(), and when no slack certificate is held, takes one from a
+  /// full pass, resetting the floor rows to the delta rows — what both
+  /// probes score against. Probes do this on demand; call it explicitly
+  /// before copying an evaluator for probe work (tabu and greedy worker
+  /// slices, the annealer's calibration copy) so the copies share one
+  /// certificate instead of each taking its own.
+  void certify();
 
   /// Per-module report for tables.
   [[nodiscard]] ModuleReport module_report(std::uint32_t m);
@@ -219,8 +228,9 @@ class PartitionEvaluator {
  private:
   void rebuild_all();
   void erase_module(std::uint32_t m);
-  /// Rederives the delay anchors, area and settling of every dirty module
-  /// in place (flags untouched); returns those modules' total gate count.
+  /// Rederives the delay anchors, area, settling and slot ratio of every
+  /// dirty module in place (flags untouched); returns those modules' total
+  /// gate count.
   std::size_t derive_dirty_modules();
   /// The cost terms of the current module caches with the given critical
   /// path and settling maximum — the one assembly costs() and
@@ -233,23 +243,12 @@ class PartitionEvaluator {
   /// Puts every snapshotted slot back and regrows the per-module arrays
   /// to `module_count` slots.
   void restore_slots(std::size_t module_count);
-  /// Settles the lazy caches and certifies the current arrivals (a copy,
-  /// which has none, first pays one full pass) — what both probes score
-  /// against.
-  void certify_current_state();
-  /// A module slot's type histogram and delta row.
-  struct TypeRows {
-    std::span<const std::uint32_t> hist;
-    std::span<const double> delta;
-  };
-  /// A bound r >= 1 on every gate's new factor over its old one, for a
-  /// hypothetical in which every gate whose factor changes was in one of
-  /// the `before` slots and lands in one of the `after` slots: max over
-  /// types t of the largest `after` factor of t over the smallest `before`
-  /// one, counting a slot's row only where its histogram holds t.
-  /// O(slots x types). The one bound of probe_move and probe_moves.
-  [[nodiscard]] double factor_ratio_bound(std::span<const TypeRows> before,
-                                          std::span<const TypeRows> after);
+  /// A bound r >= 1 on the factor of every gate in a slot over its
+  /// certified factor: max over the types the slot holds of its delta
+  /// over its floor. The certificate's ratio bound is the max over slots.
+  [[nodiscard]] static double slot_ratio(std::span<const std::uint32_t> hist,
+                                         std::span<const double> delta,
+                                         std::span<const double> floors);
   [[nodiscard]] double module_rs_kohm(std::uint32_t m) const;
   [[nodiscard]] double module_cs_ff(std::uint32_t m) const;
   /// Derives the delay-model anchors, sensor area, and settling time of a
@@ -298,6 +297,10 @@ class PartitionEvaluator {
     return std::span<double>(type_delta_)
         .subspan(m * ctx_->type_count, ctx_->type_count);
   }
+  [[nodiscard]] std::span<double> floor_row(std::uint32_t m) noexcept {
+    return std::span<double>(type_floor_)
+        .subspan(m * ctx_->type_count, ctx_->type_count);
+  }
 
   const EvalContext* ctx_;
   Partition partition_;
@@ -323,7 +326,14 @@ class PartitionEvaluator {
   std::vector<double> settle_ps_;                // Delta(tau) per module
   std::vector<std::uint8_t> dirty_;              // per module
   bool any_dirty_ = true;
-  est::IncrementalTiming timing_;  // drops arrival state on copy
+  // The certificate's cumulative ratio bound. type_floor_ (flat [module x
+  // type]) is at most the certified factor of every gate of that slot and
+  // type: the delta rows when the certificate is taken (+inf where a slot
+  // lacks the type), lowered by move_gate to the source slot's floor.
+  // slot_ratio_ is slot_ratio() of each slot (valid where !dirty_[m]).
+  std::vector<double> type_floor_;
+  std::vector<double> slot_ratio_;
+  est::IncrementalTiming timing_;  // copies share the certificate
   double d_bic_ps_ = 0.0;
   double settle_max_ps_ = 0.0;
 
@@ -345,7 +355,7 @@ class PartitionEvaluator {
   std::vector<double> delay_memo_rows_;      // flat [memo slot x type]
 
   /// A module slot's caches as they were before a probe_moves touched it
-  /// (its histogram/delta rows live in ProbeScratch's flat matrices).
+  /// (its histogram/delta/floor rows live in ProbeScratch's flat matrices).
   struct SlotSnapshot {
     std::uint32_t slot = 0;
     est::ModuleCurrentProfile profile;
@@ -354,6 +364,7 @@ class PartitionEvaluator {
     double separation = 0.0;
     double area = 0.0;
     double settle_ps = 0.0;
+    double slot_ratio = 1.0;
     std::uint8_t dirty = 0;
   };
 
@@ -363,17 +374,15 @@ class PartitionEvaluator {
     std::vector<std::uint32_t> hist_tgt;
     std::vector<double> row_src;
     std::vector<double> row_tgt;
+    std::vector<double> floor_tgt;
     // probe_moves: the first `slot_count` entries of `slots` are live;
     // the rest keep their buffers for reuse.
     std::vector<SlotSnapshot> slots;
     std::size_t slot_count = 0;
     std::vector<std::uint32_t> slot_hist;  // flat [snapshot x type]
     std::vector<double> slot_delta;        // flat [snapshot x type]
+    std::vector<double> slot_floor;        // flat [snapshot x type]
     std::vector<std::uint8_t> touched;     // by module slot
-    std::vector<TypeRows> rows_before;     // probe_moves' ratio-bound slots
-    std::vector<TypeRows> rows_after;
-    std::vector<double> type_min_before;   // factor_ratio_bound, by type
-    std::vector<double> type_max_after;    // factor_ratio_bound, by type
   };
   CopyDroppedScratch<ProbeScratch> scratch_;
 };

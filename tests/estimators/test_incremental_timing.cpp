@@ -12,6 +12,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "estimators/incremental_timing.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/circuit_loader.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "netlist/levelize.hpp"
 #include "support/rng.hpp"
@@ -160,6 +163,68 @@ TEST(IncrementalTiming, ProbeScoresWithoutCommitting) {
       committed);
 }
 
+/// A fresh seed per run, or IDDQ_TEST_SEED to replay a failing one.
+std::uint64_t run_seed() {
+  if (const char* env = std::getenv("IDDQ_TEST_SEED"))
+    return std::strtoull(env, nullptr, 0);
+  std::random_device device;
+  return (std::uint64_t{device()} << 32) ^ device();
+}
+
+TEST(IncrementalTiming, RandomModuleMovesPropagateMatchesRebuild) {
+  // Differential over fresh seeds: gates in random modules, each gate's
+  // factor growing with its module's size (as the delay model's does with
+  // the module's current), and random single-gate module moves, which
+  // change the factors of both endpoint modules. After every move,
+  // propagate() over those modules' gates must equal rebuild() on a second
+  // instance and est::degraded_critical_path_ps, bit for bit.
+  const std::uint64_t seed = run_seed();
+  SCOPED_TRACE("seed " + std::to_string(seed) +
+               " (replay with IDDQ_TEST_SEED=" + std::to_string(seed) + ")");
+  for (const char* circuit : {"c1908", "ila8x4"}) {
+    SCOPED_TRACE(circuit);
+    const netlist::Netlist nl = netlist::load_circuit(circuit);
+    const auto cells = lib::bind_cells(nl, lib::default_library());
+    const TimingGraph graph(nl, cells);
+    const auto logic = nl.logic_gates();
+    Rng rng(Rng::mix_seed(seed, nl.gate_count()));
+    const std::size_t k = 2 + rng.index(12);
+    std::vector<std::uint32_t> module(nl.gate_count(), 0);
+    std::vector<std::size_t> size(k, 0);
+    std::vector<double> weight(nl.gate_count(), 0.0);
+    for (const netlist::GateId g : logic) {
+      module[g] = static_cast<std::uint32_t>(rng.index(k));
+      ++size[module[g]];
+      weight[g] = rng.uniform() * 2e-3;
+    }
+    const auto factor = [&](netlist::GateId g) {
+      return 1.0 + weight[g] * static_cast<double>(size[module[g]]);
+    };
+    IncrementalTiming timing(graph);
+    IncrementalTiming reference(graph);
+    timing.rebuild(factor);
+    std::vector<double> delta(nl.gate_count(), 1.0);
+    std::vector<netlist::GateId> changed;
+    for (int step = 0; step < 150; ++step) {
+      const netlist::GateId g = logic[rng.index(logic.size())];
+      const std::uint32_t src = module[g];
+      const auto dst = static_cast<std::uint32_t>(rng.index(k));
+      if (dst == src || size[src] == 1) continue;
+      --size[src];
+      ++size[dst];
+      module[g] = dst;
+      changed.clear();
+      for (const netlist::GateId x : logic)
+        if (module[x] == src || module[x] == dst) changed.push_back(x);
+      const double got = timing.propagate(changed, factor);
+      expect_bits_eq(got, reference.rebuild(factor));
+      for (const netlist::GateId x : logic) delta[x] = factor(x);
+      expect_bits_eq(got, degraded_critical_path_ps(nl, cells, delta));
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 // ---- Slack certificate ----
 
 constexpr double kTheta = IncrementalTiming::kNearFraction;
@@ -238,6 +303,9 @@ TEST(IncrementalTiming, CertifiedProbeMatchesFullPassBitForBit) {
   constexpr int kChildren = 40;
   std::size_t certified = 0;
   std::size_t fallback = 0;
+  std::size_t carried_certified = 0;
+  std::size_t certified_commits = 0;
+  std::size_t refused_commits = 0;
   for (int c = 0; c < kCircuits; ++c) {
     const std::uint64_t circuit_seed =
         Rng::mix_seed(kMasterSeed, static_cast<std::uint64_t>(c));
@@ -257,10 +325,21 @@ TEST(IncrementalTiming, CertifiedProbeMatchesFullPassBitForBit) {
       std::vector<double> parent(nl.gate_count(), 1.0);
       for (const netlist::GateId id : logic)
         parent[id] = 1.0 + prng.uniform() * spread;
+      const auto parent_factor = [&](netlist::GateId g) { return parent[g]; };
       IncrementalTiming timing(graph);
-      timing.rebuild([&](netlist::GateId g) { return parent[g]; });
-      timing.certify([&](netlist::GateId g) { return parent[g]; });
-      expect_near_set_complete(nl, graph, timing, parent);
+      timing.rebuild(parent_factor);
+      // The factors the held certificate was taken from, and whether a
+      // commit has carried it past them.
+      std::vector<double> taken = parent;
+      bool carried = false;
+      const auto recertify = [&] {
+        if (!timing.valid()) timing.rebuild(parent_factor);
+        timing.certify(parent_factor);
+        taken = parent;
+        carried = false;
+        expect_near_set_complete(nl, graph, timing, parent);
+      };
+      recertify();
       if (::testing::Test::HasFailure()) return;
 
       for (int ch = 0; ch < kChildren; ++ch) {
@@ -292,25 +371,51 @@ TEST(IncrementalTiming, CertifiedProbeMatchesFullPassBitForBit) {
               1.0, parent[g] * (up ? 1.0 + magnitude : 1.0 - magnitude));
           changed.push_back(g);
         }
+        // The cumulative bound: measured from the certified factors, not
+        // from the parent's.
         double ratio = 1.0;
-        for (const netlist::GateId g : changed)
-          ratio = std::max(ratio, child[g] / parent[g]);
+        for (const netlist::GateId g : logic)
+          ratio = std::max(ratio, child[g] / taken[g]);
         const auto child_factor = [&](netlist::GateId g) { return child[g]; };
+        const std::size_t certified_before = timing.certified_probes();
         expect_bits_eq(timing.probe_certified(ratio, child_factor),
                        degraded_critical_path_ps(nl, cells, child));
         if (::testing::Test::HasFailure()) return;
+        if (carried && timing.certified_probes() > certified_before)
+          ++carried_certified;
+        // A carried certificate that failed to vouch was dropped.
+        if (!timing.certified()) {
+          ASSERT_TRUE(carried);
+          recertify();
+          if (::testing::Test::HasFailure()) return;
+        }
 
-        // A full what-if pass keeps the certificate; committing the child
-        // drops it, and the committed state is certified afresh.
+        // A full what-if pass keeps the certificate. A commit keeps it
+        // when it vouches for the child; otherwise the child is committed
+        // by a timing pass, which drops it, and the new state is certified
+        // afresh.
         if (ch % 8 == 3) {
           (void)timing.probe_full(child_factor);
           ASSERT_TRUE(timing.certified());
-        } else if (ch % 16 == 11) {
+        } else if (ch % 4 == 1 || ch % 16 == 11) {
+          const bool keep = ch % 16 != 11 &&
+                            timing.commit_certified(ratio, child_factor);
           parent = child;
-          timing.propagate(changed, child_factor);
-          ASSERT_FALSE(timing.certified());
-          timing.certify([&](netlist::GateId g) { return parent[g]; });
-          expect_near_set_complete(nl, graph, timing, parent);
+          if (keep) {
+            ++certified_commits;
+            carried = true;
+            ASSERT_FALSE(timing.valid());
+            expect_bits_eq(timing.worst_ps(),
+                           degraded_critical_path_ps(nl, cells, parent));
+          } else {
+            refused_commits += ch % 16 != 11;
+            if (timing.valid())
+              timing.propagate(changed, parent_factor);
+            else
+              timing.rebuild(parent_factor);
+            ASSERT_FALSE(timing.certified());
+            recertify();
+          }
           if (::testing::Test::HasFailure()) return;
         }
       }
@@ -318,9 +423,13 @@ TEST(IncrementalTiming, CertifiedProbeMatchesFullPassBitForBit) {
       fallback += timing.fallback_probes();
     }
   }
-  // Both answers must have been exercised.
+  // Both answers must have been exercised, for fresh and for carried
+  // certificates, and commits must have been both kept and refused.
   EXPECT_GT(certified, 0u);
   EXPECT_GT(fallback, 0u);
+  EXPECT_GT(carried_certified, 0u);
+  EXPECT_GT(certified_commits, 0u);
+  EXPECT_GT(refused_commits, 0u);
 }
 
 TEST(IncrementalTiming, CertificateWalkAbsorbsReassociation) {
@@ -390,14 +499,28 @@ TEST(IncrementalTiming, CertificateFollowsTheArrivals) {
   // critical path.
   expect_bits_eq(timing.probe_certified(1.0, f.factor()), timing.worst_ps());
   EXPECT_EQ(timing.certified_probes(), 1u);
+  EXPECT_EQ(timing.recertifications(), 1u);
 
-  // Copies drop it with the arrivals, moves keep it.
+  // Copies drop the arrivals but share the certificate itself (not a copy
+  // of it), with counters of their own; moves keep everything.
   IncrementalTiming copy = timing;
   EXPECT_FALSE(copy.valid());
-  EXPECT_FALSE(copy.certified());
+  EXPECT_TRUE(copy.certified());
+  EXPECT_EQ(copy.near_gates().data(), timing.near_gates().data());
   EXPECT_EQ(copy.certified_probes(), 0u);
+  EXPECT_EQ(copy.recertifications(), 0u);
+  expect_bits_eq(copy.probe_certified(1.0, f.factor()), timing.worst_ps());
+  EXPECT_EQ(copy.certified_probes(), 1u);
   IncrementalTiming moved = std::move(timing);
   EXPECT_TRUE(moved.certified());
+
+  // A commit the certificate vouches for keeps it and leaves the arrivals
+  // stale.
+  ASSERT_TRUE(copy.commit_certified(1.0, f.factor()));
+  EXPECT_FALSE(copy.valid());
+  EXPECT_TRUE(copy.certified());
+  expect_bits_eq(copy.worst_ps(), moved.worst_ps());
+  EXPECT_EQ(copy.certified_commits(), 1u);
 
   (void)moved.probe_full(f.factor());
   EXPECT_TRUE(moved.certified());

@@ -4,7 +4,13 @@
 // from-scratch evaluation of the same partition.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <random>
+#include <string>
+
+#include "core/neighborhood.hpp"
 #include "core/start_partition.hpp"
+#include "netlist/circuit_loader.hpp"
 #include "netlist/gen/iscas_profiles.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "partition/evaluator.hpp"
@@ -64,6 +70,53 @@ INSTANTIATE_TEST_SUITE_P(
                       Scenario{150, 12, 4, 3}, Scenario{150, 12, 2, 4},
                       Scenario{300, 15, 5, 5}, Scenario{300, 15, 3, 6},
                       Scenario{500, 20, 6, 7}, Scenario{500, 20, 4, 8}));
+
+/// A fresh seed per run, or IDDQ_TEST_SEED to replay a failing one.
+std::uint64_t run_seed() {
+  if (const char* env = std::getenv("IDDQ_TEST_SEED"))
+    return std::strtoull(env, nullptr, 0);
+  std::random_device device;
+  return (std::uint64_t{device()} << 32) ^ device();
+}
+
+TEST(Incremental, RandomSeedMovesKeepDbicEqualToFullPass) {
+  // Differential over fresh seeds on c1908 and an ILA: random module
+  // counts and random single-gate moves, with probes (which take and carry
+  // the slack certificate) and copies mixed in. After every step,
+  // self_check() recomputes D_BIC with est::degraded_critical_path_ps
+  // over the evaluator's factors and requires d_bic_ps() bit for bit,
+  // whichever path — certified commit, sparse propagate or full rebuild —
+  // produced it.
+  const std::uint64_t seed = run_seed();
+  SCOPED_TRACE("seed " + std::to_string(seed) +
+               " (replay with IDDQ_TEST_SEED=" + std::to_string(seed) + ")");
+  const auto library = lib::default_library();
+  for (const char* circuit : {"c1908", "ila8x4"}) {
+    SCOPED_TRACE(circuit);
+    const netlist::Netlist nl = netlist::load_circuit(circuit);
+    const EvalContext ctx(nl, library, elec::SensorSpec{}, CostWeights{});
+    Rng rng(Rng::mix_seed(seed, nl.gate_count()));
+    const std::size_t k = 2 + rng.index(std::min<std::size_t>(
+                                  40, nl.logic_gate_count() / 4));
+    PartitionEvaluator eval(ctx, core::make_start_partition(nl, k, rng));
+    const auto logic = nl.logic_gates();
+    for (int step = 0; step < 120; ++step) {
+      const std::uint64_t action = rng.below(8);
+      if (action == 0) {
+        eval = PartitionEvaluator(eval);
+      } else if (action < 3) {
+        const Move mv = core::sample_boundary_move(eval, rng);
+        if (mv.valid()) (void)eval.probe_move(mv.gate, mv.target);
+      } else if (eval.partition().module_count() > 1) {
+        const netlist::GateId g = logic[rng.index(logic.size())];
+        eval.move_gate(g, static_cast<std::uint32_t>(rng.index(
+                              eval.partition().module_count())));
+      }
+      (void)eval.d_bic_ps();
+      ASSERT_NO_THROW(eval.self_check()) << "step " << step;
+    }
+  }
+}
 
 TEST(Incremental, ModuleErasureKeepsCachesConsistent) {
   const auto nl = netlist::gen::make_random_dag(

@@ -23,7 +23,10 @@ trap cleanup EXIT INT TERM
 # process logged to $1.
 wait_port() {
   for _ in $(seq 1 100); do
-    PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$1")
+    # The background redirect may not have created the log yet.
+    PORT=""
+    [ -f "$1" ] &&
+      PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$1")
     [ -n "$PORT" ] && return 0
     sleep 0.1
   done

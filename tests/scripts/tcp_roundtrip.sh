@@ -29,8 +29,10 @@ start_tcp_server() {
   SERVER_PID=$!
   PORT=""
   for _ in $(seq 1 100); do
-    PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-             "$WORK/server_err.txt")
+    # The background redirect may not have created the log yet.
+    [ -f "$WORK/server_err.txt" ] &&
+      PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
+               "$WORK/server_err.txt")
     [ -n "$PORT" ] && return 0
     sleep 0.1
   done
