@@ -211,11 +211,12 @@ void BM_EsChildScore(benchmark::State& state) {
   benchmark::DoNotOptimize(parent.fitness());
   std::vector<std::vector<part::Move>> children(64);
   part::Partition draft = parent.partition();
+  std::vector<netlist::GateId> boundary;
   std::vector<std::uint32_t> targets;
   for (auto& moves : children) {
     draft.begin_journal();
     const auto m = static_cast<std::uint32_t>(rng.index(k));
-    auto boundary = core::boundary_gates(ctx.nl, draft, m);
+    parent.boundary(m, boundary);  // draft == parent's partition here
     rng.shuffle(boundary);
     boundary.resize(std::min<std::size_t>(boundary.size(), 4));
     for (const netlist::GateId g : boundary) {
@@ -326,10 +327,11 @@ void BM_BoundaryGates(benchmark::State& state) {
   Rng rng(4);
   const part::PartitionEvaluator eval(
       ctx, core::make_start_partition(circuit(), 6, rng));
+  std::vector<netlist::GateId> boundary;
   std::uint32_t m = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::boundary_gates(circuit(), eval.partition(), m));
+    eval.boundary(m, boundary);
+    benchmark::DoNotOptimize(boundary.data());
     m = (m + 1) % eval.partition().module_count();
   }
 }

@@ -45,7 +45,9 @@ std::uint32_t EvolutionEngine::vary_step_width(std::uint32_t m) {
   return static_cast<std::uint32_t>(rounded);
 }
 
-void EvolutionEngine::mutate(part::Partition& p, std::uint32_t step_width,
+void EvolutionEngine::mutate(part::Partition& p,
+                             const part::PartitionEvaluator& parent,
+                             std::uint32_t step_width,
                              std::vector<part::Move>& moves) {
   if (p.module_count() < 2) return;  // nothing to move between
 
@@ -55,7 +57,7 @@ void EvolutionEngine::mutate(part::Partition& p, std::uint32_t step_width,
   std::uint32_t m_start = 0;
   for (int attempt = 0; attempt < 8; ++attempt) {
     m_start = static_cast<std::uint32_t>(rng_.index(p.module_count()));
-    boundary = boundary_gates(ctx_->nl, p, m_start);
+    parent.boundary(m_start, boundary);
     if (!boundary.empty()) break;
   }
   if (boundary.empty()) return;
@@ -173,7 +175,7 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
         child.step_width = vary_step_width(parent.step_width);
         draft.begin_journal();
         if (c < params_.lambda)
-          mutate(draft, child.step_width, moves);
+          mutate(draft, parent.eval, child.step_width, moves);
         else
           monte_carlo(draft, moves);
         draft.rollback();

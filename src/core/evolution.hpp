@@ -117,9 +117,11 @@ class EvolutionEngine {
 
   /// Draws one descendant's moves against `p` (the parent's partition,
   /// under a journal the caller rolls back), applying each to `p` and
-  /// appending it to `moves`.
-  void mutate(part::Partition& p, std::uint32_t step_width,
-              std::vector<part::Move>& moves);
+  /// appending it to `moves`. The start module's boundary comes from
+  /// `parent`, whose partition `p` equals (gate order included) until the
+  /// first move.
+  void mutate(part::Partition& p, const part::PartitionEvaluator& parent,
+              std::uint32_t step_width, std::vector<part::Move>& moves);
   void monte_carlo(part::Partition& p, std::vector<part::Move>& moves);
   [[nodiscard]] std::uint32_t vary_step_width(std::uint32_t m);
 

@@ -18,32 +18,6 @@ double probe_objective(part::PartitionEvaluator& eval, const part::Move& move,
          violation_penalty * probe.fitness.violation;
 }
 
-std::vector<netlist::GateId> boundary_gates(const netlist::Netlist& nl,
-                                            const part::Partition& p,
-                                            std::uint32_t m) {
-  std::vector<netlist::GateId> boundary;
-  for (const netlist::GateId g : p.module(m)) {
-    bool is_boundary = false;
-    const auto& gate = nl.gate(g);
-    for (const netlist::GateId f : gate.fanins) {
-      if (netlist::is_logic(nl.gate(f).kind) && p.module_of(f) != m) {
-        is_boundary = true;
-        break;
-      }
-    }
-    if (!is_boundary) {
-      for (const netlist::GateId f : gate.fanouts) {
-        if (p.module_of(f) != m) {  // fanouts are always logic gates
-          is_boundary = true;
-          break;
-        }
-      }
-    }
-    if (is_boundary) boundary.push_back(g);
-  }
-  return boundary;
-}
-
 void neighbor_modules(const netlist::Netlist& nl, const part::Partition& p,
                       netlist::GateId g, std::uint32_t src,
                       std::vector<std::uint32_t>& targets) {
@@ -63,11 +37,12 @@ part::Move sample_boundary_move(const part::PartitionEvaluator& eval,
                               Rng& rng) {
   const auto& nl = eval.context().nl;
   const auto& p = eval.partition();
+  std::vector<netlist::GateId> boundary;
   std::vector<std::uint32_t> targets;
   for (int attempt = 0; attempt < 32; ++attempt) {
     const auto src = static_cast<std::uint32_t>(rng.index(p.module_count()));
     if (p.module_size(src) <= 1) continue;  // would empty the module
-    const auto boundary = boundary_gates(nl, p, src);
+    eval.boundary(src, boundary);
     if (boundary.empty()) continue;
     const netlist::GateId g = boundary[rng.index(boundary.size())];
     neighbor_modules(nl, p, g, src, targets);

@@ -5,7 +5,11 @@
 // gate of one module into a neighbouring module it is wired to. Module
 // deletion is excluded — a move never empties a module, so K stays fixed at
 // the start partition's value and both refiners stay comparable to the ES
-// at matched budgets.
+// at matched budgets. The boundary gates come from the evaluator
+// (PartitionEvaluator::boundary), which keeps a per-gate count of
+// connections that cross the cut current across committed moves, so
+// drawing a move costs a filter over one module instead of a rescan of its
+// fanins and fanouts.
 #pragma once
 
 #include "partition/evaluator.hpp"
@@ -26,12 +30,6 @@ namespace iddq::core {
 [[nodiscard]] double probe_objective(part::PartitionEvaluator& eval,
                                      const part::Move& move,
                                      double violation_penalty);
-
-/// Boundary gates of module `m`: gates directly connected (fan-in or
-/// fan-out) to a logic gate outside m, in module order. The move sources
-/// of the ES mutation, the sampler below and the greedy refiner's scan.
-[[nodiscard]] std::vector<netlist::GateId> boundary_gates(
-    const netlist::Netlist& nl, const part::Partition& p, std::uint32_t m);
 
 /// Fills `targets` with the modules (other than `src`) that gate `g` is
 /// wired to, in fanin-then-fanout first-seen order — the shared "where can

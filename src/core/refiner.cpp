@@ -38,6 +38,7 @@ RefineResult greedy_refine(part::PartitionEvaluator& eval,
   const std::size_t slots =
       pool == nullptr || pool->worker_count() == 0 ? 1 : pool->concurrency();
   std::vector<Candidate> window;
+  std::vector<netlist::GateId> boundary;
   std::vector<std::uint32_t> targets;
 
   bool improved = true;
@@ -48,8 +49,7 @@ RefineResult greedy_refine(part::PartitionEvaluator& eval,
          result.evaluations < max_evaluations;
          ++m) {
       if (eval.partition().module_size(m) <= 1) continue;  // keep K fixed
-      const auto boundary =
-          boundary_gates(eval.context().nl, eval.partition(), m);
+      eval.boundary(m, boundary);  // a snapshot: commits below move gates
       std::size_t pos = 0;
       bool module_done = false;
       while (pos < boundary.size() && !module_done) {

@@ -50,15 +50,28 @@ void validate(const DelayModelInput& in) {
   require(in.n >= 1, "delay model: n must be >= 1");
 }
 
+/// The bracket's upper end and the waveform's two exponentials there.
+struct Bracket {
+  double hi = 0.0;
+  double e1 = 0.0;  // exp(lambda1 * hi)
+  double e2 = 0.0;  // exp(lambda2 * hi)
+};
+
 /// Brackets the 50% crossing. The static-divider delay is the quasi-static
 /// bound; double past it defensively for extreme pole splits. Returns the
-/// upper bound (the lower bound is always 0).
-double bracket_hi(const Waveform& w, double quasi_static_ps) {
-  double hi = quasi_static_ps;
+/// upper bound (the lower bound is always 0) with the exponentials of its
+/// v(hi) <= 0.5 evaluation, which Newton reuses as its first iterate.
+Bracket bracket_hi(const Waveform& w, double quasi_static_ps) {
+  Bracket b{quasi_static_ps};
   int guard = 0;
-  while (w.at(hi) > 0.5 && guard++ < 64) hi *= 2.0;
-  IDDQ_ASSERT(w.at(hi) <= 0.5);
-  return hi;
+  for (;;) {
+    b.e1 = std::exp(w.lambda1 * b.hi);
+    b.e2 = std::exp(w.lambda2 * b.hi);
+    if (!(w.alpha * b.e1 + w.beta * b.e2 > 0.5) || guard++ >= 64) break;
+    b.hi *= 2.0;
+  }
+  IDDQ_ASSERT(w.alpha * b.e1 + w.beta * b.e2 <= 0.5);
+  return b;
 }
 
 /// Safeguarded Newton on the analytic waveform: solves v(t) = 0.5 on
@@ -66,16 +79,25 @@ double bracket_hi(const Waveform& w, double quasi_static_ps) {
 /// (v'(0) = -a < 0 and the faster-decaying positive term of v' can never
 /// overtake the slower negative one), so the bracket [blo, bhi] shrinks
 /// monotonically and any Newton step that escapes it falls back to its
-/// midpoint. Returns false when the iteration fails to settle (the caller
-/// then evaluates every refinement decision directly).
-bool newton_crossing(const Waveform& w, double hi, double& t_cross) {
+/// midpoint. The iteration starts at hi, the quasi-static bound, where
+/// v(hi) <= 0.5 is already known (crossings sit about 1e-3 * hi below it),
+/// and stops on an iterate with v == 0.5 exactly: its zero step would
+/// land on bhi and fall back to bisection. Returns false when the
+/// iteration fails to settle (the caller then evaluates every refinement
+/// decision directly).
+bool newton_crossing(const Waveform& w, const Bracket& b, double& t_cross) {
+  const double hi = b.hi;
   double blo = 0.0;
   double bhi = hi;
-  double t = 0.5 * (blo + bhi);
+  double t = hi;
+  double e1 = b.e1;
+  double e2 = b.e2;
   for (int i = 0; i < 80; ++i) {
-    const double e1 = std::exp(w.lambda1 * t);
-    const double e2 = std::exp(w.lambda2 * t);
     const double v = w.alpha * e1 + w.beta * e2;
+    if (v == 0.5) {
+      t_cross = t;
+      return true;
+    }
     const double dv =
         w.alpha * w.lambda1 * e1 + w.beta * w.lambda2 * e2;
     if (v > 0.5)
@@ -89,6 +111,8 @@ bool newton_crossing(const Waveform& w, double hi, double& t_cross) {
       return true;
     }
     t = next;
+    e1 = std::exp(w.lambda1 * t);
+    e2 = std::exp(w.lambda2 * t);
   }
   return false;
 }
@@ -141,10 +165,10 @@ double DelayDegradationModel::t50_ps(const DelayModelInput& in) {
     return t50_nominal * (1.0 + k);
   }
   const Waveform w = solve(in);
-  const double hi = bracket_hi(w, t50_nominal * (1.0 + k));
+  const Bracket b = bracket_hi(w, t50_nominal * (1.0 + k));
   double t_cross = 0.0;
-  const bool have_cross = newton_crossing(w, hi, t_cross);
-  return refine_replay(w, hi, t_cross, have_cross);
+  const bool have_cross = newton_crossing(w, b, t_cross);
+  return refine_replay(w, b.hi, t_cross, have_cross);
 }
 
 double DelayDegradationModel::t50_ps_bisect(const DelayModelInput& in) {
@@ -155,7 +179,7 @@ double DelayDegradationModel::t50_ps_bisect(const DelayModelInput& in) {
   if (in.cs_ff <= kTiny) return t50_nominal * (1.0 + k);
   const Waveform w = solve(in);
   double lo = 0.0;
-  double hi = bracket_hi(w, t50_nominal * (1.0 + k));
+  double hi = bracket_hi(w, t50_nominal * (1.0 + k)).hi;
   for (int i = 0; i < 100; ++i) {
     const double mid = 0.5 * (lo + hi);
     if (w.at(mid) > 0.5)

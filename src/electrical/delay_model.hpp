@@ -16,12 +16,17 @@
 // The 2x2 linear system is solved in closed form via its eigenvalues (both
 // real and negative). The 50% crossing is located analytically: a
 // safeguarded Newton iteration on the closed-form waveform converges to the
-// crossing at machine precision in a handful of exp() evaluations, and a
-// comparison-driven replay of the historical bracket-and-bisect refinement
-// then reproduces the reference bisection's result BIT-FOR-BIT (each
-// bisection decision is settled by comparing the midpoint against the
-// analytic crossing; only midpoints inside a guard band around the crossing
-// — the last couple of iterations — fall back to evaluating the waveform).
+// crossing at machine precision, and a comparison-driven replay of the
+// historical bracket-and-bisect refinement then reproduces the reference
+// bisection's result BIT-FOR-BIT (each bisection decision is settled by
+// comparing the midpoint against the analytic crossing; only midpoints
+// inside a guard band around the crossing — the last couple of iterations —
+// fall back to evaluating the waveform). Newton starts at the bracket's
+// upper end, the quasi-static bound, whose v <= 0.5 evaluation the bracket
+// already made (crossings sit about 1e-3 of it below), and stops on an
+// iterate that hits v == 0.5 exactly instead of bisecting on: about 3.4
+// Newton steps and 7.3 exp() calls per solve on the search workloads,
+// replay included.
 // t50_ps_bisect() keeps the plain bracket-and-bisect path callable as the
 // bit-identity reference for tests and bench/perf_micro.cpp. Verified
 // properties (see tests): t50_ps == t50_ps_bisect bit-for-bit across the
@@ -48,8 +53,9 @@ class DelayDegradationModel {
   [[nodiscard]] static double delta(const DelayModelInput& in);
 
   /// 50%-crossing time of V_out starting from VDD, in ps. Analytic
-  /// (Newton-seeded) crossing with a comparison-driven refinement replay;
-  /// bit-identical to t50_ps_bisect at a fraction of its exp() count.
+  /// crossing (Newton from the quasi-static bound) with a comparison-driven
+  /// refinement replay; bit-identical to t50_ps_bisect at a fraction of
+  /// its exp() count.
   [[nodiscard]] static double t50_ps(const DelayModelInput& in);
 
   /// Historical bracket-and-bisect 50%-crossing: doubles the quasi-static

@@ -66,6 +66,12 @@ EvalContext::EvalContext(const netlist::Netlist& netlist,
       type_rg_kohm.push_back(key.rg);
     }
     type_of[id] = it->second;
+    // The boundary counts are 16-bit.
+    const auto& gate = nl.gate(id);
+    if (gate.fanins.size() + gate.fanouts.size() >
+        std::numeric_limits<std::uint16_t>::max())
+      throw Error("evaluator: gate '" + gate.name +
+                  "' has more than 65535 connections");
   }
   type_count = type_cg_ff.size();
   d_nominal_ps = est::nominal_critical_path_ps(nl, cells);
@@ -108,6 +114,15 @@ void PartitionEvaluator::rebuild_all() {
     separation_[m] = est::module_separation(ctx_->oracle, partition_.module(m),
                                             m, module_of);
   }
+  // A logic-to-logic connection is a fanout entry of its driver and a
+  // fanin entry of its sink: count a crossing one on both sides.
+  ext_.assign(partition_.gate_count(), 0);
+  for (const netlist::GateId g : ctx_->nl.logic_gates())
+    for (const netlist::GateId f : ctx_->nl.gate(g).fanouts)
+      if (module_of[f] != module_of[g]) {
+        ++ext_[g];
+        ++ext_[f];
+      }
   type_delta_.assign(k * ctx_->type_count, 1.0);
   type_floor_.assign(k * ctx_->type_count,
                      std::numeric_limits<double>::infinity());
@@ -124,6 +139,31 @@ void PartitionEvaluator::mark_dirty(std::uint32_t m) {
 }
 
 void PartitionEvaluator::move_gate(netlist::GateId g, std::uint32_t target) {
+  const std::uint32_t src = partition_.module_of(g);
+  IDDQ_ASSERT(src != kUnassigned);
+  IDDQ_ASSERT(target < partition_.module_count());
+  if (src == target) return;
+  // Every adjacency entry between g and a neighbour f has a mirror entry
+  // on f's side (fanin lists and fanout lists agree with multiplicity):
+  // one in src now crosses the cut, one in the target no longer does.
+  // Inputs are in no module and never count.
+  const auto update = [&](netlist::GateId f) {
+    const std::uint32_t fm = partition_.module_of(f);
+    if (fm == src) {
+      ++ext_[f];
+      ++ext_[g];
+    } else if (fm == target) {
+      --ext_[f];
+      --ext_[g];
+    }
+  };
+  const auto& gate = ctx_->nl.gate(g);
+  for (const netlist::GateId f : gate.fanins) update(f);
+  for (const netlist::GateId f : gate.fanouts) update(f);
+  apply_move(g, target);
+}
+
+void PartitionEvaluator::apply_move(netlist::GateId g, std::uint32_t target) {
   const std::uint32_t src = partition_.module_of(g);
   IDDQ_ASSERT(src != kUnassigned);
   IDDQ_ASSERT(target < partition_.module_count());
@@ -167,6 +207,13 @@ void PartitionEvaluator::move_gate(netlist::GateId g, std::uint32_t target) {
 
   partition_.move(g, target);
   if (partition_.module_size(src) == 0) erase_module(src);
+}
+
+void PartitionEvaluator::boundary(std::uint32_t m,
+                                  std::vector<netlist::GateId>& out) const {
+  out.clear();
+  for (const netlist::GateId g : partition_.module(m))
+    if (ext_[g] != 0) out.push_back(g);
 }
 
 void PartitionEvaluator::erase_module(std::uint32_t m) {
@@ -607,7 +654,7 @@ MoveProbe PartitionEvaluator::probe_moves(std::span<const Move> moves) {
     if (partition_.module_size(src) == 1)
       snapshot_slot(
           static_cast<std::uint32_t>(partition_.module_count() - 1));
-    move_gate(mv.gate, mv.target);
+    apply_move(mv.gate, mv.target);
   }
 
   // Score exactly what the copy's fitness()/costs() would: its refresh
@@ -652,6 +699,7 @@ ModuleReport PartitionEvaluator::module_report(std::uint32_t m) {
 void PartitionEvaluator::self_check() {
   refresh();
   PartitionEvaluator fresh(*ctx_, partition_);
+  require(fresh.ext_ == ext_, "self_check: boundary count mismatch");
   for (std::uint32_t m = 0; m < partition_.module_count(); ++m) {
     // The incremental max state first: every tournament-tree node must be
     // consistent with its leaves and the O(1) maxima with the O(grid)

@@ -11,6 +11,7 @@
 //   * separation sums S(M_i)  -> c3                     (O(|near|) per move)
 //   * virtual-rail capacitance-> tau_i                  (O(1) per move)
 //   * per-module cell-type counts -> delay-model anchors
+//   * per-gate boundary counts -> boundary(m), the move sources  (O(deg g))
 //
 // The delay-dependent terms (c2, c4) and the per-module sensor areas (c1)
 // are refreshed lazily on query, but *incrementally*: a move dirties
@@ -147,6 +148,13 @@ class PartitionEvaluator {
   /// as documented on Partition::erase_empty_module).
   void move_gate(netlist::GateId g, std::uint32_t target);
 
+  /// Fills `out` with the boundary gates of module `m`: the gates wired
+  /// (fan-in or fan-out) to a logic gate outside m, in module order — the
+  /// move sources of the ES mutation, the local searches' sampler and the
+  /// greedy refiner. O(|M_m|): a filter over the per-gate boundary
+  /// counts, which committed moves keep current.
+  void boundary(std::uint32_t m, std::vector<netlist::GateId>& out) const;
+
   /// Scores the move (g -> target) against the current state without
   /// committing it: returns bit-for-bit what `copy = *this;
   /// copy.move_gate(g, target); {copy.fitness(), copy.costs()}` would,
@@ -220,13 +228,17 @@ class PartitionEvaluator {
 
   /// Verification helper: recomputes every cache from scratch and compares
   /// with the incrementally maintained state (throws on mismatch). Covers
-  /// the lazy delay state: the degradation factors, per-module area and
-  /// settling caches, and D_BIC must match a from-scratch derivation of
-  /// the current sums bit-for-bit.
+  /// the boundary counts and the lazy delay state: the degradation
+  /// factors, per-module area and settling caches, and D_BIC must match a
+  /// from-scratch derivation of the current sums bit-for-bit.
   void self_check();
 
  private:
   void rebuild_all();
+  /// move_gate without the boundary-count update: probe_moves applies its
+  /// moves through this, so the counts stay those of the committed state
+  /// its rollback restores.
+  void apply_move(netlist::GateId g, std::uint32_t target);
   void erase_module(std::uint32_t m);
   /// Rederives the delay anchors, area, settling and slot ratio of every
   /// dirty module in place (flags untouched); returns those modules' total
@@ -304,6 +316,12 @@ class PartitionEvaluator {
 
   const EvalContext* ctx_;
   Partition partition_;
+  // Per-gate boundary counts: how many of g's adjacency entries (logic
+  // fanins and fanouts, with multiplicity) lie outside g's module; g is a
+  // boundary gate iff its count is nonzero. They depend on membership
+  // only, so module erasure leaves them valid. EvalContext bounds every
+  // logic gate's degree to fit.
+  std::vector<std::uint16_t> ext_;  // by GateId; inputs = 0
 
   // Per-module caches, indexed like partition_ modules. The per-type state
   // is SoA: one flat [module x type] matrix per quantity (stride

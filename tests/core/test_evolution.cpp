@@ -33,20 +33,35 @@ struct Fixture {
 
 TEST(Evolution, BoundaryGatesAreExactlyTheCut) {
   const auto nl = netlist::gen::make_c17();
-  const auto p = part::Partition::from_groups(
-      nl, std::vector<std::vector<netlist::GateId>>{
-              {nl.at("10"), nl.at("16"), nl.at("22")},
-              {nl.at("11"), nl.at("19"), nl.at("23")}});
-  // Module 0: 10 -(22)- internal; 16 fed by 11 (module 1) -> boundary;
-  // 22 fed by 16? both module 0... 22's fanins 10,16 internal, no external
-  // fanout. 10: fanin inputs only, fanout 22 internal -> interior.
-  const auto boundary0 = boundary_gates(nl, p, 0);
-  ASSERT_EQ(boundary0.size(), 1u);
-  EXPECT_EQ(boundary0[0], nl.at("16"));
-  // Module 1: 11 feeds 16 (module 0) -> boundary; 19 fed by 11 internal,
-  // feeds 23 internal -> interior; 23 fed by 16 (module 0) -> boundary.
-  const auto boundary1 = boundary_gates(nl, p, 1);
-  EXPECT_EQ(boundary1.size(), 2u);
+  const auto library = lib::default_library();
+  const part::EvalContext ctx(nl, library, elec::SensorSpec{},
+                              part::CostWeights{});
+  part::PartitionEvaluator eval(
+      ctx, part::Partition::from_groups(
+               nl, std::vector<std::vector<netlist::GateId>>{
+                       {nl.at("10"), nl.at("16"), nl.at("22")},
+                       {nl.at("11"), nl.at("19"), nl.at("23")}}));
+  std::vector<netlist::GateId> boundary;
+  // Module 0: 16 is fed by 11 (module 1) and feeds 23 (module 1) ->
+  // boundary; 22's fanins 10 and 16 are internal and it has no fanout;
+  // 10 has only input fanins and feeds 22 -> interior.
+  eval.boundary(0, boundary);
+  ASSERT_EQ(boundary.size(), 1u);
+  EXPECT_EQ(boundary[0], nl.at("16"));
+  // Module 1: 11 feeds 16 (module 0) -> boundary; 19 is fed by 11 and
+  // feeds 23, both internal -> interior; 23 fed by 16 -> boundary.
+  eval.boundary(1, boundary);
+  EXPECT_EQ(boundary,
+            (std::vector<netlist::GateId>{nl.at("11"), nl.at("23")}));
+  // A committed move keeps the counts current: with 16 in module 1, only
+  // 22 (fed by 16) is left on module 0's side of the cut, and 11 and 23
+  // are interior to module 1.
+  eval.move_gate(nl.at("16"), 1);
+  eval.boundary(0, boundary);
+  EXPECT_EQ(boundary, (std::vector<netlist::GateId>{nl.at("22")}));
+  eval.boundary(1, boundary);
+  EXPECT_EQ(boundary, (std::vector<netlist::GateId>{nl.at("16")}));
+  EXPECT_NO_THROW(eval.self_check());
 }
 
 TEST(Evolution, ImprovesOverStartPartitions) {

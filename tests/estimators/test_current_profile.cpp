@@ -6,6 +6,7 @@
 #include "netlist/gen/array_cut.hpp"
 #include "netlist/gen/c17.hpp"
 #include "support/rng.hpp"
+#include "test_seed.hpp"
 
 namespace iddq::est {
 namespace {
@@ -136,7 +137,9 @@ TEST(CurrentProfile, TreeMaximaMatchScansUnderRandomChurn) {
   // witness-invalidation paths where the gate carrying the current max is
   // removed and the tree must fall back to the runner-up. Odd,
   // non-power-of-two grids exercise the 1-based tree's irregular shape.
-  Rng rng(0xC0FFEE);
+  const std::uint64_t seed = testutil::run_seed();
+  SCOPED_TRACE(testutil::replay_note(seed));
+  Rng rng(seed);
   for (const std::size_t grid : {1ul, 2ul, 3ul, 7ul, 64ul, 193ul}) {
     const auto gates = random_gates(rng, grid, 40);
     ModuleCurrentProfile p(grid);
@@ -170,7 +173,9 @@ TEST(CurrentProfile, OverlayMaximaMatchScansAndRollBack) {
   // O(grid) overlay scan returns — itself pinned to copy + update +
   // max_*() — and (b) leave the profile bit-identical to its pre-probe
   // state.
-  Rng rng(0xBADA55);
+  const std::uint64_t seed = testutil::run_seed();
+  SCOPED_TRACE(testutil::replay_note(seed));
+  Rng rng(seed);
   for (const std::size_t grid : {3ul, 29ul, 128ul, 193ul}) {
     const auto gates = random_gates(rng, grid, 30);
     ModuleCurrentProfile p(grid);

@@ -12,8 +12,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -25,6 +23,7 @@
 #include "netlist/gen/random_dag.hpp"
 #include "netlist/levelize.hpp"
 #include "support/rng.hpp"
+#include "test_seed.hpp"
 
 namespace iddq::est {
 namespace {
@@ -163,14 +162,6 @@ TEST(IncrementalTiming, ProbeScoresWithoutCommitting) {
       committed);
 }
 
-/// A fresh seed per run, or IDDQ_TEST_SEED to replay a failing one.
-std::uint64_t run_seed() {
-  if (const char* env = std::getenv("IDDQ_TEST_SEED"))
-    return std::strtoull(env, nullptr, 0);
-  std::random_device device;
-  return (std::uint64_t{device()} << 32) ^ device();
-}
-
 TEST(IncrementalTiming, RandomModuleMovesPropagateMatchesRebuild) {
   // Differential over fresh seeds: gates in random modules, each gate's
   // factor growing with its module's size (as the delay model's does with
@@ -178,9 +169,8 @@ TEST(IncrementalTiming, RandomModuleMovesPropagateMatchesRebuild) {
   // change the factors of both endpoint modules. After every move,
   // propagate() over those modules' gates must equal rebuild() on a second
   // instance and est::degraded_critical_path_ps, bit for bit.
-  const std::uint64_t seed = run_seed();
-  SCOPED_TRACE("seed " + std::to_string(seed) +
-               " (replay with IDDQ_TEST_SEED=" + std::to_string(seed) + ")");
+  const std::uint64_t seed = testutil::run_seed();
+  SCOPED_TRACE(testutil::replay_note(seed));
   for (const char* circuit : {"c1908", "ila8x4"}) {
     SCOPED_TRACE(circuit);
     const netlist::Netlist nl = netlist::load_circuit(circuit);

@@ -4,8 +4,6 @@
 // from-scratch evaluation of the same partition.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <random>
 #include <string>
 
 #include "core/neighborhood.hpp"
@@ -16,6 +14,7 @@
 #include "partition/evaluator.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
+#include "test_seed.hpp"
 
 namespace iddq::part {
 namespace {
@@ -71,14 +70,6 @@ INSTANTIATE_TEST_SUITE_P(
                       Scenario{300, 15, 5, 5}, Scenario{300, 15, 3, 6},
                       Scenario{500, 20, 6, 7}, Scenario{500, 20, 4, 8}));
 
-/// A fresh seed per run, or IDDQ_TEST_SEED to replay a failing one.
-std::uint64_t run_seed() {
-  if (const char* env = std::getenv("IDDQ_TEST_SEED"))
-    return std::strtoull(env, nullptr, 0);
-  std::random_device device;
-  return (std::uint64_t{device()} << 32) ^ device();
-}
-
 TEST(Incremental, RandomSeedMovesKeepDbicEqualToFullPass) {
   // Differential over fresh seeds on c1908 and an ILA: random module
   // counts and random single-gate moves, with probes (which take and carry
@@ -87,9 +78,8 @@ TEST(Incremental, RandomSeedMovesKeepDbicEqualToFullPass) {
   // over the evaluator's factors and requires d_bic_ps() bit for bit,
   // whichever path — certified commit, sparse propagate or full rebuild —
   // produced it.
-  const std::uint64_t seed = run_seed();
-  SCOPED_TRACE("seed " + std::to_string(seed) +
-               " (replay with IDDQ_TEST_SEED=" + std::to_string(seed) + ")");
+  const std::uint64_t seed = testutil::run_seed();
+  SCOPED_TRACE(testutil::replay_note(seed));
   const auto library = lib::default_library();
   for (const char* circuit : {"c1908", "ila8x4"}) {
     SCOPED_TRACE(circuit);

@@ -20,6 +20,7 @@
 #include "partition/evaluator.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "test_seed.hpp"
 
 namespace iddq::part {
 namespace {
@@ -274,6 +275,117 @@ TEST(Probe, CarriedCertificateSurvivesAcceptRejectCopySequences) {
   EXPECT_GT(counts.certified, 0u);
   EXPECT_GT(counts.commits, 0u);
   EXPECT_GT(refused_merges, 0u);
+}
+
+/// The boundary of module m by a full scan of its gates' fanins and
+/// fanouts — the reference the evaluator's counts must reproduce: every
+/// gate wired to a logic gate outside m, in module order.
+std::vector<netlist::GateId> scan_boundary(const netlist::Netlist& nl,
+                                           const Partition& p,
+                                           std::uint32_t m) {
+  std::vector<netlist::GateId> boundary;
+  for (const netlist::GateId g : p.module(m)) {
+    const auto& gate = nl.gate(g);
+    const auto outside = [&](netlist::GateId f) {
+      return netlist::is_logic(nl.gate(f).kind) && p.module_of(f) != m;
+    };
+    if (std::any_of(gate.fanins.begin(), gate.fanins.end(), outside) ||
+        std::any_of(gate.fanouts.begin(), gate.fanouts.end(), outside))
+      boundary.push_back(g);
+  }
+  return boundary;
+}
+
+void expect_boundaries_match_scan(const PartitionEvaluator& eval) {
+  const auto& p = eval.partition();
+  std::vector<netlist::GateId> counted;
+  for (std::uint32_t m = 0; m < p.module_count(); ++m) {
+    eval.boundary(m, counted);
+    ASSERT_EQ(counted, scan_boundary(eval.context().nl, p, m))
+        << "module " << m;
+  }
+}
+
+TEST(Probe, BoundaryCountsMatchTheScanUnderAcceptRejectCopySequences) {
+  // The per-gate boundary counts follow committed moves only: accepts,
+  // rejects (move + revert), copies and merges must leave boundary(m)
+  // equal to a full rescan of every module, and probes — probe_move, and
+  // probe_moves, whose moves (emptying ones included) roll back — must not
+  // change them. Fresh seeds each run.
+  const std::uint64_t seed = testutil::run_seed();
+  SCOPED_TRACE(testutil::replay_note(seed));
+  const auto library = lib::default_library();
+  for (const char* circuit : {"c1908", "ila16x8"}) {
+    SCOPED_TRACE(circuit);
+    const netlist::Netlist nl = netlist::load_circuit(circuit);
+    const EvalContext ctx(nl, library, elec::SensorSpec{}, CostWeights{});
+    Rng rng(Rng::mix_seed(seed, nl.gate_count()));
+    const std::size_t k = 6 + rng.index(12);
+    PartitionEvaluator eval(ctx, core::make_start_partition(nl, k, rng));
+    expect_boundaries_match_scan(eval);
+    std::size_t probed_merges = 0;
+    for (int step = 0; step < 200; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      // Boundary moves as the searches draw them, and arbitrary ones that
+      // also pull interior gates across the cut.
+      const part::Move mv = rng.below(2) == 0
+                                ? core::sample_boundary_move(eval, rng)
+                                : random_move(eval, rng);
+      if (!mv.valid()) break;
+      const std::uint32_t src = eval.partition().module_of(mv.gate);
+      const auto& p = eval.partition();
+      // Merge the smallest module into a random other one.
+      const auto merge = [&] {
+        std::uint32_t small = 0;
+        for (std::uint32_t m = 1; m < p.module_count(); ++m)
+          if (p.module_size(m) < p.module_size(small)) small = m;
+        auto into =
+            static_cast<std::uint32_t>(rng.index(p.module_count() - 1));
+        if (into >= small) ++into;
+        std::vector<part::Move> moves;
+        for (const netlist::GateId g : p.module(small))
+          moves.push_back(part::Move{g, into});
+        return moves;
+      };
+      switch (rng.below(7)) {
+        case 0:  // accept
+          eval.move_gate(mv.gate, mv.target);
+          break;
+        case 1:  // reject: move + revert
+          eval.move_gate(mv.gate, mv.target);
+          eval.move_gate(mv.gate, src);
+          break;
+        case 2:  // an ES survivor or a tabu slice
+          eval = PartitionEvaluator(eval);
+          break;
+        case 3:  // a merge, committed (K kept above the probed merges')
+          if (p.module_count() > 4)
+            for (const part::Move& m : merge())
+              eval.move_gate(m.gate, m.target);
+          break;
+        case 4:  // a single-move probe
+          (void)eval.probe_move(mv.gate, mv.target);
+          break;
+        case 5: {  // an ES child: a few moves, scored and rolled back
+          std::vector<part::Move> moves{mv};
+          const part::Move second = random_move(eval, rng);
+          if (second.valid() && second.gate != mv.gate)
+            moves.push_back(second);
+          (void)eval.probe_moves(moves);
+          break;
+        }
+        default:  // an ES child that empties a module
+          if (p.module_count() > 2) {
+            (void)eval.probe_moves(merge());
+            ++probed_merges;
+          }
+          break;
+      }
+      expect_boundaries_match_scan(eval);
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(probed_merges, 0u);
+  }
 }
 
 // Copies that share one certificate probe concurrently: each thread owns

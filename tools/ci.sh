@@ -105,6 +105,26 @@ esac
 JOBS="$(nproc 2>/dev/null || echo 2)"
 ROOT="$(dirname "$0")/.."
 
+# Prints the port a server or front-end started in the background reports
+# in its stderr log FILE ("listening on 127.0.0.1:PORT"), polling 100 x
+# 0.1 s; fails when it never does. A log the background redirect has not
+# created yet counts as "not yet", not as an error.
+wait_listen() {
+  _tries=0
+  while [ $_tries -lt 100 ]; do
+    if [ -f "$1" ]; then
+      _port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$1")
+      if [ -n "$_port" ]; then
+        echo "$_port"
+        return 0
+      fi
+    fi
+    sleep 0.1
+    _tries=$((_tries + 1))
+  done
+  return 1
+}
+
 if [ "$MODE" = "smoke" ]; then
   BUILD_DIR="${1:-build-smoke}"
   cmake -B "$BUILD_DIR" -S "$ROOT" -DIDDQ_WERROR=ON -DIDDQ_BUILD_TESTS=OFF \
@@ -187,16 +207,8 @@ if [ "$MODE" = "stress" ]; then
     --threads 2 --session-queue 64 2> "$BUILD_DIR/stress_server_err.txt" &
   SERVER_PID=$!
   trap 'kill $SERVER_PID 2>/dev/null || true' EXIT INT TERM
-  PORT=""
-  i=0
-  while [ $i -lt 100 ]; do
-    PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-             "$BUILD_DIR/stress_server_err.txt")
-    [ -n "$PORT" ] && break
-    sleep 0.1
-    i=$((i + 1))
-  done
-  [ -n "$PORT" ] || { echo "stress: server never reported its port"; exit 1; }
+  PORT=$(wait_listen "$BUILD_DIR/stress_server_err.txt") ||
+    { echo "stress: server never reported its port"; exit 1; }
 
   # Client 3 submits, then refuses to read for 4s: its events pile up in
   # the bounded per-session queue while the healthy clients stream.
@@ -256,33 +268,17 @@ if [ "$MODE" = "cluster" ]; then
   # shellcheck disable=SC2064
   trap "kill $PIDS \$CLUSTER_PID 2>/dev/null || true" EXIT INT TERM
   for i in 1 2 3; do
-    EP=""
-    j=0
-    while [ $j -lt 100 ]; do
-      EP=$(sed -n 's/.*listening on \(127\.0\.0\.1:[0-9]*\)$/\1/p' \
-             "$BUILD_DIR/cluster_s$i.err")
-      [ -n "$EP" ] && break
-      sleep 0.1
-      j=$((j + 1))
-    done
-    [ -n "$EP" ] || { echo "cluster: backend $i never reported its port"; exit 1; }
-    BACKENDS="$BACKENDS --backend $EP"
+    BPORT=$(wait_listen "$BUILD_DIR/cluster_s$i.err") ||
+      { echo "cluster: backend $i never reported its port"; exit 1; }
+    BACKENDS="$BACKENDS --backend 127.0.0.1:$BPORT"
   done
 
   # shellcheck disable=SC2086
   "$BUILD_DIR/iddqsyn_cluster" --listen 127.0.0.1:0 $BACKENDS \
     2> "$BUILD_DIR/cluster_front.err" &
   CLUSTER_PID=$!
-  CPORT=""
-  j=0
-  while [ $j -lt 100 ]; do
-    CPORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-              "$BUILD_DIR/cluster_front.err")
-    [ -n "$CPORT" ] && break
-    sleep 0.1
-    j=$((j + 1))
-  done
-  [ -n "$CPORT" ] || { echo "cluster: front-end never reported its port"; exit 1; }
+  CPORT=$(wait_listen "$BUILD_DIR/cluster_front.err") ||
+    { echo "cluster: front-end never reported its port"; exit 1; }
 
   # The sweep runs through the front-end while backend 1 is killed
   # mid-flight: its shards must fail over to ring successors and the
@@ -344,17 +340,9 @@ if [ "$MODE" = "chaos" ]; then
   # shellcheck disable=SC2064
   trap "kill $PIDS \$CLUSTER_PID \$DRAIN_PID 2>/dev/null || true" EXIT INT TERM
   for i in 1 2 3; do
-    EP=""
-    j=0
-    while [ $j -lt 100 ]; do
-      EP=$(sed -n 's/.*listening on \(127\.0\.0\.1:[0-9]*\)$/\1/p' \
-             "$BUILD_DIR/chaos_s$i.err")
-      [ -n "$EP" ] && break
-      sleep 0.1
-      j=$((j + 1))
-    done
-    [ -n "$EP" ] || { echo "chaos: backend $i never reported its port"; exit 1; }
-    BACKENDS="$BACKENDS --backend $EP"
+    BPORT=$(wait_listen "$BUILD_DIR/chaos_s$i.err") ||
+      { echo "chaos: backend $i never reported its port"; exit 1; }
+    BACKENDS="$BACKENDS --backend 127.0.0.1:$BPORT"
   done
 
   # Heartbeat-probing front-end: the dropping backend's channel death is
@@ -365,16 +353,8 @@ if [ "$MODE" = "chaos" ]; then
     --heartbeat-ms 100 --retry 5 --backoff-ms 50 \
     2> "$BUILD_DIR/chaos_front.err" &
   CLUSTER_PID=$!
-  CPORT=""
-  j=0
-  while [ $j -lt 100 ]; do
-    CPORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-              "$BUILD_DIR/chaos_front.err")
-    [ -n "$CPORT" ] && break
-    sleep 0.1
-    j=$((j + 1))
-  done
-  [ -n "$CPORT" ] || { echo "chaos: front-end never reported its port"; exit 1; }
+  CPORT=$(wait_listen "$BUILD_DIR/chaos_front.err") ||
+    { echo "chaos: front-end never reported its port"; exit 1; }
 
   # The surviving rows must be byte-identical to the direct engine even
   # though backend 1 keeps dying and backend 2 keeps stalling.
@@ -443,16 +423,8 @@ PYEOF
   "$BUILD_DIR/iddqsyn_server" --listen 127.0.0.1:0 --workers 2 \
     --threads 2 --drain-timeout-ms 2000 2> "$BUILD_DIR/chaos_drain.err" &
   DRAIN_PID=$!
-  DPORT=""
-  j=0
-  while [ $j -lt 100 ]; do
-    DPORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-              "$BUILD_DIR/chaos_drain.err")
-    [ -n "$DPORT" ] && break
-    sleep 0.1
-    j=$((j + 1))
-  done
-  [ -n "$DPORT" ] || { echo "chaos: drain server never reported its port"; exit 1; }
+  DPORT=$(wait_listen "$BUILD_DIR/chaos_drain.err") ||
+    { echo "chaos: drain server never reported its port"; exit 1; }
   timeout 600 "$BUILD_DIR/iddqsyn" --submit "127.0.0.1:$DPORT" \
     --method "$METHODS" --seed 999 c1908 c2670 ila24x6 \
     > "$BUILD_DIR/chaos_drain_client.txt" 2>&1 &
