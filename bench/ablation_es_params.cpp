@@ -36,7 +36,6 @@ int main() {
     p.epsilon = 1.0;
     p.max_generations = 150;
     p.stall_generations = 40;
-    p.seed = 42;
     return p;
   };
 
@@ -95,14 +94,19 @@ int main() {
 
   report::TextTable table(
       {"variant", "best cost", "gens", "evals", "K", "feasible"});
+  core::OptimizerRequest request;
+  request.ctx = &ctx;
+  request.module_count = plan.module_count;
+  request.seed = 42;
   for (const auto& v : variants) {
-    core::EvolutionEngine engine(ctx, v.params);
-    const auto result = engine.run_with_module_count(plan.module_count);
-    table.add_row({v.label, report::format_fixed(result.best_fitness.cost, 1),
-                   std::to_string(result.generations),
+    core::OptimizerConfig config;
+    config.es = v.params;
+    const auto result = core::run_evolution(request, config);
+    table.add_row({v.label, report::format_fixed(result.fitness.cost, 1),
+                   std::to_string(result.iterations),
                    std::to_string(result.evaluations),
-                   std::to_string(result.best_partition.module_count()),
-                   result.best_fitness.feasible() ? "yes" : "NO"});
+                   std::to_string(result.partition.module_count()),
+                   result.fitness.feasible() ? "yes" : "NO"});
   }
   table.print(std::cout);
   std::cout <<

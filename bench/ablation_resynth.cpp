@@ -33,7 +33,7 @@ int main() {
     cfg.optimizers.es.max_generations = 150;
     core::FlowEngine engine(nl, library, cfg);
     const auto base =
-        engine.run_method("evolution", {.seed = cfg.optimizers.es.seed});
+        engine.run_method("evolution", {.seed = bench::kPaperSeed});
 
     // Step 2: partition-aware wave retiming against that partition.
     std::vector<std::vector<netlist::GateId>> groups(

@@ -4,6 +4,7 @@
 // EXPERIMENTS.md is generated from exactly these binaries' output.
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 
@@ -11,11 +12,13 @@
 
 namespace iddq::bench {
 
-/// The FlowEngine configuration used by the Table 1 reproduction; its
-/// optimizers.es.seed is the seed of FlowEngine::run_paper_pair. The
+/// The seed of the Table 1 reproduction's FlowEngine::run_paper_pair.
+inline constexpr std::uint64_t kPaperSeed = 42;
+
+/// The FlowEngine configuration used by the Table 1 reproduction. The
 /// evolution budget can be scaled down for smoke runs via
 /// IDDQSYN_BENCH_FAST=1.
-inline core::FlowEngineConfig paper_flow_config(std::uint64_t seed = 42) {
+inline core::FlowEngineConfig paper_flow_config() {
   core::FlowEngineConfig cfg;
   core::EsParams& es = cfg.optimizers.es;
   es.mu = 8;
@@ -26,7 +29,6 @@ inline core::FlowEngineConfig paper_flow_config(std::uint64_t seed = 42) {
   es.epsilon = 1.0;
   es.max_generations = 350;
   es.stall_generations = 60;
-  es.seed = seed;
   if (const char* fast = std::getenv("IDDQSYN_BENCH_FAST");
       fast != nullptr && std::string(fast) == "1") {
     es.max_generations = 60;

@@ -54,16 +54,18 @@ int main() {
   }
 
   // Evolution run with trace (figures 4-5's generations).
-  core::EsParams params;
-  params.mu = 4;
-  params.lambda = 6;
-  params.chi = 2;
-  params.max_generations = 40;
-  params.stall_generations = 40;
-  params.record_trace = true;
-  params.seed = 3;
-  core::EvolutionEngine engine(ctx, params);
-  const auto result = engine.run_with_module_count(2);
+  core::OptimizerConfig config;
+  config.es.mu = 4;
+  config.es.lambda = 6;
+  config.es.chi = 2;
+  config.es.max_generations = 40;
+  config.es.stall_generations = 40;
+  core::OptimizerRequest request;
+  request.ctx = &ctx;
+  request.module_count = 2;
+  request.seed = 3;
+  request.record_trace = true;
+  const auto result = core::run_evolution(request, config);
 
   std::cout << "\nES trace (best cost per generation):\n";
   report::TextTable trace({"gen", "best cost", "K", "step width m"});
@@ -76,9 +78,9 @@ int main() {
   }
   trace.print(std::cout);
 
-  std::cout << "\nES result: " << describe(nl, result.best_partition)
+  std::cout << "\nES result: " << describe(nl, result.partition)
             << "   cost "
-            << report::format_fixed(result.best_fitness.cost, 3) << " ("
+            << report::format_fixed(result.fitness.cost, 3) << " ("
             << result.evaluations << " evaluations)\n";
 
   // Exhaustive enumeration of all two-module partitions.
@@ -115,10 +117,10 @@ int main() {
             << report::format_fixed(paper_cost, 3) << "\n\n";
 
   const double gap_to_optimum =
-      (result.best_fitness.cost - best_cost) / best_cost * 100.0;
+      (result.fitness.cost - best_cost) / best_cost * 100.0;
   if (gap_to_optimum <= 1e-7) {
     std::cout << "ES reaches the exhaustive two-module optimum: YES\n";
-  } else if (std::abs(result.best_fitness.cost - paper_cost) <
+  } else if (std::abs(result.fitness.cost - paper_cost) <
              1e-9 * paper_cost) {
     std::cout << "ES converged to the paper's published optimum Pi_f, which "
                  "ranks\n"

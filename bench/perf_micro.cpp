@@ -196,7 +196,7 @@ BENCHMARK(BM_ProbeVsCopy)
 
 // One ES child, scored the two ways: copy the parent + move_gate... +
 // fitness (the historical per-child recipe), or probe_moves on the parent
-// itself (what EvolutionEngine does: the parent's slack certificate is
+// itself (what run_evolution does: the parent's slack certificate is
 // built on the first probe and reused by every later one). Children are
 // boundary mutations of four gates on an ES-sized partition (modules of
 // ~600 gates), drawn like the ES draws them: on a journaled draft of the
@@ -538,19 +538,32 @@ void BM_LogicSim64Patterns(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicSim64Patterns)->Unit(benchmark::kMicrosecond);
 
+/// An ES request on c7552: six-module starts at seed 7, on `pool`.
+core::OptimizerRequest es_request(support::ExecutorPool* pool = nullptr) {
+  core::OptimizerRequest request;
+  request.ctx = &context();
+  request.module_count = 6;
+  request.seed = 7;
+  request.pool = pool;
+  return request;
+}
+
+/// The default ES population capped at `generations`.
+core::OptimizerConfig es_config(std::size_t generations) {
+  core::OptimizerConfig config;
+  config.es.mu = 8;
+  config.es.lambda = 7;
+  config.es.chi = 2;
+  config.es.max_generations = generations;
+  config.es.stall_generations = generations;
+  return config;
+}
+
 void BM_EvolutionGeneration(benchmark::State& state) {
-  const auto& ctx = context();
-  core::EsParams params;
-  params.mu = 8;
-  params.lambda = 7;
-  params.chi = 2;
-  params.max_generations = 1;
-  params.stall_generations = 1;
-  params.seed = 7;
-  for (auto _ : state) {
-    core::EvolutionEngine engine(ctx, params);
-    benchmark::DoNotOptimize(engine.run_with_module_count(6));
-  }
+  const core::OptimizerRequest request = es_request();
+  const core::OptimizerConfig config = es_config(1);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::run_evolution(request, config));
 }
 BENCHMARK(BM_EvolutionGeneration)->Unit(benchmark::kMillisecond);
 
@@ -558,20 +571,11 @@ BENCHMARK(BM_EvolutionGeneration)->Unit(benchmark::kMillisecond);
 // criterion reads): same seed, same trajectory, only the wall clock moves.
 // Arg = ExecutorPool size (1 = serial baseline).
 void BM_EvolutionGenerationThreads(benchmark::State& state) {
-  const auto& ctx = context();
   support::ExecutorPool pool(static_cast<std::size_t>(state.range(0)));
-  core::EsParams params;
-  params.mu = 8;
-  params.lambda = 7;
-  params.chi = 2;
-  params.max_generations = 2;
-  params.stall_generations = 2;
-  params.seed = 7;
-  params.pool = &pool;
-  for (auto _ : state) {
-    core::EvolutionEngine engine(ctx, params);
-    benchmark::DoNotOptimize(engine.run_with_module_count(6));
-  }
+  const core::OptimizerRequest request = es_request(&pool);
+  const core::OptimizerConfig config = es_config(2);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::run_evolution(request, config));
 }
 BENCHMARK(BM_EvolutionGenerationThreads)
     ->Arg(1)
@@ -582,18 +586,19 @@ BENCHMARK(BM_EvolutionGenerationThreads)
 
 // Thread-count scaling of the tabu candidate evaluation.
 void BM_TabuRoundsThreads(benchmark::State& state) {
-  const auto& ctx = context();
   support::ExecutorPool pool(static_cast<std::size_t>(state.range(0)));
   Rng rng(6);
-  const auto start = core::make_start_partition(circuit(), 6, rng);
-  core::TabuParams params;
-  params.iterations = 8;
-  params.candidates = 16;
-  params.stall_iterations = 8;
-  params.seed = 9;
-  params.pool = &pool;
+  core::OptimizerRequest request;
+  request.ctx = &context();
+  request.start = core::make_start_partition(circuit(), 6, rng);
+  request.seed = 9;
+  request.pool = &pool;
+  core::OptimizerConfig config;
+  config.tabu.iterations = 8;
+  config.tabu.candidates = 16;
+  config.tabu.stall_iterations = 8;
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::tabu_search(ctx, start, params));
+    benchmark::DoNotOptimize(core::run_tabu(request, config));
 }
 BENCHMARK(BM_TabuRoundsThreads)
     ->Arg(1)

@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
 
   support::ExecutorPool pool(threads);
   core::FlowEngineConfig engine_config = bench::paper_flow_config();
-  const std::uint64_t seed = engine_config.optimizers.es.seed;
+  const std::uint64_t seed = bench::kPaperSeed;
   engine_config.pool = &pool;
   if (coverage) {
     engine_config.coverage.enabled = true;

@@ -6,25 +6,31 @@
 
 #include "core/neighborhood.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace iddq::core {
 
-SaResult simulated_annealing(const part::EvalContext& ctx,
-                             const part::Partition& start,
-                             const SaParams& params) {
-  require(params.steps >= 1, "annealing: need at least one step");
+OptimizerOutcome run_annealing(const OptimizerRequest& req,
+                               const OptimizerConfig& config) {
+  constexpr std::size_t kProgressEvery = 1000;  // steps between live ticks
+  const SaParams& params = config.sa;
+  const std::size_t steps =
+      req.max_evaluations > 0 ? req.max_evaluations : params.steps;
+  require(steps >= 1, "annealing: need at least one step");
   require(params.cooling > 0.0 && params.cooling < 1.0,
           "annealing: cooling factor must be in (0,1)");
-  Rng rng(params.seed);
-  part::PartitionEvaluator eval(ctx, start);
+  // The start (when drawn) and the search each use a fresh Rng(seed).
+  part::PartitionEvaluator eval(request_context(req), request_start(req));
+  Rng rng(req.seed);
 
-  SaResult result;
+  OptimizerOutcome result;
+  result.method = "annealing";
   double current = penalized_objective(eval, params.violation_penalty);
   ++result.evaluations;
   double best_obj = current;
-  result.best_partition = eval.partition();
-  result.best_fitness = eval.fitness();
-  result.best_costs = eval.costs();
+  result.partition = eval.partition();
+  result.fitness = eval.fitness();
+  result.costs = eval.costs();
 
   // Calibrate T0: sample a handful of moves and pick T so the mean uphill
   // delta is accepted with `initial_acceptance`.
@@ -51,12 +57,12 @@ SaResult simulated_annealing(const part::EvalContext& ctx,
   }
 
   double temperature = t0;
-  for (std::size_t step = 0; step < params.steps; ++step) {
+  for (std::size_t step = 0; step < steps; ++step) {
     if (step > 0 && step % params.stage_length == 0)
       temperature *= params.cooling;
-    if (params.on_step && params.progress_every > 0 && step > 0 &&
-        step % params.progress_every == 0)
-      params.on_step(step, result.evaluations, result.best_fitness);
+    if (req.on_progress && step > 0 && step % kProgressEvery == 0)
+      req.on_progress({result.method, step, result.evaluations,
+                       result.fitness});
     const part::Move mv = sample_boundary_move(eval, rng);
     if (!mv.valid()) continue;
     const std::uint32_t src = eval.partition().module_of(mv.gate);
@@ -72,12 +78,11 @@ SaResult simulated_annealing(const part::EvalContext& ctx,
     if (accept) {
       eval.move_gate(mv.gate, mv.target);
       current = proposed;
-      ++result.accepted;
       if (current < best_obj) {
         best_obj = current;
-        result.best_partition = eval.partition();
-        result.best_fitness = eval.fitness();
-        result.best_costs = eval.costs();
+        result.partition = eval.partition();
+        result.fitness = eval.fitness();
+        result.costs = eval.costs();
       }
     } else {
       // State parity with the historical trajectory: the pre-probe code
@@ -90,6 +95,8 @@ SaResult simulated_annealing(const part::EvalContext& ctx,
       eval.move_gate(mv.gate, src);
     }
   }
+  result.iterations = result.evaluations;
+  report_outcome(req, result);
   return result;
 }
 

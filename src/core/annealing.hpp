@@ -12,38 +12,15 @@
 // with a large penalty so the Metropolis criterion remains scalar.
 #pragma once
 
-#include <cstdint>
-
-#include "core/evolution.hpp"
-#include "core/step_callback.hpp"
-#include "partition/evaluator.hpp"
-#include "support/rng.hpp"
+#include "core/optimizer.hpp"
 
 namespace iddq::core {
 
-struct SaParams {
-  std::size_t steps = 20000;
-  double initial_acceptance = 0.3;  // calibrates T0 from sampled deltas
-  double cooling = 0.995;           // geometric factor per temperature stage
-  std::size_t stage_length = 100;   // steps per temperature stage
-  double violation_penalty = 1.0e4;
-  std::uint64_t seed = 1;
-  /// Per-run progress fields (like seed, not hashed into cache keys):
-  /// on_step fires every `progress_every` steps when set (0 disables).
-  std::size_t progress_every = 1000;
-  StepCallback on_step;
-};
-
-struct SaResult {
-  part::Partition best_partition{1, 1};
-  part::Fitness best_fitness;
-  part::Costs best_costs;
-  std::size_t accepted = 0;
-  std::size_t evaluations = 0;
-};
-
-[[nodiscard]] SaResult simulated_annealing(const part::EvalContext& ctx,
-                                           const part::Partition& start,
-                                           const SaParams& params);
+/// Anneals from request_start(req) with `config.sa`; a request budget
+/// replaces `steps`. Reports to req.on_progress every 1000 steps;
+/// iterations and evaluations both count scored moves. Throws iddq::Error
+/// for invalid parameters.
+[[nodiscard]] OptimizerOutcome run_annealing(const OptimizerRequest& req,
+                                             const OptimizerConfig& config);
 
 }  // namespace iddq::core

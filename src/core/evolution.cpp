@@ -3,24 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/neighborhood.hpp"
 #include "core/start_partition.hpp"
 #include "support/error.hpp"
 #include "support/executor.hpp"
+#include "support/rng.hpp"
 
 namespace iddq::core {
-
-EvolutionEngine::EvolutionEngine(const part::EvalContext& ctx,
-                                 EsParams params)
-    : ctx_(&ctx), params_(params), rng_(params.seed) {
-  require(params_.mu >= 1, "evolution: mu must be >= 1");
-  require(params_.lambda + params_.chi >= 1,
-          "evolution: need at least one descendant per parent");
-  require(params_.m0 >= 1 && params_.m0 <= params_.m_max,
-          "evolution: step width out of range");
-  require(params_.kappa >= 1, "evolution: kappa must be >= 1");
-}
 
 namespace {
 
@@ -35,20 +27,34 @@ void apply_move(part::Partition& p, netlist::GateId g, std::uint32_t target,
   moves.push_back(part::Move{g, target});
 }
 
-}  // namespace
+struct Individual {
+  part::PartitionEvaluator eval;
+  part::Fitness fitness;
+  part::Costs costs;
+  std::uint32_t step_width = 1;
+  std::size_t age = 0;
+};
 
-std::uint32_t EvolutionEngine::vary_step_width(std::uint32_t m) {
-  const double varied = rng_.normal(static_cast<double>(m), params_.epsilon);
+// The random operators below draw from the run's one Rng stream, which
+// also draws the start partitions.
+
+std::uint32_t vary_step_width(Rng& rng, const EsParams& params,
+                              std::uint32_t m) {
+  const double varied = rng.normal(static_cast<double>(m), params.epsilon);
   const auto rounded = static_cast<std::int64_t>(std::llround(varied));
   if (rounded < 1) return 1;
-  if (rounded > static_cast<std::int64_t>(params_.m_max)) return params_.m_max;
+  if (rounded > static_cast<std::int64_t>(params.m_max)) return params.m_max;
   return static_cast<std::uint32_t>(rounded);
 }
 
-void EvolutionEngine::mutate(part::Partition& p,
-                             const part::PartitionEvaluator& parent,
-                             std::uint32_t step_width,
-                             std::vector<part::Move>& moves) {
+/// Draws one descendant's moves against `p` (the parent's partition,
+/// under a journal the caller rolls back), applying each to `p` and
+/// appending it to `moves`. The start module's boundary comes from
+/// `parent`, whose partition `p` equals (gate order included) until the
+/// first move.
+void mutate(Rng& rng, part::Partition& p,
+            const part::PartitionEvaluator& parent, std::uint32_t step_width,
+            std::vector<part::Move>& moves) {
   if (p.module_count() < 2) return;  // nothing to move between
 
   // Pick a start module that has boundary gates (every module of a
@@ -56,7 +62,7 @@ void EvolutionEngine::mutate(part::Partition& p,
   std::vector<netlist::GateId> boundary;
   std::uint32_t m_start = 0;
   for (int attempt = 0; attempt < 8; ++attempt) {
-    m_start = static_cast<std::uint32_t>(rng_.index(p.module_count()));
+    m_start = static_cast<std::uint32_t>(rng.index(p.module_count()));
     parent.boundary(m_start, boundary);
     if (!boundary.empty()) break;
   }
@@ -64,8 +70,8 @@ void EvolutionEngine::mutate(part::Partition& p,
 
   const std::uint64_t cap =
       std::min<std::uint64_t>(step_width, boundary.size());
-  const std::size_t m_move = 1 + static_cast<std::size_t>(rng_.below(cap));
-  rng_.shuffle(boundary);
+  const std::size_t m_move = 1 + static_cast<std::size_t>(rng.below(cap));
+  rng.shuffle(boundary);
   boundary.resize(m_move);
 
   std::vector<std::uint32_t> targets;
@@ -73,26 +79,26 @@ void EvolutionEngine::mutate(part::Partition& p,
     // The gate moves into a random neighbouring module it connects with.
     // (Earlier moves of this mutation may have changed memberships, so the
     // neighbour set is recomputed per gate.)
-    neighbor_modules(ctx_->nl, p, g, p.module_of(g), targets);
+    neighbor_modules(parent.context().nl, p, g, p.module_of(g), targets);
     if (targets.empty()) continue;  // became interior; skip
-    apply_move(p, g, targets[rng_.index(targets.size())], moves);
+    apply_move(p, g, targets[rng.index(targets.size())], moves);
     if (p.module_count() < 2) break;
   }
 }
 
-void EvolutionEngine::monte_carlo(part::Partition& p,
-                                  std::vector<part::Move>& moves) {
+void monte_carlo(Rng& rng, part::Partition& p,
+                 std::vector<part::Move>& moves) {
   if (p.module_count() < 2) return;
-  const auto src = static_cast<std::uint32_t>(rng_.index(p.module_count()));
+  const auto src = static_cast<std::uint32_t>(rng.index(p.module_count()));
   std::uint32_t dst = src;
   while (dst == src)
-    dst = static_cast<std::uint32_t>(rng_.index(p.module_count()));
+    dst = static_cast<std::uint32_t>(rng.index(p.module_count()));
   const std::size_t count =
-      1 + static_cast<std::size_t>(rng_.below(p.module_size(src)));
+      1 + static_cast<std::size_t>(rng.below(p.module_size(src)));
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t remaining = p.module_size(src);
     if (remaining == 0) break;  // module was emptied and deleted
-    apply_move(p, p.module(src)[rng_.index(remaining)], dst, moves);
+    apply_move(p, p.module(src)[rng.index(remaining)], dst, moves);
     if (p.module_count() < 2) break;
     // If the source module was deleted, its slot may now hold another
     // module; stop moving in that case (the paper deletes the module and
@@ -101,42 +107,59 @@ void EvolutionEngine::monte_carlo(part::Partition& p,
   }
 }
 
-EsResult EvolutionEngine::run_with_module_count(std::size_t module_count) {
-  std::vector<part::Partition> starts;
-  starts.reserve(params_.mu);
-  for (std::size_t i = 0; i < params_.mu; ++i)
-    starts.push_back(make_start_partition(ctx_->nl, module_count, rng_,
-                                          ctx_->timing_graph.depths()));
-  return run(starts);
-}
+}  // namespace
 
-EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
-  require(!starts.empty(), "evolution: need at least one start partition");
+OptimizerOutcome run_evolution(const OptimizerRequest& req,
+                               const OptimizerConfig& config) {
+  const part::EvalContext& ctx = request_context(req);
+  const EsParams& params = config.es;
+  require(params.mu >= 1, "evolution: mu must be >= 1");
+  require(params.lambda + params.chi >= 1,
+          "evolution: need at least one descendant per parent");
+  require(params.m0 >= 1 && params.m0 <= params.m_max,
+          "evolution: step width out of range");
+  require(params.kappa >= 1, "evolution: kappa must be >= 1");
+  Rng rng(req.seed);
+
+  // An explicit start seeds every parent; otherwise mu chain-clustered
+  // starts (section 4.2) come first in the run's Rng stream.
+  std::vector<part::Partition> drawn;
+  if (!req.start) {
+    const std::size_t module_count = request_module_count(req);
+    drawn.reserve(params.mu);
+    for (std::size_t i = 0; i < params.mu; ++i)
+      drawn.push_back(make_start_partition(ctx.nl, module_count, rng,
+                                           ctx.timing_graph.depths()));
+  }
+  const std::span<const part::Partition> starts =
+      req.start ? std::span<const part::Partition>(&*req.start, 1)
+                : std::span<const part::Partition>(drawn);
 
   std::vector<Individual> parents;
-  parents.reserve(params_.mu);
-  for (std::size_t i = 0; i < params_.mu; ++i) {
-    part::PartitionEvaluator eval(*ctx_, starts[i % starts.size()]);
-    parents.push_back(Individual{std::move(eval), {}, {}, params_.m0, 0});
+  parents.reserve(params.mu);
+  for (std::size_t i = 0; i < params.mu; ++i) {
+    part::PartitionEvaluator eval(ctx, starts[i % starts.size()]);
+    parents.push_back(Individual{std::move(eval), {}, {}, params.m0, 0});
   }
   // Scoring consumes no randomness and touches only the individual's own
   // evaluator, so the initial population (and every generation's children
   // below) evaluates in parallel without perturbing the trajectory.
-  support::parallel_for_indexed(params_.pool, parents.size(),
+  support::parallel_for_indexed(req.pool, parents.size(),
                                 [&parents](std::size_t i) {
                                   parents[i].fitness =
                                       parents[i].eval.fitness();
                                   parents[i].costs = parents[i].eval.costs();
                                 });
 
-  EsResult result;
+  OptimizerOutcome result;
+  result.method = "evolution";
   result.evaluations = parents.size();
   std::size_t first_best = 0;
   for (std::size_t i = 1; i < parents.size(); ++i)
     if (parents[i].fitness < parents[first_best].fitness) first_best = i;
-  result.best_partition = parents[first_best].eval.partition();
-  result.best_fitness = parents[first_best].fitness;
-  result.best_costs = parents[first_best].costs;
+  result.partition = parents[first_best].eval.partition();
+  result.fitness = parents[first_best].fitness;
+  result.costs = parents[first_best].costs;
 
   // A descendant: its parent, its slice of `moves`, and its score.
   struct Child {
@@ -152,13 +175,13 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
     part::Fitness fitness;
     std::size_t index = 0;
   };
-  const std::size_t per_parent = params_.lambda + params_.chi;
+  const std::size_t per_parent = params.lambda + params.chi;
   std::vector<Child> children;
   std::vector<part::Move> moves;
   std::vector<Candidate> pool;
   part::Partition draft(1, 1);
   std::size_t stall = 0;
-  for (std::size_t gen = 0; gen < params_.max_generations; ++gen) {
+  for (std::size_t gen = 0; gen < params.max_generations; ++gen) {
     // Coordinator phase: every RNG draw (step widths, mutation moves)
     // happens here, in the fixed serial order, against a journaled draft
     // of the parent's partition that rolls back after each child.
@@ -172,12 +195,12 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
         Child child;
         child.parent = pi;
         child.first_move = moves.size();
-        child.step_width = vary_step_width(parent.step_width);
+        child.step_width = vary_step_width(rng, params, parent.step_width);
         draft.begin_journal();
-        if (c < params_.lambda)
-          mutate(draft, parent.eval, child.step_width, moves);
+        if (c < params.lambda)
+          mutate(rng, draft, parent.eval, child.step_width, moves);
         else
-          monte_carlo(draft, moves);
+          monte_carlo(rng, draft, moves);
         draft.rollback();
         child.move_count = moves.size() - child.first_move;
         children.push_back(child);
@@ -188,7 +211,7 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
     // Worker phase: each parent's children are scored on that parent's
     // evaluator, so one worker owns it — the same path at any pool size.
     support::parallel_for_indexed(
-        params_.pool, parents.size(), [&](std::size_t pi) {
+        req.pool, parents.size(), [&](std::size_t pi) {
           for (std::size_t c = pi * per_parent; c < (pi + 1) * per_parent;
                ++c) {
             Child& child = children[c];
@@ -204,7 +227,7 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
     for (std::size_t pi = 0; pi < parents.size(); ++pi) {
       for (std::size_t c = pi * per_parent; c < (pi + 1) * per_parent; ++c)
         pool.push_back(Candidate{children[c].score.fitness, c});
-      if (parents[pi].age < params_.kappa)
+      if (parents[pi].age < params.kappa)
         pool.push_back(
             Candidate{parents[pi].fitness, children.size() + pi});
     }
@@ -212,7 +235,7 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
               [](const Candidate& a, const Candidate& b) {
                 return a.fitness < b.fitness;
               });
-    const std::size_t survivors = std::min(params_.mu, pool.size());
+    const std::size_t survivors = std::min(params.mu, pool.size());
 
     // Materialize the surviving children (copy the parent, replay the
     // moves) before retained parents are moved out of `parents`.
@@ -234,32 +257,37 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
     parents.clear();
     for (auto& individual : next) parents.push_back(std::move(*individual));
 
-    const bool improved = parents.front().fitness < result.best_fitness;
+    const bool improved = parents.front().fitness < result.fitness;
     if (improved) {
-      result.best_partition = parents.front().eval.partition();
-      result.best_fitness = parents.front().fitness;
-      result.best_costs = parents.front().costs;
+      result.partition = parents.front().eval.partition();
+      result.fitness = parents.front().fitness;
+      result.costs = parents.front().costs;
       stall = 0;
     } else {
       ++stall;
     }
-    result.generations = gen + 1;
+    result.iterations = gen + 1;
 
-    if (params_.record_trace || params_.on_generation) {
+    if (req.record_trace || req.on_progress) {
       GenerationStats stats;
       stats.generation = gen + 1;
-      stats.best = result.best_fitness;
+      stats.best = result.fitness;
       double sum = 0.0;
       for (const auto& p : parents) sum += p.fitness.cost;
       stats.mean_cost = sum / static_cast<double>(parents.size());
-      stats.module_count = result.best_partition.module_count();
+      stats.module_count = result.partition.module_count();
       stats.best_step_width = parents.front().step_width;
       stats.evaluations = result.evaluations;
-      if (params_.on_generation) params_.on_generation(stats);
-      if (params_.record_trace) result.trace.push_back(stats);
+      // Live per-generation tick; the callback only observes, so the
+      // trajectory is unchanged.
+      if (req.on_progress)
+        req.on_progress({result.method, stats.generation, stats.evaluations,
+                         stats.best});
+      if (req.record_trace) result.trace.push_back(stats);
     }
-    if (stall >= params_.stall_generations) break;
+    if (stall >= params.stall_generations) break;
   }
+  report_outcome(req, result);
   return result;
 }
 

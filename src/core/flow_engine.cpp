@@ -120,11 +120,8 @@ MethodResult FlowEngine::from_cache_record(const CacheRecord& record) {
 MethodResult FlowEngine::run_method(std::string_view spec,
                                     const RunOptions& options) {
   // Traced runs bypass the cache: the trace is not persisted, so a hit
-  // could not reproduce it. Tracing can be requested per run or through
-  // the ES config (EvolutionOptimizer ORs the two flags).
-  const bool traced =
-      options.record_trace || config_.optimizers.es.record_trace;
-  const bool cacheable = config_.cache != nullptr && !traced;
+  // could not reproduce it.
+  const bool cacheable = config_.cache != nullptr && !options.record_trace;
   std::uint64_t key = 0;
   if (cacheable) {
     key = cache_key(context_fp_, spec, options.seed, options.max_evaluations,
@@ -159,7 +156,7 @@ MethodResult FlowEngine::run_method(std::string_view spec,
       evaluate_method(ctx_, std::move(outcome.method), outcome.partition);
   // Keep the optimizer's own fitness/costs: identical to the re-evaluation
   // up to the incremental evaluator's floating-point trajectory, and the
-  // values the equivalence tests pin against the direct entry points.
+  // values the trajectory tests pin (tests/core/test_optimizer_trajectory.cpp).
   result.fitness = outcome.fitness;
   result.costs = outcome.costs;
   result.delay_overhead = outcome.costs.c2;

@@ -73,4 +73,21 @@ part::Partition force_directed_partition(const netlist::Netlist& nl,
   return partition;
 }
 
+OptimizerOutcome run_force(const OptimizerRequest& req,
+                           const OptimizerConfig& config) {
+  const part::EvalContext& ctx = request_context(req);
+  part::PartitionEvaluator eval(
+      ctx, force_directed_partition(ctx.nl, request_module_count(req),
+                                    config.force_passes));
+  OptimizerOutcome out;
+  out.method = "force";
+  out.fitness = eval.fitness();
+  out.costs = eval.costs();
+  out.partition = eval.partition();
+  out.iterations = config.force_passes;
+  out.evaluations = 1;
+  report_outcome(req, out);
+  return out;
+}
+
 }  // namespace iddq::core

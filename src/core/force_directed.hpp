@@ -17,6 +17,7 @@
 
 #include <cstddef>
 
+#include "core/optimizer.hpp"
 #include "netlist/netlist.hpp"
 #include "partition/partition.hpp"
 
@@ -28,5 +29,12 @@ namespace iddq::core {
 [[nodiscard]] part::Partition force_directed_partition(
     const netlist::Netlist& nl, std::size_t module_count,
     std::size_t passes = 60);
+
+/// The "force" method: the force-directed partition at
+/// request_module_count(req) modules with `config.force_passes` passes,
+/// evaluated once. Seed-independent; an explicit start contributes only
+/// its module count, like "random". iterations are the passes.
+[[nodiscard]] OptimizerOutcome run_force(const OptimizerRequest& req,
+                                         const OptimizerConfig& config);
 
 }  // namespace iddq::core

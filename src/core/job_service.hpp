@@ -22,9 +22,9 @@
 //
 // Cancellation is cooperative: cancel() sets a flag the sequence polls
 // before each method and at every live progress tick (evolution reports
-// per generation, annealing/tabu every progress_every steps), so a cancel
-// lands mid-run within one tick, not after the method completes. Rows
-// already produced remain available in the terminal JobResult.
+// per generation, annealing every 1000 steps, tabu every 25 rounds), so a
+// cancel lands mid-run within one tick, not after the method completes.
+// Rows already produced remain available in the terminal JobResult.
 #pragma once
 
 #include <atomic>

@@ -3,15 +3,16 @@
 // Section 4 of the paper names several applicable heuristics (force-driven,
 // simulated annealing, Monte Carlo, genetic) before adopting the evolution
 // strategy; the repo implements four of them plus the section-5 standard
-// partitioning, each historically behind its own ad-hoc entry point
-// (EsResult / SaResult / RandomSearchResult / RefineResult). This header
-// unifies them: every search method consumes one OptimizerRequest and
-// produces one OptimizerOutcome, so flows, benches, and sweeps can treat
-// "which heuristic" as data (see OptimizerRegistry) instead of code.
+// partitioning. Every method has exactly one entry point with the same
+// shape — run_<name>(OptimizerRequest, OptimizerConfig) -> OptimizerOutcome
+// (core/evolution.hpp, core/annealing.hpp, ...) — so flows, benches, and
+// sweeps can treat "which heuristic" as data (see OptimizerRegistry)
+// instead of code.
 //
-// Adapters wrap the existing implementations without changing them: at the
-// same seed and budget an adapter reproduces the exact result of the direct
-// entry point it wraps (tests/core/test_optimizer_equivalence.cpp).
+// The request carries everything that varies per run (context, start,
+// budget, seed, tracing, progress sink, pool); the config carries only the
+// tuning knobs, all of which the result-cache context fingerprint hashes
+// (core/result_cache.cpp).
 #pragma once
 
 #include <cstdint>
@@ -21,9 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/annealing.hpp"
-#include "core/evolution.hpp"
-#include "core/tabu.hpp"
 #include "partition/evaluator.hpp"
 
 namespace iddq::support {
@@ -33,12 +31,12 @@ class ExecutorPool;
 namespace iddq::core {
 
 /// Snapshot handed to OptimizerRequest::on_progress. The evolution,
-/// annealing, and tabu adapters report live (per generation / every
-/// progress_every steps) plus once on completion; the single-shot methods
-/// (standard, force, random, greedy) report on completion only. Callbacks
-/// may be invoked from worker threads and must never mutate search state —
-/// they can also throw (e.g. CancelledError) to abort the run, which is
-/// how JobService implements mid-run cancellation.
+/// annealing, and tabu searches report live (per generation / every 1000
+/// steps / every 25 rounds) plus once on completion; the single-shot
+/// methods (standard, force, random, greedy) report on completion only.
+/// Callbacks may be invoked from worker threads and must never mutate
+/// search state — they can also throw (e.g. CancelledError) to abort the
+/// run, which is how JobService implements mid-run cancellation.
 struct OptimizerProgress {
   std::string_view method;
   std::size_t iteration = 0;  // method-specific major step (see Outcome)
@@ -53,7 +51,7 @@ using ProgressCallback = std::function<void(const OptimizerProgress&)>;
 struct OptimizerRequest {
   const part::EvalContext* ctx = nullptr;  // required
 
-  /// Explicit start partition. When empty, the adapter builds chain-
+  /// Explicit start partition. When empty, the search builds chain-
   /// clustered starts (section 4.2) with `module_count` modules.
   std::optional<part::Partition> start;
 
@@ -66,6 +64,7 @@ struct OptimizerRequest {
   std::size_t max_evaluations = 0;
 
   std::uint64_t seed = 1;
+  /// Record the ES per-generation trace (OptimizerOutcome::trace).
   bool record_trace = false;
   ProgressCallback on_progress;  // may be empty
 
@@ -78,9 +77,20 @@ struct OptimizerRequest {
   support::ExecutorPool* pool = nullptr;
 };
 
+/// One ES generation, recorded when OptimizerRequest::record_trace is set.
+struct GenerationStats {
+  std::size_t generation = 0;
+  part::Fitness best;
+  double mean_cost = 0.0;      // over surviving parents
+  std::size_t module_count = 0;  // of the best individual
+  std::uint32_t best_step_width = 0;
+  std::size_t evaluations = 0;  // cumulative, whole run
+};
+
 /// Uniform result. `iterations` counts the method's own major steps:
-/// ES generations, annealing steps, random-search samples, greedy moves
-/// applied; 1 for the deterministic standard clustering.
+/// ES generations, annealing steps, random-search samples, tabu rounds,
+/// greedy moves applied, force relaxation passes; 1 for the deterministic
+/// standard clustering.
 struct OptimizerOutcome {
   std::string method;
   part::Partition partition{1, 1};
@@ -91,22 +101,69 @@ struct OptimizerOutcome {
   std::vector<GenerationStats> trace;  // non-empty only when recorded
 };
 
-/// Per-method tuning knobs shared by registry factories. The FlowEngine
-/// carries one of these; the defaults match each wrapped
-/// implementation's historical defaults.
+/// Evolution-strategy tuning (section 4.1; core/evolution.hpp).
+struct EsParams {
+  std::size_t mu = 8;        // parents
+  std::size_t lambda = 7;    // mutation children per parent
+  std::size_t chi = 2;       // Monte-Carlo descendants per parent
+  std::size_t kappa = 8;     // maximum lifetime, generations
+  std::uint32_t m0 = 4;      // initial step width (max gates per mutation)
+  std::uint32_t m_max = 64;  // hard cap on the step width
+  double epsilon = 1.0;      // std-dev of the step-width mutation
+  std::size_t max_generations = 300;
+  std::size_t stall_generations = 40;  // stop after this many without gain
+};
+
+/// Simulated-annealing tuning (core/annealing.hpp). A request budget
+/// replaces `steps`.
+struct SaParams {
+  std::size_t steps = 20000;
+  double initial_acceptance = 0.3;  // calibrates T0 from sampled deltas
+  double cooling = 0.995;           // geometric factor per temperature stage
+  std::size_t stage_length = 100;   // steps per temperature stage
+  double violation_penalty = 1.0e4;
+};
+
+/// Tabu-search tuning (core/tabu.hpp). A request budget replaces
+/// `iterations` with max(1, budget / candidates) rounds.
+struct TabuParams {
+  std::size_t iterations = 400;        // move rounds (best-of-candidates)
+  std::size_t candidates = 8;          // sampled neighbourhood per round
+  std::size_t tenure = 12;             // rounds a moved gate stays tabu
+  std::size_t stall_iterations = 120;  // stop after this many without gain
+  double violation_penalty = 1.0e4;
+};
+
+/// Per-method tuning knobs. The FlowEngine carries one of these; every
+/// field is hashed into the result-cache context fingerprint.
 struct OptimizerConfig {
-  EsParams es;  // seed/record_trace fields are overridden per request
+  EsParams es;
   SaParams sa;
-  TabuParams tabu;  // seed field is overridden per request
+  TabuParams tabu;
   std::size_t force_passes = 60;  // force-directed relaxation sweeps
   std::size_t random_samples = 2000;
   std::size_t greedy_max_evaluations = 100000;
 };
 
-/// The strategy interface. Implementations are stateless between runs:
-/// `run` may be called repeatedly and from multiple threads as long as each
-/// call uses a distinct EvalContext or the context is treated read-only
-/// (EvalContext is immutable after construction).
+/// The request's EvalContext; throws iddq::Error when it is missing.
+[[nodiscard]] const part::EvalContext& request_context(
+    const OptimizerRequest& req);
+
+/// The start's module count, else `module_count`, else the planned count.
+[[nodiscard]] std::size_t request_module_count(const OptimizerRequest& req);
+
+/// The explicit start, else one chain-clustered start drawn from
+/// Rng(req.seed) at request_module_count(req) modules.
+[[nodiscard]] part::Partition request_start(const OptimizerRequest& req);
+
+/// Sends the completion tick for `out` to req.on_progress, when set.
+void report_outcome(const OptimizerRequest& req, const OptimizerOutcome& out);
+
+/// The strategy interface the registry hands out. Implementations are
+/// stateless between runs: `run` may be called repeatedly and from
+/// multiple threads as long as each call uses a distinct EvalContext or
+/// the context is treated read-only (EvalContext is immutable after
+/// construction).
 class Optimizer {
  public:
   virtual ~Optimizer() = default;

@@ -3,13 +3,52 @@
 #include <sstream>
 #include <utility>
 
+#include "core/annealing.hpp"
+#include "core/evolution.hpp"
+#include "core/force_directed.hpp"
 #include "core/portfolio.hpp"
+#include "core/random_search.hpp"
+#include "core/refiner.hpp"
+#include "core/standard_partition.hpp"
+#include "core/tabu.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace iddq::core {
 
 namespace {
+
+// The built-in methods: each name maps to the method's one entry point.
+struct Builtin {
+  std::string_view name;
+  OptimizerOutcome (*run)(const OptimizerRequest&, const OptimizerConfig&);
+};
+constexpr Builtin kBuiltins[] = {
+    {"evolution", run_evolution}, {"annealing", run_annealing},
+    {"random", run_random},       {"greedy", run_greedy},
+    {"standard", run_standard},   {"tabu", run_tabu},
+    {"force", run_force},
+};
+
+// A built-in method bound to the configuration it was made with.
+class BuiltinOptimizer final : public Optimizer {
+ public:
+  BuiltinOptimizer(const Builtin& builtin, const OptimizerConfig& config)
+      : builtin_(builtin), config_(config) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return builtin_.name;
+  }
+
+  [[nodiscard]] OptimizerOutcome run(
+      const OptimizerRequest& request) const override {
+    return builtin_.run(request, config_);
+  }
+
+ private:
+  Builtin builtin_;
+  OptimizerConfig config_;
+};
 
 // Runs registered stages in sequence; every stage after the first starts
 // from the partition the previous stage produced. Evaluations and
@@ -65,6 +104,14 @@ class CompositeOptimizer final : public Optimizer {
 };
 
 }  // namespace
+
+void register_builtin_optimizers(OptimizerRegistry& registry) {
+  for (const Builtin& builtin : kBuiltins)
+    registry.add(std::string(builtin.name),
+                 [builtin](const OptimizerConfig& config) {
+                   return std::make_unique<BuiltinOptimizer>(builtin, config);
+                 });
+}
 
 OptimizerRegistry& OptimizerRegistry::global() {
   static OptimizerRegistry registry = [] {

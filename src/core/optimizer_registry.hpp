@@ -2,9 +2,11 @@
 //
 // The registry maps method names to factories producing Optimizer instances
 // configured from an OptimizerConfig. Built-ins: "evolution", "annealing",
-// "random", "greedy", "standard", "tabu", "force". Specs may compose stages
-// with '+' ("evolution+greedy"): each later stage starts from the partition
-// the previous stage produced — the idiomatic way to express a polish pass.
+// "random", "greedy", "standard", "tabu", "force" — each bound to the
+// method's run_<name> entry point (core/optimizer.hpp). Specs may compose
+// stages with '+' ("evolution+greedy"): each later stage starts from the
+// partition the previous stage produced — the idiomatic way to express a
+// polish pass.
 // The pipeline returns the best result any stage reached, a request
 // budget is shared across the stages, and a stage that ignores its start
 // beyond the module count (e.g. "random") cannot make the result worse.
@@ -60,7 +62,7 @@ class OptimizerRegistry {
   std::map<std::string, Factory, std::less<>> factories_;
 };
 
-/// Registers the built-in adapters into `registry` (what global() runs
+/// Registers the built-in methods into `registry` (what global() runs
 /// once on first use). Exposed so tests can build isolated registries.
 void register_builtin_optimizers(OptimizerRegistry& registry);
 

@@ -44,7 +44,7 @@ OptimizerOutcome PortfolioOptimizer::run(
     member_request.seed = Rng::mix_seed(request.seed, i);
     member_request.on_progress = serialized;
     if (request.max_evaluations > 0) {
-      // Never hand a member share 0: the adapters read 0 as "use your
+      // Never hand a member share 0: the searches read 0 as "use your
       // configured default budget", which would blow the shared cap.
       member_request.max_evaluations =
           std::max<std::size_t>(1, request.max_evaluations / count +

@@ -9,13 +9,17 @@
 
 namespace iddq::core {
 
-RandomSearchResult random_search(const part::EvalContext& ctx,
-                                 std::size_t module_count,
-                                 std::size_t samples, std::uint64_t seed,
-                                 support::ExecutorPool* pool) {
+OptimizerOutcome run_random(const OptimizerRequest& req,
+                            const OptimizerConfig& config) {
+  const std::size_t samples =
+      req.max_evaluations > 0 ? req.max_evaluations : config.random_samples;
   require(samples >= 1, "random search: need at least one sample");
-  Rng rng(seed);
-  RandomSearchResult result;
+  const part::EvalContext& ctx = request_context(req);
+  const std::size_t module_count = request_module_count(req);
+  support::ExecutorPool* pool = req.pool;
+  Rng rng(req.seed);
+  OptimizerOutcome result;
+  result.method = "random";
   bool first = true;
 
   // Coordinator-draws/worker-evaluates (docs/architecture.md, "Threading
@@ -51,15 +55,17 @@ RandomSearchResult random_search(const part::EvalContext& ctx,
     });
     for (std::size_t i = 0; i < n; ++i) {
       ++result.evaluations;
-      if (first || slots[i].fitness < result.best_fitness) {
+      if (first || slots[i].fitness < result.fitness) {
         first = false;
-        result.best_fitness = slots[i].fitness;
-        result.best_partition = std::move(slots[i].partition);
-        result.best_costs = slots[i].costs;
+        result.fitness = slots[i].fitness;
+        result.partition = std::move(slots[i].partition);
+        result.costs = slots[i].costs;
       }
     }
     done += n;
   }
+  result.iterations = result.evaluations;
+  report_outcome(req, result);
   return result;
 }
 

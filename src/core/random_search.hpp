@@ -5,28 +5,16 @@
 // RNG draws on the coordinator — byte-identical at any thread count.
 #pragma once
 
-#include <cstdint>
-
-#include "partition/evaluator.hpp"
-
-namespace iddq::support {
-class ExecutorPool;
-}
+#include "core/optimizer.hpp"
 
 namespace iddq::core {
 
-struct RandomSearchResult {
-  part::Partition best_partition{1, 1};
-  part::Fitness best_fitness;
-  part::Costs best_costs;
-  std::size_t evaluations = 0;
-};
-
-/// `pool` parallelizes the independent sample evaluations when non-null (a
-/// per-run knob like the seed — results are pool-invariant).
-[[nodiscard]] RandomSearchResult random_search(
-    const part::EvalContext& ctx, std::size_t module_count,
-    std::size_t samples, std::uint64_t seed,
-    support::ExecutorPool* pool = nullptr);
+/// Draws `config.random_samples` starts (a request budget replaces the
+/// count) from Rng(req.seed) at request_module_count(req) modules and
+/// keeps the best; an explicit start contributes only its module count.
+/// iterations and evaluations both count samples. With req.pool, the
+/// samples evaluate in parallel. Throws iddq::Error for zero samples.
+[[nodiscard]] OptimizerOutcome run_random(const OptimizerRequest& req,
+                                          const OptimizerConfig& config);
 
 }  // namespace iddq::core

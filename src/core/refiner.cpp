@@ -20,10 +20,15 @@ struct Candidate {
 
 }  // namespace
 
-RefineResult greedy_refine(part::PartitionEvaluator& eval,
-                           std::size_t max_evaluations,
-                           support::ExecutorPool* pool) {
-  RefineResult result;
+OptimizerOutcome run_greedy(const OptimizerRequest& req,
+                            const OptimizerConfig& config) {
+  part::PartitionEvaluator eval(request_context(req), request_start(req));
+  const std::size_t max_evaluations = req.max_evaluations > 0
+                                          ? req.max_evaluations
+                                          : config.greedy_max_evaluations;
+  support::ExecutorPool* pool = req.pool;
+  OptimizerOutcome result;
+  result.method = "greedy";
   part::Fitness current = eval.fitness();
   ++result.evaluations;
 
@@ -110,7 +115,7 @@ RefineResult greedy_refine(part::PartitionEvaluator& eval,
           if (f < current) {
             eval.move_gate(cand.gate, cand.target);
             current = f;
-            ++result.moves_applied;
+            ++result.iterations;  // one applied move
             improved = true;
             committed = true;
             pos = cand.gate_pos + 1;  // rescan later gates against the
@@ -121,7 +126,10 @@ RefineResult greedy_refine(part::PartitionEvaluator& eval,
       }
     }
   }
-  result.final_fitness = current;
+  result.partition = eval.partition();
+  result.fitness = current;
+  result.costs = eval.costs();
+  report_outcome(req, result);
   return result;
 }
 

@@ -23,24 +23,15 @@
 // work, never wrong results).
 #pragma once
 
-#include "partition/evaluator.hpp"
-
-namespace iddq::support {
-class ExecutorPool;
-}
+#include "core/optimizer.hpp"
 
 namespace iddq::core {
 
-struct RefineResult {
-  std::size_t moves_applied = 0;
-  std::size_t evaluations = 0;
-  part::Fitness final_fitness;
-};
-
-/// Refines `eval` in place. `pool` parallelizes the candidate scan when
-/// non-null (a per-run knob like a seed — results are pool-invariant).
-RefineResult greedy_refine(part::PartitionEvaluator& eval,
-                           std::size_t max_evaluations = 100000,
-                           support::ExecutorPool* pool = nullptr);
+/// Refines request_start(req) until a local optimum or the evaluation
+/// budget (`config.greedy_max_evaluations`, replaced by a request budget)
+/// is reached. iterations count the applied moves. req.pool parallelizes
+/// the candidate scan; results are pool-invariant.
+[[nodiscard]] OptimizerOutcome run_greedy(const OptimizerRequest& req,
+                                          const OptimizerConfig& config);
 
 }  // namespace iddq::core

@@ -622,8 +622,8 @@ std::uint64_t cache_context_fingerprint(std::uint64_t netlist_fp,
   h.mix_double(weights.a5);
   h.mix_u64(rho);
 
-  // Optimizer tuning knobs; the per-request seed/record_trace fields are
-  // request inputs (cache_key), not configuration.
+  // Optimizer tuning knobs: every field of OptimizerConfig. The seed and
+  // the other per-run inputs live in the request (cache_key).
   const EsParams& es = optimizers.es;
   h.mix_size(es.mu);
   h.mix_size(es.lambda);

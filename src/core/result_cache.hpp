@@ -215,8 +215,8 @@ void replace_file(const std::string& from, const std::string& to,
 
 /// Fingerprint of everything that is constant per FlowEngine: circuit and
 /// library content, sensor spec, cost weights, rho, the optimizer tuning
-/// knobs (per-request seed/record_trace fields excluded), and the
-/// coverage options. Pass `coverage.fault_model` in canonical spelling
+/// knobs (every OptimizerConfig field; the seed is a request input), and
+/// the coverage options. Pass `coverage.fault_model` in canonical spelling
 /// (sim::FaultModelSpec::parse().canonical()) so equivalent specs share
 /// entries; a default-constructed CoverageOptions reproduces the
 /// coverage-off fingerprint.

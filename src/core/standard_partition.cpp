@@ -180,4 +180,34 @@ part::Partition standard_partition(const netlist::Netlist& nl,
   return partition;
 }
 
+OptimizerOutcome run_standard(const OptimizerRequest& req,
+                              const OptimizerConfig& /*config*/) {
+  const part::EvalContext& ctx = request_context(req);
+  std::vector<std::size_t> sizes;
+  if (req.start) {
+    sizes.reserve(req.start->module_count());
+    for (std::uint32_t m = 0; m < req.start->module_count(); ++m)
+      sizes.push_back(req.start->module_size(m));
+  } else {
+    const std::size_t k = request_module_count(req);
+    const std::size_t n = ctx.nl.logic_gate_count();
+    require(k >= 1 && k <= n,
+            "standard partitioning: module count out of range");
+    sizes.assign(k, n / k);
+    for (std::size_t i = 0; i < n % k; ++i) ++sizes[i];
+  }
+  part::PartitionEvaluator eval(
+      ctx, standard_partition(ctx.nl, ctx.oracle, sizes,
+                              ctx.timing_graph.depths()));
+  OptimizerOutcome out;
+  out.method = "standard";
+  out.fitness = eval.fitness();
+  out.costs = eval.costs();
+  out.partition = eval.partition();
+  out.iterations = 1;
+  out.evaluations = 1;
+  report_outcome(req, out);
+  return out;
+}
+
 }  // namespace iddq::core

@@ -16,6 +16,7 @@
 
 #include <span>
 
+#include "core/optimizer.hpp"
 #include "netlist/distance_oracle.hpp"
 #include "netlist/netlist.hpp"
 #include "partition/partition.hpp"
@@ -29,5 +30,12 @@ namespace iddq::core {
     const netlist::Netlist& nl, const netlist::DistanceOracle& oracle,
     std::span<const std::size_t> module_sizes,
     std::span<const std::size_t> depth = {});
+
+/// The "standard" method. Module sizes come from the caller: the sizes of
+/// an explicit start (the sizes another optimizer discovered), otherwise
+/// the logic gates split evenly over request_module_count(req) modules.
+/// Deterministic and seed-independent; one evaluation, one iteration.
+[[nodiscard]] OptimizerOutcome run_standard(const OptimizerRequest& req,
+                                            const OptimizerConfig& config);
 
 }  // namespace iddq::core

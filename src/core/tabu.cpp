@@ -10,21 +10,31 @@
 
 namespace iddq::core {
 
-TabuResult tabu_search(const part::EvalContext& ctx,
-                       const part::Partition& start,
-                       const TabuParams& params) {
-  require(params.iterations >= 1, "tabu: need at least one iteration");
+OptimizerOutcome run_tabu(const OptimizerRequest& req,
+                          const OptimizerConfig& config) {
+  constexpr std::size_t kProgressEvery = 25;  // rounds between live ticks
+  const TabuParams& params = config.tabu;
   require(params.candidates >= 1, "tabu: need at least one candidate");
-  Rng rng(params.seed);
-  part::PartitionEvaluator eval(ctx, start);
+  // The evaluation budget maps to rounds: every round spends up to
+  // `candidates` evaluations on the sampled neighbourhood.
+  const std::size_t rounds =
+      req.max_evaluations > 0
+          ? std::max<std::size_t>(1, req.max_evaluations / params.candidates)
+          : params.iterations;
+  require(rounds >= 1, "tabu: need at least one iteration");
+  const part::EvalContext& ctx = request_context(req);
+  // The start (when drawn) and the search each use a fresh Rng(seed).
+  part::PartitionEvaluator eval(ctx, request_start(req));
+  Rng rng(req.seed);
 
-  TabuResult result;
+  OptimizerOutcome result;
+  result.method = "tabu";
   double current = penalized_objective(eval, params.violation_penalty);
   ++result.evaluations;
   double best_obj = current;
-  result.best_partition = eval.partition();
-  result.best_fitness = eval.fitness();
-  result.best_costs = eval.costs();
+  result.partition = eval.partition();
+  result.fitness = eval.fitness();
+  result.costs = eval.costs();
 
   // tabu_until[g]: first round in which gate g may move again.
   std::vector<std::size_t> tabu_until(ctx.nl.gate_count(), 0);
@@ -35,10 +45,10 @@ TabuResult tabu_search(const part::EvalContext& ctx,
   };
 
   std::size_t stall = 0;
-  for (std::size_t round = 1; round <= params.iterations; ++round) {
-    if (params.on_round && params.progress_every > 0 && round > 1 &&
-        (round - 1) % params.progress_every == 0)
-      params.on_round(round - 1, result.evaluations, result.best_fitness);
+  for (std::size_t round = 1; round <= rounds; ++round) {
+    if (req.on_progress && round > 1 && (round - 1) % kProgressEvery == 0)
+      req.on_progress({result.method, round - 1, result.evaluations,
+                       result.fitness});
     // Coordinator phase: sample the candidate neighbourhood (moves
     // deduplicated: one (gate, target) pair appears at most once per
     // round). All RNG draws happen here, in the fixed serial order.
@@ -69,16 +79,16 @@ TabuResult tabu_search(const part::EvalContext& ctx,
     // byte-identical at any thread count.
     eval.certify();  // probes fan out from one round-start certificate
     const std::size_t slots =
-        params.pool == nullptr || params.pool->worker_count() == 0
+        req.pool == nullptr || req.pool->worker_count() == 0
             ? 1
-            : std::min(candidates.size(), params.pool->concurrency());
+            : std::min(candidates.size(), req.pool->concurrency());
     if (slots <= 1) {
       for (Candidate& cd : candidates)
         cd.objective =
             probe_objective(eval, cd.move, params.violation_penalty);
     } else {
       const std::size_t per = (candidates.size() + slots - 1) / slots;
-      support::parallel_for_indexed(params.pool, slots, [&](std::size_t s) {
+      support::parallel_for_indexed(req.pool, slots, [&](std::size_t s) {
         part::PartitionEvaluator probe = eval;
         const std::size_t end = std::min((s + 1) * per, candidates.size());
         for (std::size_t c = s * per; c < end; ++c)
@@ -116,14 +126,15 @@ TabuResult tabu_search(const part::EvalContext& ctx,
     current = chosen->objective;
     if (current < best_obj) {
       best_obj = current;
-      result.best_partition = eval.partition();
-      result.best_fitness = eval.fitness();
-      result.best_costs = eval.costs();
+      result.partition = eval.partition();
+      result.fitness = eval.fitness();
+      result.costs = eval.costs();
       stall = 0;
     } else if (++stall > params.stall_iterations) {
       break;
     }
   }
+  report_outcome(req, result);
   return result;
 }
 

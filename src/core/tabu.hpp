@@ -14,50 +14,23 @@
 // stochastic element and draws from the explicit Rng.
 #pragma once
 
-#include <cstdint>
-
-#include "core/step_callback.hpp"
-#include "partition/evaluator.hpp"
-
-namespace iddq::support {
-class ExecutorPool;
-}
+#include "core/optimizer.hpp"
 
 namespace iddq::core {
 
-struct TabuParams {
-  std::size_t iterations = 400;        // move rounds (best-of-candidates)
-  std::size_t candidates = 8;          // sampled neighbourhood per round
-  std::size_t tenure = 12;             // rounds a moved gate stays tabu
-  std::size_t stall_iterations = 120;  // stop after this many without gain
-  double violation_penalty = 1.0e4;
-  std::uint64_t seed = 1;
-  /// Per-run progress fields (like seed, not hashed into cache keys):
-  /// on_round fires every `progress_every` rounds when set (0 disables).
-  std::size_t progress_every = 25;
-  StepCallback on_round;
-  /// Evaluates each round's candidate set in parallel when set (nullptr =
-  /// serial). The candidate moves are sampled on the coordinator (all RNG
-  /// draws, fixed order); each candidate is then scored against the
-  /// round-start state with the copy-free probe_move — serially on the
-  /// shared evaluator, or on one private copy per concurrency slot when a
-  /// pool is set. Probe scores are bit-identical to the historical
-  /// copy + move recipe, so the whole search is byte-identical at any
-  /// thread count. Per-run field like seed, excluded from the cache
-  /// fingerprint.
-  support::ExecutorPool* pool = nullptr;
-};
-
-struct TabuResult {
-  part::Partition best_partition{1, 1};
-  part::Fitness best_fitness;
-  part::Costs best_costs;
-  std::size_t iterations = 0;   // rounds actually executed
-  std::size_t evaluations = 0;  // cost-function evaluations spent
-};
-
-[[nodiscard]] TabuResult tabu_search(const part::EvalContext& ctx,
-                                     const part::Partition& start,
-                                     const TabuParams& params);
+/// Runs tabu search from request_start(req) with `config.tabu`; a request
+/// budget replaces `iterations` with max(1, budget / candidates) rounds.
+/// Reports to req.on_progress every 25 rounds; iterations are rounds.
+///
+/// With req.pool, each round's candidate set is scored in parallel. The
+/// candidate moves are sampled on the coordinator (all RNG draws, fixed
+/// order); each candidate is then scored against the round-start state
+/// with the copy-free probe_move — serially on the shared evaluator, or on
+/// one private copy per concurrency slot when a pool is set. Probe scores
+/// are bit-identical to the historical copy + move recipe, so the whole
+/// search is byte-identical at any thread count. Throws iddq::Error for
+/// invalid parameters.
+[[nodiscard]] OptimizerOutcome run_tabu(const OptimizerRequest& req,
+                                        const OptimizerConfig& config);
 
 }  // namespace iddq::core

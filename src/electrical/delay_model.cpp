@@ -34,8 +34,14 @@ Waveform solve(const DelayModelInput& in) {
   IDDQ_ASSERT(disc > 0.0);
   const double root = std::sqrt(disc);
   Waveform w;
-  w.lambda1 = (tr + root) / 2.0;  // slow pole
   w.lambda2 = (tr - root) / 2.0;  // fast pole
+  // Slow pole. When 4*det << tr^2 (tiny Cs against a large n*Rs/Rg) the
+  // sum tr + root cancels, down to 0, and the waveform would never fall;
+  // there the product form lambda1 * lambda2 = det is exact. Everywhere
+  // else the sum stays, so the delays of every realistic sensor keep
+  // their bits.
+  w.lambda1 = 4.0 * det < 1e-8 * tr * tr ? det / w.lambda2
+                                         : (tr + root) / 2.0;
   // v_out(0) = 1, v_out'(0) = a * (v_rail(0) - v_out(0)) = -a.
   w.alpha = (-a - w.lambda2) / (w.lambda1 - w.lambda2);
   w.beta = 1.0 - w.alpha;

@@ -20,86 +20,84 @@ struct Fixture {
     Rng rng(2);
     return make_start_partition(nl, 3, rng);
   }
+
+  OptimizerRequest request(std::uint64_t seed) {
+    OptimizerRequest req;
+    req.ctx = &ctx;
+    req.start = start();
+    req.seed = seed;
+    return req;
+  }
 };
+
+OptimizerConfig steps(std::size_t n) {
+  OptimizerConfig cfg;
+  cfg.sa.steps = n;
+  return cfg;
+}
 
 TEST(Annealing, ImprovesOverStart) {
   Fixture f;
   part::PartitionEvaluator start_eval(f.ctx, f.start());
   const double start_cost = start_eval.fitness().cost;
-  SaParams params;
-  params.steps = 3000;
-  params.seed = 7;
-  const auto result = simulated_annealing(f.ctx, f.start(), params);
-  EXPECT_LE(result.best_fitness.cost, start_cost);
-  EXPECT_GT(result.accepted, 0u);
+  const auto result = run_annealing(f.request(7), steps(3000));
+  EXPECT_LT(result.fitness.cost, start_cost);
+  EXPECT_EQ(result.evaluations, 3001u);
 }
 
 TEST(Annealing, KeepsModuleCountFixed) {
   Fixture f;
-  SaParams params;
-  params.steps = 2000;
-  params.seed = 3;
-  const auto result = simulated_annealing(f.ctx, f.start(), params);
-  EXPECT_EQ(result.best_partition.module_count(), 3u);
-  EXPECT_TRUE(result.best_partition.covers(f.nl));
+  const auto result = run_annealing(f.request(3), steps(2000));
+  EXPECT_EQ(result.partition.module_count(), 3u);
+  EXPECT_TRUE(result.partition.covers(f.nl));
 }
 
 TEST(Annealing, DeterministicForSeed) {
   Fixture f;
-  SaParams params;
-  params.steps = 1500;
-  params.seed = 11;
-  const auto a = simulated_annealing(f.ctx, f.start(), params);
-  const auto b = simulated_annealing(f.ctx, f.start(), params);
-  EXPECT_EQ(a.best_fitness.cost, b.best_fitness.cost);
-  EXPECT_EQ(a.accepted, b.accepted);
+  const auto a = run_annealing(f.request(11), steps(1500));
+  const auto b = run_annealing(f.request(11), steps(1500));
+  EXPECT_EQ(a.fitness.cost, b.fitness.cost);
+  EXPECT_EQ(a.partition, b.partition);
 }
 
 TEST(Annealing, OnStepTicksLiveWithoutChangingTheRun) {
   Fixture f;
-  SaParams params;
-  params.steps = 2000;
-  params.seed = 5;
-  const auto expected = simulated_annealing(f.ctx, f.start(), params);
+  const auto expected = run_annealing(f.request(5), steps(4500));
 
-  params.progress_every = 250;
+  auto req = f.request(5);
   std::size_t ticks = 0;
   std::size_t last_step = 0;
-  params.on_step = [&](std::size_t step, std::size_t evaluations,
-                       const part::Fitness& best) {
+  req.on_progress = [&](const OptimizerProgress& p) {
     ++ticks;
-    EXPECT_GT(step, last_step);
-    EXPECT_GT(evaluations, 0u);
-    EXPECT_LE(best.cost, 1e12);
-    last_step = step;
+    EXPECT_EQ(p.method, "annealing");
+    EXPECT_GT(p.iteration, last_step);
+    EXPECT_GT(p.evaluations, 0u);
+    EXPECT_LE(p.best.cost, 1e12);
+    last_step = p.iteration;
   };
-  const auto observed = simulated_annealing(f.ctx, f.start(), params);
+  const auto observed = run_annealing(req, steps(4500));
 
-  EXPECT_EQ(ticks, (params.steps - 1) / params.progress_every);
-  EXPECT_EQ(observed.best_fitness.cost, expected.best_fitness.cost);
-  EXPECT_EQ(observed.best_partition, expected.best_partition);
+  // Live ticks every 1000 steps, then the completion tick.
+  EXPECT_EQ(ticks, 4u + 1u);
+  EXPECT_EQ(observed.fitness.cost, expected.fitness.cost);
+  EXPECT_EQ(observed.partition, expected.partition);
   EXPECT_EQ(observed.evaluations, expected.evaluations);
 }
 
 TEST(Annealing, BestCostsMatchReEvaluation) {
   Fixture f;
-  SaParams params;
-  params.steps = 1000;
-  params.seed = 5;
-  const auto result = simulated_annealing(f.ctx, f.start(), params);
-  part::PartitionEvaluator check(f.ctx, result.best_partition);
-  EXPECT_NEAR(check.fitness().cost, result.best_fitness.cost,
-              1e-9 * result.best_fitness.cost);
+  const auto result = run_annealing(f.request(5), steps(1000));
+  part::PartitionEvaluator check(f.ctx, result.partition);
+  EXPECT_NEAR(check.fitness().cost, result.fitness.cost,
+              1e-9 * result.fitness.cost);
 }
 
 TEST(Annealing, RejectsBadParams) {
   Fixture f;
-  SaParams params;
-  params.steps = 0;
-  EXPECT_THROW((void)simulated_annealing(f.ctx, f.start(), params), Error);
-  params = SaParams{};
-  params.cooling = 1.5;
-  EXPECT_THROW((void)simulated_annealing(f.ctx, f.start(), params), Error);
+  EXPECT_THROW((void)run_annealing(f.request(1), steps(0)), Error);
+  OptimizerConfig cfg;
+  cfg.sa.cooling = 1.5;
+  EXPECT_THROW((void)run_annealing(f.request(1), cfg), Error);
 }
 
 }  // namespace

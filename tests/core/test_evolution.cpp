@@ -19,15 +19,23 @@ struct Fixture {
   part::EvalContext ctx{nl, library, elec::SensorSpec{},
                         part::CostWeights{}};
 
-  EsParams quick_params() const {
-    EsParams p;
-    p.mu = 4;
-    p.lambda = 4;
-    p.chi = 1;
-    p.max_generations = 30;
-    p.stall_generations = 30;
-    p.seed = 3;
-    return p;
+  static OptimizerConfig quick_config() {
+    OptimizerConfig cfg;
+    cfg.es.mu = 4;
+    cfg.es.lambda = 4;
+    cfg.es.chi = 1;
+    cfg.es.max_generations = 30;
+    cfg.es.stall_generations = 30;
+    return cfg;
+  }
+
+  /// Chain-clustered starts at `modules` modules, seed 3.
+  OptimizerRequest request(std::size_t modules = 3) const {
+    OptimizerRequest req;
+    req.ctx = &ctx;
+    req.module_count = modules;
+    req.seed = 3;
+    return req;
   }
 };
 
@@ -67,54 +75,54 @@ TEST(Evolution, BoundaryGatesAreExactlyTheCut) {
 TEST(Evolution, ImprovesOverStartPartitions) {
   Fixture f;
   Rng rng(1);
-  std::vector<part::Partition> starts;
-  for (int i = 0; i < 4; ++i)
-    starts.push_back(make_start_partition(f.nl, 3, rng));
-  part::PartitionEvaluator start_eval(f.ctx, starts[0]);
+  auto req = f.request();
+  req.start = make_start_partition(f.nl, 3, rng);
+  part::PartitionEvaluator start_eval(f.ctx, *req.start);
   const double start_cost = start_eval.fitness().cost;
 
-  EvolutionEngine engine(f.ctx, f.quick_params());
-  const auto result = engine.run(starts);
-  EXPECT_TRUE(result.best_fitness.feasible());
-  EXPECT_LT(result.best_fitness.cost, start_cost);
+  const auto result = run_evolution(req, f.quick_config());
+  EXPECT_TRUE(result.fitness.feasible());
+  EXPECT_LT(result.fitness.cost, start_cost);
   EXPECT_GT(result.evaluations, 4u);
 }
 
 TEST(Evolution, DeterministicForSeed) {
   Fixture f;
-  EvolutionEngine a(f.ctx, f.quick_params());
-  EvolutionEngine b(f.ctx, f.quick_params());
-  const auto ra = a.run_with_module_count(3);
-  const auto rb = b.run_with_module_count(3);
-  EXPECT_EQ(ra.best_fitness.cost, rb.best_fitness.cost);
-  EXPECT_EQ(ra.best_partition, rb.best_partition);
+  const auto ra = run_evolution(f.request(), f.quick_config());
+  const auto rb = run_evolution(f.request(), f.quick_config());
+  EXPECT_EQ(ra.fitness.cost, rb.fitness.cost);
+  EXPECT_EQ(ra.partition, rb.partition);
   EXPECT_EQ(ra.evaluations, rb.evaluations);
 }
 
 TEST(Evolution, OnGenerationTicksLiveWithoutChangingTheRun) {
   Fixture f;
-  EvolutionEngine plain(f.ctx, f.quick_params());
-  const auto expected = plain.run_with_module_count(3);
+  const auto expected = run_evolution(f.request(), f.quick_config());
 
-  auto params = f.quick_params();
+  auto req = f.request();
   std::size_t ticks = 0;
   std::size_t last_generation = 0;
   std::size_t last_evaluations = 0;
-  params.on_generation = [&](const GenerationStats& g) {
+  req.on_progress = [&](const OptimizerProgress& p) {
     ++ticks;
-    EXPECT_EQ(g.generation, last_generation + 1);  // every generation, in order
-    EXPECT_GT(g.evaluations, last_evaluations);    // cumulative counter
-    last_generation = g.generation;
-    last_evaluations = g.evaluations;
+    EXPECT_EQ(p.method, "evolution");
+    if (ticks > expected.iterations) {  // the completion tick
+      EXPECT_EQ(p.iteration, last_generation);
+      return;
+    }
+    EXPECT_EQ(p.iteration, last_generation + 1);  // every generation, in order
+    EXPECT_GT(p.evaluations, last_evaluations);   // cumulative counter
+    last_generation = p.iteration;
+    last_evaluations = p.evaluations;
   };
-  EvolutionEngine observed(f.ctx, params);
-  const auto result = observed.run_with_module_count(3);
+  const auto result = run_evolution(req, f.quick_config());
 
-  // The observer reported every generation and never perturbed the search.
-  EXPECT_EQ(ticks, result.generations);
+  // The observer saw every generation plus the completion tick and never
+  // perturbed the search.
+  EXPECT_EQ(ticks, result.iterations + 1);
   EXPECT_EQ(last_evaluations, result.evaluations);
-  EXPECT_EQ(result.best_partition, expected.best_partition);
-  EXPECT_EQ(result.best_fitness.cost, expected.best_fitness.cost);
+  EXPECT_EQ(result.partition, expected.partition);
+  EXPECT_EQ(result.fitness.cost, expected.fitness.cost);
   EXPECT_EQ(result.evaluations, expected.evaluations);
   // The callback alone does not record a trace.
   EXPECT_TRUE(result.trace.empty());
@@ -122,26 +130,23 @@ TEST(Evolution, OnGenerationTicksLiveWithoutChangingTheRun) {
 
 TEST(Evolution, BestPartitionCoversCircuit) {
   Fixture f;
-  EvolutionEngine engine(f.ctx, f.quick_params());
-  const auto result = engine.run_with_module_count(3);
-  EXPECT_TRUE(result.best_partition.covers(f.nl));
+  const auto result = run_evolution(f.request(), f.quick_config());
+  EXPECT_TRUE(result.partition.covers(f.nl));
 }
 
 TEST(Evolution, ResultCostsMatchReEvaluation) {
   Fixture f;
-  EvolutionEngine engine(f.ctx, f.quick_params());
-  const auto result = engine.run_with_module_count(3);
-  part::PartitionEvaluator check(f.ctx, result.best_partition);
-  EXPECT_NEAR(check.fitness().cost, result.best_fitness.cost,
-              1e-9 * result.best_fitness.cost);
+  const auto result = run_evolution(f.request(), f.quick_config());
+  part::PartitionEvaluator check(f.ctx, result.partition);
+  EXPECT_NEAR(check.fitness().cost, result.fitness.cost,
+              1e-9 * result.fitness.cost);
 }
 
 TEST(Evolution, TraceIsMonotoneNonIncreasing) {
   Fixture f;
-  auto params = f.quick_params();
-  params.record_trace = true;
-  EvolutionEngine engine(f.ctx, params);
-  const auto result = engine.run_with_module_count(3);
+  auto req = f.request();
+  req.record_trace = true;
+  const auto result = run_evolution(req, f.quick_config());
   ASSERT_FALSE(result.trace.empty());
   for (std::size_t i = 1; i < result.trace.size(); ++i)
     EXPECT_LE(result.trace[i].best.cost, result.trace[i - 1].best.cost);
@@ -149,24 +154,22 @@ TEST(Evolution, TraceIsMonotoneNonIncreasing) {
 
 TEST(Evolution, StallStopsEarly) {
   Fixture f;
-  auto params = f.quick_params();
-  params.max_generations = 1000;
-  params.stall_generations = 5;
-  EvolutionEngine engine(f.ctx, params);
-  const auto result = engine.run_with_module_count(3);
-  EXPECT_LT(result.generations, 1000u);
+  auto cfg = f.quick_config();
+  cfg.es.max_generations = 1000;
+  cfg.es.stall_generations = 5;
+  const auto result = run_evolution(f.request(), cfg);
+  EXPECT_LT(result.iterations, 1000u);
 }
 
 TEST(Evolution, MonteCarloChildrenCanReduceModuleCount) {
   // With many small start modules and room to merge, the MC moves that
   // empty a module must sometimes fire; K at the optimum is <= start K.
   Fixture f;
-  auto params = f.quick_params();
-  params.max_generations = 60;
-  EvolutionEngine engine(f.ctx, params);
-  const auto result = engine.run_with_module_count(6);
-  EXPECT_LE(result.best_partition.module_count(), 6u);
-  EXPECT_GE(result.best_partition.module_count(), 1u);
+  auto cfg = f.quick_config();
+  cfg.es.max_generations = 60;
+  const auto result = run_evolution(f.request(6), cfg);
+  EXPECT_LE(result.partition.module_count(), 6u);
+  EXPECT_GE(result.partition.module_count(), 1u);
 }
 
 TEST(Evolution, InfeasibleStartRecovers) {
@@ -182,39 +185,33 @@ TEST(Evolution, InfeasibleStartRecovers) {
   // Random scatter over 2 modules (feasible count for c1908).
   std::vector<std::vector<netlist::GateId>> groups(2);
   for (const auto g : nl.logic_gates()) groups[rng.index(2)].push_back(g);
-  EsParams params;
-  params.mu = 4;
-  params.lambda = 4;
-  params.chi = 1;
-  params.max_generations = 25;
-  params.stall_generations = 25;
-  params.seed = 5;
-  EvolutionEngine engine(ctx, params);
-  const std::vector<part::Partition> starts = {
-      part::Partition::from_groups(nl, groups)};
-  const auto result = engine.run(starts);
-  EXPECT_TRUE(result.best_fitness.feasible());
+  OptimizerConfig cfg;
+  cfg.es.mu = 4;
+  cfg.es.lambda = 4;
+  cfg.es.chi = 1;
+  cfg.es.max_generations = 25;
+  cfg.es.stall_generations = 25;
+  OptimizerRequest req;
+  req.ctx = &ctx;
+  req.start = part::Partition::from_groups(nl, groups);
+  req.seed = 5;
+  const auto result = run_evolution(req, cfg);
+  EXPECT_TRUE(result.fitness.feasible());
 }
 
 TEST(Evolution, ParameterValidation) {
   Fixture f;
-  EsParams params = f.quick_params();
-  params.mu = 0;
-  EXPECT_THROW((EvolutionEngine(f.ctx, params)), Error);
-  params = f.quick_params();
-  params.lambda = 0;
-  params.chi = 0;
-  EXPECT_THROW((EvolutionEngine(f.ctx, params)), Error);
-  params = f.quick_params();
-  params.m0 = 100;
-  params.m_max = 50;
-  EXPECT_THROW((EvolutionEngine(f.ctx, params)), Error);
-}
-
-TEST(Evolution, RunRequiresStartPartitions) {
-  Fixture f;
-  EvolutionEngine engine(f.ctx, f.quick_params());
-  EXPECT_THROW((void)engine.run({}), Error);
+  OptimizerConfig cfg = f.quick_config();
+  cfg.es.mu = 0;
+  EXPECT_THROW((void)run_evolution(f.request(), cfg), Error);
+  cfg = f.quick_config();
+  cfg.es.lambda = 0;
+  cfg.es.chi = 0;
+  EXPECT_THROW((void)run_evolution(f.request(), cfg), Error);
+  cfg = f.quick_config();
+  cfg.es.m0 = 100;
+  cfg.es.m_max = 50;
+  EXPECT_THROW((void)run_evolution(f.request(), cfg), Error);
 }
 
 }  // namespace

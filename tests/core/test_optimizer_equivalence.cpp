@@ -1,16 +1,18 @@
-// Adapter-vs-direct equivalence: at the same seed and budget, every
-// registry adapter must reproduce the exact result (partition, fitness,
-// evaluation count) of the pre-refactor direct entry point it wraps.
+// Entry-point equivalence: FlowEngine rows, registry optimizers and the
+// per-method run_<name> entry points are three ways to run one search, and
+// at the same seed, start and budget they must agree exactly (partition,
+// fitness bits, evaluation and iteration counts). The composed pipelines
+// must equal their stages chained by hand.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/annealing.hpp"
 #include "core/evolution.hpp"
 #include "core/flow_engine.hpp"
 #include "core/optimizer_registry.hpp"
-#include "core/random_search.hpp"
-#include "core/refiner.hpp"
 #include "core/standard_partition.hpp"
 #include "core/start_partition.hpp"
 #include "netlist/gen/random_dag.hpp"
@@ -40,100 +42,90 @@ struct Fixture {
     req.seed = kSeed;
     return req;
   }
+
+  static FlowEngineConfig flow_config() {
+    FlowEngineConfig config;
+    config.optimizers.es.mu = 4;
+    config.optimizers.es.lambda = 4;
+    config.optimizers.es.chi = 1;
+    config.optimizers.es.max_generations = 25;
+    config.optimizers.es.stall_generations = 10;
+    config.optimizers.sa.steps = 1500;
+    config.optimizers.random_samples = 300;
+    return config;
+  }
 };
 
-void expect_same(const OptimizerOutcome& adapter, const part::Partition& p,
+void expect_same(const OptimizerOutcome& got, const part::Partition& p,
                  const part::Fitness& f, std::size_t evaluations) {
-  EXPECT_EQ(adapter.partition, p);
-  EXPECT_EQ(adapter.fitness.violation, f.violation);
-  EXPECT_EQ(adapter.fitness.cost, f.cost);
-  EXPECT_EQ(adapter.evaluations, evaluations);
+  EXPECT_EQ(got.partition, p);
+  EXPECT_EQ(got.fitness.violation, f.violation);
+  EXPECT_EQ(got.fitness.cost, f.cost);
+  EXPECT_EQ(got.evaluations, evaluations);
+}
+
+/// A FlowEngine row must be the registry run of the same spec on the
+/// engine's own context, planned module count, seed, start and budget.
+void expect_row_is_registry_run(const Fixture& f, const std::string& spec,
+                                const FlowEngine::RunOptions& options) {
+  const FlowEngineConfig config = Fixture::flow_config();
+  FlowEngine engine(f.nl, f.library, config);
+  const MethodResult row = engine.run_method(spec, options);
+
+  OptimizerRequest req;
+  req.ctx = &engine.context();
+  if (options.start != nullptr) req.start = *options.start;
+  req.module_count = engine.plan().module_count;
+  req.max_evaluations = options.max_evaluations;
+  req.seed = options.seed;
+  const OptimizerOutcome direct =
+      OptimizerRegistry::global().make(spec, config.optimizers)->run(req);
+  EXPECT_EQ(row.method, direct.method);
+  expect_same(direct, row.partition, row.fitness, row.evaluations);
+  EXPECT_EQ(row.iterations, direct.iterations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(row.costs.c2),
+            std::bit_cast<std::uint64_t>(direct.costs.c2));
 }
 
 TEST(OptimizerEquivalence, Evolution) {
-  Fixture f;
-  EsParams params;
-  params.mu = 4;
-  params.lambda = 4;
-  params.chi = 1;
-  params.max_generations = 25;
-  params.stall_generations = 10;
-  params.seed = Fixture::kSeed;
-  EvolutionEngine engine(f.ctx, params);
-  const EsResult direct = engine.run_with_module_count(Fixture::kModules);
-
-  OptimizerConfig cfg;
-  cfg.es = params;
-  cfg.es.seed = 999;  // adapter must take the seed from the request
-  const auto adapter =
-      OptimizerRegistry::global().make("evolution", cfg)->run(f.request());
-  expect_same(adapter, direct.best_partition, direct.best_fitness,
-              direct.evaluations);
-  EXPECT_EQ(adapter.iterations, direct.generations);
+  const Fixture f;
+  const part::Partition start = f.start();
+  expect_row_is_registry_run(f, "evolution",
+                             {.seed = Fixture::kSeed, .start = &start});
 }
 
 TEST(OptimizerEquivalence, Annealing) {
-  Fixture f;
-  SaParams params;
-  params.steps = 1500;
-  params.seed = Fixture::kSeed;
-  const SaResult direct = simulated_annealing(f.ctx, f.start(), params);
-
-  OptimizerConfig cfg;
-  cfg.sa = params;
-  cfg.sa.seed = 999;
-  auto req = f.request();
-  req.start = f.start();
-  const auto adapter =
-      OptimizerRegistry::global().make("annealing", cfg)->run(req);
-  expect_same(adapter, direct.best_partition, direct.best_fitness,
-              direct.evaluations);
+  const Fixture f;
+  expect_row_is_registry_run(f, "annealing",
+                             {.seed = Fixture::kSeed, .max_evaluations = 600});
 }
 
 TEST(OptimizerEquivalence, AnnealingBudgetOverridesSteps) {
   Fixture f;
-  SaParams params;
-  params.steps = 600;
-  params.seed = Fixture::kSeed;
-  const SaResult direct = simulated_annealing(f.ctx, f.start(), params);
-
   OptimizerConfig cfg;
-  cfg.sa = params;
-  cfg.sa.steps = 123456;  // must be overridden by the request budget
+  cfg.sa.steps = 600;
   auto req = f.request();
   req.start = f.start();
+  const auto configured = run_annealing(req, cfg);
+
+  cfg.sa.steps = 123456;  // must be overridden by the request budget
   req.max_evaluations = 600;
-  const auto adapter =
-      OptimizerRegistry::global().make("annealing", cfg)->run(req);
-  expect_same(adapter, direct.best_partition, direct.best_fitness,
-              direct.evaluations);
+  const auto budgeted = run_annealing(req, cfg);
+  expect_same(budgeted, configured.partition, configured.fitness,
+              configured.evaluations);
 }
 
 TEST(OptimizerEquivalence, RandomSearch) {
-  Fixture f;
-  const RandomSearchResult direct =
-      random_search(f.ctx, Fixture::kModules, 300, Fixture::kSeed);
-
-  OptimizerConfig cfg;
-  cfg.random_samples = 300;
-  const auto adapter =
-      OptimizerRegistry::global().make("random", cfg)->run(f.request());
-  expect_same(adapter, direct.best_partition, direct.best_fitness,
-              direct.evaluations);
+  const Fixture f;
+  expect_row_is_registry_run(f, "random", {.seed = Fixture::kSeed});
 }
 
 TEST(OptimizerEquivalence, Greedy) {
-  Fixture f;
-  part::PartitionEvaluator eval(f.ctx, f.start());
-  const RefineResult direct = greedy_refine(eval, 5000);
-
-  auto req = f.request();
-  req.start = f.start();
-  req.max_evaluations = 5000;
-  const auto adapter = OptimizerRegistry::global().make("greedy")->run(req);
-  expect_same(adapter, eval.partition(), direct.final_fitness,
-              direct.evaluations);
-  EXPECT_EQ(adapter.iterations, direct.moves_applied);
+  const Fixture f;
+  const part::Partition start = f.start();
+  expect_row_is_registry_run(
+      f, "greedy",
+      {.seed = Fixture::kSeed, .start = &start, .max_evaluations = 5000});
 }
 
 TEST(OptimizerEquivalence, Standard) {
@@ -146,22 +138,20 @@ TEST(OptimizerEquivalence, Standard) {
 
   auto req = f.request();
   req.start = start;
-  const auto adapter = OptimizerRegistry::global().make("standard")->run(req);
-  EXPECT_EQ(adapter.partition, direct);
+  const auto outcome = OptimizerRegistry::global().make("standard")->run(req);
+  EXPECT_EQ(outcome.partition, direct);
   part::PartitionEvaluator eval(f.ctx, direct);
-  EXPECT_EQ(adapter.fitness.cost, eval.fitness().cost);
+  EXPECT_EQ(outcome.fitness.cost, eval.fitness().cost);
 }
 
 TEST(OptimizerEquivalence, ComposedPipelineMatchesManualChaining) {
   Fixture f;
-  EsParams params;
-  params.mu = 3;
-  params.lambda = 3;
-  params.chi = 1;
-  params.max_generations = 15;
-  params.stall_generations = 8;
   OptimizerConfig cfg;
-  cfg.es = params;
+  cfg.es.mu = 3;
+  cfg.es.lambda = 3;
+  cfg.es.chi = 1;
+  cfg.es.max_generations = 15;
+  cfg.es.stall_generations = 8;
 
   auto& reg = OptimizerRegistry::global();
   const auto es_out = reg.make("evolution", cfg)->run(f.request());
@@ -201,29 +191,25 @@ TEST(OptimizerEquivalence, ComposedPipelineKeepsBestStageResult) {
   EXPECT_FALSE(greedy.fitness < composed.fitness);
 }
 
-// The engine's ES row (the first half of run_paper_pair) must be the
-// direct ES result at the planned module count.
+// The engine's ES row (the first half of run_paper_pair) must be the ES
+// entry point's result at the planned module count.
 TEST(OptimizerEquivalence, RunFlowMatchesDirectEvolution) {
   Fixture f;
-  FlowEngineConfig config;
-  EsParams& es = config.optimizers.es;
-  es.mu = 4;
-  es.lambda = 4;
-  es.chi = 1;
-  es.max_generations = 25;
-  es.stall_generations = 10;
-  es.seed = Fixture::kSeed;
+  const FlowEngineConfig config = Fixture::flow_config();
   FlowEngine flow(f.nl, f.library, config);
   const auto evolution = flow.run_paper_pair(Fixture::kSeed).evolution;
 
   part::EvalContext ctx(f.nl, f.library, config.sensor, config.weights,
                         config.rho);
-  EvolutionEngine engine(ctx, es);
-  const auto direct = engine.run_with_module_count(flow.plan().module_count);
-  EXPECT_EQ(evolution.partition, direct.best_partition);
-  EXPECT_EQ(evolution.fitness.cost, direct.best_fitness.cost);
+  OptimizerRequest req;
+  req.ctx = &ctx;
+  req.module_count = flow.plan().module_count;
+  req.seed = Fixture::kSeed;
+  const auto direct = run_evolution(req, config.optimizers);
+  EXPECT_EQ(evolution.partition, direct.partition);
+  EXPECT_EQ(evolution.fitness.cost, direct.fitness.cost);
   EXPECT_EQ(evolution.evaluations, direct.evaluations);
-  EXPECT_EQ(evolution.iterations, direct.generations);
+  EXPECT_EQ(evolution.iterations, direct.iterations);
 }
 
 }  // namespace

@@ -38,6 +38,14 @@ struct Fixture {
     Rng rng(3);
     return make_start_partition(nl, 4, rng);
   }
+
+  OptimizerRequest request(std::uint64_t seed) {
+    OptimizerRequest req;
+    req.ctx = &ctx;
+    req.module_count = 4;
+    req.seed = seed;
+    return req;
+  }
 };
 
 void expect_bits_eq(double got, double want, const char* what) {
@@ -63,31 +71,22 @@ const std::size_t kPoolSizes[] = {1, 2, 8};
 
 TEST(ParallelInvariance, EvolutionIsByteIdenticalAtAnyThreadCount) {
   Fixture f;
-  EsParams params;
-  params.mu = 4;
-  params.lambda = 4;
-  params.chi = 2;
-  params.max_generations = 12;
-  params.stall_generations = 6;
-  params.seed = 42;
+  OptimizerConfig cfg;
+  cfg.es.mu = 4;
+  cfg.es.lambda = 4;
+  cfg.es.chi = 2;
+  cfg.es.max_generations = 12;
+  cfg.es.stall_generations = 6;
 
-  EvolutionEngine serial_engine(f.ctx, params);  // pool == nullptr
-  const EsResult serial = serial_engine.run_with_module_count(4);
-  EXPECT_GT(serial.evaluations, params.mu);
+  OptimizerRequest req = f.request(42);  // pool == nullptr
+  const OptimizerOutcome serial = run_evolution(req, cfg);
+  EXPECT_GT(serial.evaluations, cfg.es.mu);
 
   for (const std::size_t threads : kPoolSizes) {
     SCOPED_TRACE(threads);
     support::ExecutorPool pool(threads);
-    EsParams p = params;
-    p.pool = &pool;
-    EvolutionEngine engine(f.ctx, p);
-    const EsResult got = engine.run_with_module_count(4);
-    EXPECT_EQ(got.best_partition, serial.best_partition);
-    expect_bits_eq(got.best_fitness.cost, serial.best_fitness.cost, "cost");
-    expect_bits_eq(got.best_fitness.violation, serial.best_fitness.violation,
-                   "violation");
-    EXPECT_EQ(got.generations, serial.generations);
-    EXPECT_EQ(got.evaluations, serial.evaluations);
+    req.pool = &pool;
+    expect_outcomes_identical(run_evolution(req, cfg), serial);
   }
 }
 
@@ -101,36 +100,27 @@ TEST(ParallelInvariance, EvolutionWithModuleDeletingChildrenIsThreadInvariant) {
   const part::EvalContext ctx(nl, library, elec::SensorSpec{},
                               part::CostWeights{});
   constexpr std::size_t kStartModules = 12;
-  EsParams params;
-  params.mu = 4;
-  params.lambda = 1;
-  params.chi = 8;
-  params.max_generations = 25;
-  params.stall_generations = 25;
-  params.seed = 9;
-  params.record_trace = true;
+  OptimizerConfig cfg;
+  cfg.es.mu = 4;
+  cfg.es.lambda = 1;
+  cfg.es.chi = 8;
+  cfg.es.max_generations = 25;
+  cfg.es.stall_generations = 25;
+  OptimizerRequest req;
+  req.ctx = &ctx;
+  req.module_count = kStartModules;
+  req.seed = 9;
+  req.record_trace = true;
 
-  EvolutionEngine serial_engine(ctx, params);  // pool == nullptr
-  const EsResult serial = serial_engine.run_with_module_count(kStartModules);
-  EXPECT_LT(serial.best_partition.module_count(), kStartModules);
+  const OptimizerOutcome serial = run_evolution(req, cfg);  // no pool
+  EXPECT_LT(serial.partition.module_count(), kStartModules);
 
   for (const std::size_t threads : kPoolSizes) {
     SCOPED_TRACE(threads);
     support::ExecutorPool pool(threads);
-    EsParams p = params;
-    p.pool = &pool;
-    EvolutionEngine engine(ctx, p);
-    const EsResult got = engine.run_with_module_count(kStartModules);
-    EXPECT_EQ(got.best_partition, serial.best_partition);
-    expect_bits_eq(got.best_fitness.cost, serial.best_fitness.cost, "cost");
-    expect_bits_eq(got.best_fitness.violation, serial.best_fitness.violation,
-                   "violation");
-    const auto gc = got.best_costs.as_array();
-    const auto wc = serial.best_costs.as_array();
-    for (std::size_t i = 0; i < wc.size(); ++i)
-      expect_bits_eq(gc[i], wc[i], "costs[i]");
-    EXPECT_EQ(got.generations, serial.generations);
-    EXPECT_EQ(got.evaluations, serial.evaluations);
+    req.pool = &pool;
+    const OptimizerOutcome got = run_evolution(req, cfg);
+    expect_outcomes_identical(got, serial);
     ASSERT_EQ(got.trace.size(), serial.trace.size());
     for (std::size_t g = 0; g < got.trace.size(); ++g) {
       expect_bits_eq(got.trace[g].mean_cost, serial.trace[g].mean_cost,
@@ -143,22 +133,18 @@ TEST(ParallelInvariance, EvolutionWithModuleDeletingChildrenIsThreadInvariant) {
 
 TEST(ParallelInvariance, TabuIsByteIdenticalAtAnyThreadCount) {
   Fixture f;
-  TabuParams params;
-  params.iterations = 60;
-  params.candidates = 10;
-  params.seed = 11;
+  OptimizerConfig cfg;
+  cfg.tabu.iterations = 60;
+  cfg.tabu.candidates = 10;
+  OptimizerRequest req = f.request(11);
+  req.start = f.start();
 
-  const TabuResult serial = tabu_search(f.ctx, f.start(), params);
+  const OptimizerOutcome serial = run_tabu(req, cfg);
   for (const std::size_t threads : kPoolSizes) {
     SCOPED_TRACE(threads);
     support::ExecutorPool pool(threads);
-    TabuParams p = params;
-    p.pool = &pool;
-    const TabuResult got = tabu_search(f.ctx, f.start(), p);
-    EXPECT_EQ(got.best_partition, serial.best_partition);
-    expect_bits_eq(got.best_fitness.cost, serial.best_fitness.cost, "cost");
-    EXPECT_EQ(got.iterations, serial.iterations);
-    EXPECT_EQ(got.evaluations, serial.evaluations);
+    req.pool = &pool;
+    expect_outcomes_identical(run_tabu(req, cfg), serial);
   }
 }
 
@@ -167,21 +153,16 @@ TEST(ParallelInvariance, RandomSearchIsByteIdenticalAtAnyThreadCount) {
   // the serial RNG order, workers only evaluate, the best-of reduction
   // runs in sample order.
   Fixture f;
-  const RandomSearchResult serial = random_search(f.ctx, 4, 45, 11);
+  OptimizerConfig cfg;
+  cfg.random_samples = 45;
+  OptimizerRequest req = f.request(11);
+  const OptimizerOutcome serial = run_random(req, cfg);
   EXPECT_EQ(serial.evaluations, 45u);
   for (const std::size_t threads : kPoolSizes) {
     SCOPED_TRACE(threads);
     support::ExecutorPool pool(threads);
-    const RandomSearchResult got = random_search(f.ctx, 4, 45, 11, &pool);
-    EXPECT_EQ(got.best_partition, serial.best_partition);
-    expect_bits_eq(got.best_fitness.cost, serial.best_fitness.cost, "cost");
-    expect_bits_eq(got.best_fitness.violation, serial.best_fitness.violation,
-                   "violation");
-    const auto gc = got.best_costs.as_array();
-    const auto wc = serial.best_costs.as_array();
-    for (std::size_t i = 0; i < wc.size(); ++i)
-      expect_bits_eq(gc[i], wc[i], "costs[i]");
-    EXPECT_EQ(got.evaluations, serial.evaluations);
+    req.pool = &pool;
+    expect_outcomes_identical(run_random(req, cfg), serial);
   }
 }
 
@@ -191,20 +172,16 @@ TEST(ParallelInvariance, GreedyRefinerIsByteIdenticalAtAnyThreadCount) {
   // same final bits — window candidates past the stopping point are
   // discarded, never observed.
   Fixture f;
-  part::PartitionEvaluator serial_eval(f.ctx, f.start());
-  const RefineResult serial = greedy_refine(serial_eval, 3000);
-  EXPECT_GT(serial.moves_applied, 0u);
+  OptimizerRequest req = f.request(1);
+  req.start = f.start();
+  req.max_evaluations = 3000;
+  const OptimizerOutcome serial = run_greedy(req, OptimizerConfig{});
+  EXPECT_GT(serial.iterations, 0u);  // moves applied
   for (const std::size_t threads : kPoolSizes) {
     SCOPED_TRACE(threads);
     support::ExecutorPool pool(threads);
-    part::PartitionEvaluator eval(f.ctx, f.start());
-    const RefineResult got = greedy_refine(eval, 3000, &pool);
-    EXPECT_EQ(eval.partition(), serial_eval.partition());
-    expect_bits_eq(got.final_fitness.cost, serial.final_fitness.cost, "cost");
-    expect_bits_eq(got.final_fitness.violation,
-                   serial.final_fitness.violation, "violation");
-    EXPECT_EQ(got.moves_applied, serial.moves_applied);
-    EXPECT_EQ(got.evaluations, serial.evaluations);
+    req.pool = &pool;
+    expect_outcomes_identical(run_greedy(req, OptimizerConfig{}), serial);
   }
 }
 
@@ -215,15 +192,17 @@ TEST(ParallelInvariance, GreedyRefinerBudgetStopIsThreadInvariant) {
   Fixture f;
   for (const std::size_t budget : {std::size_t{7}, std::size_t{41}}) {
     SCOPED_TRACE(budget);
-    part::PartitionEvaluator serial_eval(f.ctx, f.start());
-    const RefineResult serial = greedy_refine(serial_eval, budget);
+    OptimizerRequest req = f.request(1);
+    req.start = f.start();
+    req.max_evaluations = budget;
+    const OptimizerOutcome serial = run_greedy(req, OptimizerConfig{});
     for (const std::size_t threads : kPoolSizes) {
       SCOPED_TRACE(threads);
       support::ExecutorPool pool(threads);
-      part::PartitionEvaluator eval(f.ctx, f.start());
-      const RefineResult got = greedy_refine(eval, budget, &pool);
-      EXPECT_EQ(eval.partition(), serial_eval.partition());
-      EXPECT_EQ(got.moves_applied, serial.moves_applied);
+      req.pool = &pool;
+      const OptimizerOutcome got = run_greedy(req, OptimizerConfig{});
+      EXPECT_EQ(got.partition, serial.partition);
+      EXPECT_EQ(got.iterations, serial.iterations);
       EXPECT_EQ(got.evaluations, serial.evaluations);
     }
   }

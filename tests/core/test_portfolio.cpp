@@ -117,7 +117,7 @@ TEST(Portfolio, TinyBudgetNeverFallsBackToMemberDefaults) {
   const auto portfolio = OptimizerRegistry::global().make(
       "portfolio:annealing,random,greedy", quick_config());
   // A budget smaller than the member count must clamp shares to 1, not
-  // drop to 0 (which the adapters read as "use the configured default").
+  // drop to 0 (which the searches read as "use the configured default").
   const auto outcome = portfolio->run(request_for(f, 7, 2));
   EXPECT_LE(outcome.evaluations, 6u);  // <= share + 1 per member
   EXPECT_GT(outcome.evaluations, 0u);

@@ -15,51 +15,61 @@ struct Fixture {
   lib::CellLibrary library = lib::default_library();
   part::EvalContext ctx{nl, library, elec::SensorSpec{},
                         part::CostWeights{}};
+
+  /// Refines `start` with the default budget (or `budget`).
+  OptimizerOutcome refine(part::Partition start,
+                          std::size_t budget = 0) const {
+    OptimizerRequest req;
+    req.ctx = &ctx;
+    req.start = std::move(start);
+    req.max_evaluations = budget;
+    return run_greedy(req, OptimizerConfig{});
+  }
+
+  part::Partition start(std::uint64_t seed, std::size_t modules = 3) const {
+    Rng rng(seed);
+    return make_start_partition(nl, modules, rng);
+  }
 };
 
 TEST(Refiner, NeverWorsensFitness) {
   Fixture f;
-  Rng rng(3);
-  part::PartitionEvaluator eval(f.ctx, make_start_partition(f.nl, 3, rng));
+  part::PartitionEvaluator eval(f.ctx, f.start(3));
   const auto before = eval.fitness();
-  const auto result = greedy_refine(eval);
-  EXPECT_FALSE(before < result.final_fitness);  // <= in fitness order
+  const auto result = f.refine(f.start(3));
+  EXPECT_FALSE(before < result.fitness);  // <= in fitness order
   EXPECT_GE(result.evaluations, 1u);
 }
 
 TEST(Refiner, ReachesLocalOptimumOfOneMoveNeighbourhood) {
   Fixture f;
-  Rng rng(4);
-  part::PartitionEvaluator eval(f.ctx, make_start_partition(f.nl, 3, rng));
-  greedy_refine(eval);
-  // Refining again finds nothing further.
-  const auto second = greedy_refine(eval);
-  EXPECT_EQ(second.moves_applied, 0u);
+  const auto first = f.refine(f.start(4));
+  EXPECT_GT(first.iterations, 0u);
+  // Refining the result again finds nothing further.
+  const auto second = f.refine(first.partition);
+  EXPECT_EQ(second.iterations, 0u);
 }
 
 TEST(Refiner, KeepsModuleCount) {
   Fixture f;
-  Rng rng(5);
-  part::PartitionEvaluator eval(f.ctx, make_start_partition(f.nl, 4, rng));
-  greedy_refine(eval);
-  EXPECT_EQ(eval.partition().module_count(), 4u);
-  EXPECT_TRUE(eval.partition().covers(f.nl));
+  const auto result = f.refine(f.start(5, 4));
+  EXPECT_EQ(result.partition.module_count(), 4u);
+  EXPECT_TRUE(result.partition.covers(f.nl));
 }
 
 TEST(Refiner, FinalFitnessMatchesEvaluatorState) {
   Fixture f;
-  Rng rng(6);
-  part::PartitionEvaluator eval(f.ctx, make_start_partition(f.nl, 3, rng));
-  const auto result = greedy_refine(eval);
-  EXPECT_NEAR(eval.fitness().cost, result.final_fitness.cost,
-              1e-12 * result.final_fitness.cost);
+  const auto result = f.refine(f.start(6));
+  EXPECT_NEAR(result.costs.total(f.ctx.weights), result.fitness.cost,
+              1e-12 * result.fitness.cost);
+  part::PartitionEvaluator check(f.ctx, result.partition);
+  EXPECT_NEAR(check.fitness().cost, result.fitness.cost,
+              1e-9 * result.fitness.cost);
 }
 
 TEST(Refiner, RespectsEvaluationBudget) {
   Fixture f;
-  Rng rng(7);
-  part::PartitionEvaluator eval(f.ctx, make_start_partition(f.nl, 3, rng));
-  const auto result = greedy_refine(eval, 10);
+  const auto result = f.refine(f.start(7), 10);
   EXPECT_LE(result.evaluations, 10u);
 }
 

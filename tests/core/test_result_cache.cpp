@@ -11,8 +11,11 @@
 #include <string>
 
 #include "core/flow_engine.hpp"
+#include "netlist/gen/c17.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
+#include "test_seed.hpp"
 
 namespace iddq::core {
 namespace {
@@ -527,12 +530,24 @@ TEST(CacheKey, ContextFingerprintCoversConfig) {
   optimizers2.es.max_generations += 1;
   EXPECT_NE(base,
             cache_context_fingerprint(1, 2, sensor, weights, 4, optimizers2));
+}
 
-  // The per-request seed is keyed by cache_key, not the context.
-  OptimizerConfig optimizers3 = optimizers;
-  optimizers3.es.seed = 999;
-  EXPECT_EQ(base,
-            cache_context_fingerprint(1, 2, sensor, weights, 4, optimizers3));
+// Cache files outlive builds: the context fingerprint and the key of a
+// default engine on c17 are pinned, so a change to the hashed fields or
+// their order (which would orphan every stored entry) fails here first.
+TEST(CacheKey, DefaultEngineKeysOnC17ArePinned) {
+  const netlist::Netlist nl = netlist::gen::make_c17();
+  const lib::CellLibrary library = lib::default_library();
+  const FlowEngine engine(nl, library);
+  EXPECT_EQ(engine.context_fingerprint(), 0xeea7d99aa17fbb7bull);
+  EXPECT_EQ(cache_key(engine.context_fingerprint(), "evolution", 42, 0,
+                      nullptr),
+            0x8113f95c29f0ecc7ull);
+
+  FlowEngineConfig graded;
+  graded.coverage.enabled = true;
+  const FlowEngine coverage(nl, library, graded);
+  EXPECT_EQ(coverage.context_fingerprint(), 0xf8c83ffa4f0448c0ull);
 }
 
 struct EngineFixture {
@@ -602,6 +617,34 @@ TEST(ResultCacheFlow, HitReturnsByteIdenticalMethodResult) {
   const auto other = engine.run_method("evolution", options);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(other.method, cold.method);
+}
+
+// Randomized "cache replay == fresh run": every registered method at a
+// fresh seed (and a budget drawn from it) must replay from the cache as
+// the byte-identical MethodResult it computed.
+TEST(ResultCacheFlow, ReplayEqualsFreshRunForEveryMethod) {
+  const std::uint64_t seed = testutil::run_seed();
+  SCOPED_TRACE(testutil::replay_note(seed));
+  Rng rng(seed);
+  EngineFixture f;
+  ResultCache cache;
+  FlowEngineConfig config = f.config(&cache);
+  config.optimizers.sa.steps = 1500;
+  config.optimizers.tabu.iterations = 40;
+  config.optimizers.random_samples = 200;
+  config.optimizers.greedy_max_evaluations = 2000;
+  FlowEngine engine(f.nl, f.library, config);
+  for (const std::string& method : OptimizerRegistry::global().names()) {
+    SCOPED_TRACE(method);
+    FlowEngine::RunOptions options;
+    options.seed = rng();
+    options.max_evaluations = rng.below(2) == 0 ? 0 : 50 + rng.below(400);
+    const std::size_t hits = cache.hits();
+    const auto fresh = engine.run_method(method, options);
+    const auto replay = engine.run_method(method, options);
+    EXPECT_EQ(cache.hits(), hits + 1);
+    expect_method_result_identical(fresh, replay);
+  }
 }
 
 TEST(ResultCacheFlow, DiskBackedSweepIsFullyCachedOnSecondRun) {

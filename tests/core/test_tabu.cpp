@@ -22,120 +22,94 @@ struct Fixture {
     Rng rng(2);
     return make_start_partition(nl, 3, rng);
   }
+
+  OptimizerRequest request(std::uint64_t seed) {
+    OptimizerRequest req;
+    req.ctx = &ctx;
+    req.start = start();
+    req.seed = seed;
+    return req;
+  }
 };
+
+OptimizerConfig rounds(std::size_t n) {
+  OptimizerConfig cfg;
+  cfg.tabu.iterations = n;
+  return cfg;
+}
 
 TEST(Tabu, ImprovesOverStart) {
   Fixture f;
   part::PartitionEvaluator start_eval(f.ctx, f.start());
   const double start_cost = start_eval.fitness().cost;
-  TabuParams params;
-  params.iterations = 150;
-  params.seed = 7;
-  const auto result = tabu_search(f.ctx, f.start(), params);
-  EXPECT_LE(result.best_fitness.cost, start_cost);
+  const auto result = run_tabu(f.request(7), rounds(150));
+  EXPECT_LE(result.fitness.cost, start_cost);
   EXPECT_GT(result.evaluations, 1u);
 }
 
 TEST(Tabu, KeepsModuleCountFixed) {
   Fixture f;
-  TabuParams params;
-  params.iterations = 100;
-  params.seed = 3;
-  const auto result = tabu_search(f.ctx, f.start(), params);
-  EXPECT_EQ(result.best_partition.module_count(), 3u);
-  EXPECT_TRUE(result.best_partition.covers(f.nl));
+  const auto result = run_tabu(f.request(3), rounds(100));
+  EXPECT_EQ(result.partition.module_count(), 3u);
+  EXPECT_TRUE(result.partition.covers(f.nl));
 }
 
 TEST(Tabu, DeterministicForSeed) {
   Fixture f;
-  TabuParams params;
-  params.iterations = 120;
-  params.seed = 11;
-  const auto a = tabu_search(f.ctx, f.start(), params);
-  const auto b = tabu_search(f.ctx, f.start(), params);
-  EXPECT_EQ(a.best_fitness.cost, b.best_fitness.cost);
-  EXPECT_EQ(a.best_partition, b.best_partition);
+  const auto a = run_tabu(f.request(11), rounds(120));
+  const auto b = run_tabu(f.request(11), rounds(120));
+  EXPECT_EQ(a.fitness.cost, b.fitness.cost);
+  EXPECT_EQ(a.partition, b.partition);
   EXPECT_EQ(a.evaluations, b.evaluations);
   EXPECT_EQ(a.iterations, b.iterations);
 }
 
 TEST(Tabu, OnRoundTicksLiveWithoutChangingTheRun) {
   Fixture f;
-  TabuParams params;
-  params.iterations = 120;
-  params.seed = 11;
-  const auto expected = tabu_search(f.ctx, f.start(), params);
+  const auto expected = run_tabu(f.request(11), rounds(120));
 
-  params.progress_every = 25;
+  auto req = f.request(11);
   std::size_t ticks = 0;
   std::size_t last_round = 0;
-  params.on_round = [&](std::size_t round, std::size_t evaluations,
-                        const part::Fitness& best) {
+  req.on_progress = [&](const OptimizerProgress& p) {
     ++ticks;
-    EXPECT_GT(round, last_round);
-    EXPECT_GT(evaluations, 0u);
-    EXPECT_TRUE(best.cost == best.cost);  // populated (not NaN)
-    last_round = round;
+    EXPECT_EQ(p.method, "tabu");
+    EXPECT_GE(p.iteration, last_round);
+    EXPECT_GT(p.evaluations, 0u);
+    EXPECT_TRUE(p.best.cost == p.best.cost);  // populated (not NaN)
+    last_round = p.iteration;
   };
-  const auto observed = tabu_search(f.ctx, f.start(), params);
+  const auto observed = run_tabu(req, rounds(120));
 
-  EXPECT_EQ(ticks, (params.iterations - 1) / params.progress_every);
-  EXPECT_EQ(observed.best_fitness.cost, expected.best_fitness.cost);
-  EXPECT_EQ(observed.best_partition, expected.best_partition);
+  // Live ticks every 25 rounds of the rounds actually run, then the
+  // completion tick.
+  EXPECT_EQ(ticks, (observed.iterations - 1) / 25 + 1);
+  EXPECT_EQ(observed.fitness.cost, expected.fitness.cost);
+  EXPECT_EQ(observed.partition, expected.partition);
   EXPECT_EQ(observed.evaluations, expected.evaluations);
   EXPECT_EQ(observed.iterations, expected.iterations);
 }
 
 TEST(Tabu, BestCostsMatchReEvaluation) {
   Fixture f;
-  TabuParams params;
-  params.iterations = 80;
-  params.seed = 5;
-  const auto result = tabu_search(f.ctx, f.start(), params);
-  part::PartitionEvaluator check(f.ctx, result.best_partition);
-  EXPECT_NEAR(check.fitness().cost, result.best_fitness.cost,
-              1e-9 * result.best_fitness.cost);
+  const auto result = run_tabu(f.request(5), rounds(80));
+  part::PartitionEvaluator check(f.ctx, result.partition);
+  EXPECT_NEAR(check.fitness().cost, result.fitness.cost,
+              1e-9 * result.fitness.cost);
 }
 
 TEST(Tabu, RejectsBadParams) {
   Fixture f;
-  TabuParams params;
-  params.iterations = 0;
-  EXPECT_THROW((void)tabu_search(f.ctx, f.start(), params), Error);
-  params = TabuParams{};
-  params.candidates = 0;
-  EXPECT_THROW((void)tabu_search(f.ctx, f.start(), params), Error);
-}
-
-TEST(Tabu, RegistryAdapterMatchesDirectCall) {
-  Fixture f;
-  OptimizerConfig config;
-  config.tabu.iterations = 90;
-
-  const auto optimizer = OptimizerRegistry::global().make("tabu", config);
-  OptimizerRequest request;
-  request.ctx = &f.ctx;
-  request.start = f.start();
-  request.seed = 17;
-  const auto outcome = optimizer->run(request);
-
-  TabuParams params = config.tabu;
-  params.seed = 17;
-  const auto direct = tabu_search(f.ctx, f.start(), params);
-  EXPECT_EQ(outcome.partition, direct.best_partition);
-  EXPECT_EQ(outcome.fitness.cost, direct.best_fitness.cost);
-  EXPECT_EQ(outcome.evaluations, direct.evaluations);
-  EXPECT_EQ(outcome.method, "tabu");
+  EXPECT_THROW((void)run_tabu(f.request(1), rounds(0)), Error);
+  OptimizerConfig cfg;
+  cfg.tabu.candidates = 0;
+  EXPECT_THROW((void)run_tabu(f.request(1), cfg), Error);
 }
 
 TEST(Tabu, BudgetBoundsEvaluations) {
   Fixture f;
-  OptimizerConfig config;
-  const auto optimizer = OptimizerRegistry::global().make("tabu", config);
-  OptimizerRequest request;
-  request.ctx = &f.ctx;
-  request.start = f.start();
-  request.seed = 17;
+  const auto optimizer = OptimizerRegistry::global().make("tabu");
+  auto request = f.request(17);
   request.max_evaluations = 200;
   const auto outcome = optimizer->run(request);
   // rounds = budget / candidates; each round spends at most `candidates`

@@ -49,15 +49,17 @@ TEST(C17BruteForce, EvolutionFindsGlobalOptimum) {
   const auto brute = brute_force_two_modules(ctx);
   ASSERT_TRUE(std::isfinite(brute.best_cost));
 
-  core::EsParams params;
-  params.mu = 6;
-  params.lambda = 6;
-  params.chi = 2;
-  params.max_generations = 60;
-  params.stall_generations = 60;
-  params.seed = 4;
-  core::EvolutionEngine engine(ctx, params);
-  const auto result = engine.run_with_module_count(2);
+  core::OptimizerConfig config;
+  config.es.mu = 6;
+  config.es.lambda = 6;
+  config.es.chi = 2;
+  config.es.max_generations = 60;
+  config.es.stall_generations = 60;
+  core::OptimizerRequest request;
+  request.ctx = &ctx;
+  request.module_count = 2;
+  request.seed = 4;
+  const auto result = core::run_evolution(request, config);
 
   // The ES may legally merge to K=1 if that is cheaper; compare against the
   // unrestricted best of {K=1, best K=2}.
@@ -68,7 +70,7 @@ TEST(C17BruteForce, EvolutionFindsGlobalOptimum) {
                         nl.at("22"), nl.at("23")}}));
   const double global_best = std::min(brute.best_cost,
                                       merged.fitness().cost);
-  EXPECT_NEAR(result.best_fitness.cost, global_best,
+  EXPECT_NEAR(result.fitness.cost, global_best,
               global_best * 1e-9);
 }
 

@@ -9,7 +9,9 @@
 #    tool's own page (docs/server.md, docs/cluster.md), or failing that in
 #    docs/robustness.md or docs/caching.md;
 #  * every file path README.md or docs/*.md names under src/, tests/,
-#    tools/, bench/, examples/ or perfbench/ exists.
+#    tools/, bench/, examples/ or perfbench/ exists;
+#  * the component inventory of docs/architecture.md has exactly one row
+#    per namespace-scope class/struct defined in src/**/*.hpp.
 #
 #   $ tools/check_docs.sh path/to/iddqsyn path/to/iddqsyn_server \
 #       path/to/iddqsyn_cluster
@@ -110,6 +112,35 @@ while read -r doc path; do
 done <<EOF
 $paths
 EOF
+
+# Public types: a class/struct definition at column 0 of a header (nested
+# types are indented; forward declarations end in ';'), against the
+# "| `Type` | layer | purpose |" rows of the inventory.
+types="$(find "$root/src" -name '*.hpp' -exec sed -n -E \
+    '/;[[:space:]]*$/!s/^(class|struct) ([A-Za-z_][A-Za-z0-9_]*).*/\2/p' {} + |
+    sort -u)"
+inventory="$(sed -n '/^## Component inventory/,/^## /p' \
+    "$root/docs/architecture.md" | sed -n 's/^| `\([A-Za-z0-9_]*\)` |.*/\1/p' |
+    sort)"
+[ -n "$inventory" ] || {
+  echo "check_docs: docs/architecture.md has no component inventory"; exit 1; }
+for type in $types; do
+  if ! printf '%s\n' $inventory | grep -qx "$type"; then
+    echo "check_docs: $type (src/) is missing from the component inventory in docs/architecture.md"
+    status=1
+  fi
+done
+for entry in $inventory; do
+  if ! printf '%s\n' $types | grep -qx "$entry"; then
+    echo "check_docs: the component inventory in docs/architecture.md names $entry, which src/ does not define"
+    status=1
+  fi
+done
+dupes="$(printf '%s\n' $inventory | uniq -d)"
+if [ -n "$dupes" ]; then
+  echo "check_docs: the component inventory lists more than once:" $dupes
+  status=1
+fi
 
 [ "$status" -eq 0 ] && echo "check_docs: docs match the CLI surface"
 exit $status

@@ -15,8 +15,10 @@
 # ThreadSanitizer leg: rebuild the support, core, partition and cluster
 # test binaries with -fsanitize=thread and run the parallelism-relevant
 # suites (executor, optimizers, job queue/service/protocol, drain and
-# deadlines, probe_moves and probe_move, the cluster client and the
-# protocol session over both of its backends) threaded.
+# deadlines, cache robustness, probe_moves and probe_move, the cluster
+# client, the row merger and the protocol session over both of its
+# backends) threaded. Every --gtest_filter pattern of the sanitizer legs
+# must match a test (run_filtered).
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
@@ -28,8 +30,8 @@
 # cluster client, its merger and the shared protocol session) except
 # core, where it runs the suites behind the standard clustering, the
 # FlowEngine and its Table 1 pair, the job protocol/service stack, the
-# parallel optimizers and the tabu, annealing and greedy searches that
-# probe_move serves.
+# parallel optimizers, their entry-point equivalence and trajectory pins,
+# and the tabu, annealing, greedy and random searches.
 #
 #   $ tools/ci.sh asan [build-dir]     default build dir: build-asan
 #
@@ -123,6 +125,25 @@ wait_listen() {
     _tries=$((_tries + 1))
   done
   return 1
+}
+
+# Runs test binary BIN with --gtest_filter FILTER after checking that every
+# ':'-separated pattern of FILTER matches at least one test, so a renamed
+# or deleted suite fails the leg instead of silently dropping out of it.
+run_filtered() {
+  _saved_ifs=$IFS
+  IFS=:
+  set -f
+  for _pattern in $2; do
+    if ! "$1" --gtest_list_tests --gtest_filter="$_pattern" | grep -q '^  '
+    then
+      echo "$1: --gtest_filter pattern '$_pattern' matches no test" >&2
+      exit 1
+    fi
+  done
+  set +f
+  IFS=$_saved_ifs
+  "$1" --gtest_filter="$2"
 }
 
 if [ "$MODE" = "smoke" ]; then
@@ -462,21 +483,21 @@ if [ "$MODE" = "tsan" ]; then
     iddq_tests_cluster
   # The parallelism surface: executor pool, TCP transport, the parallel
   # optimizers and their invariance pins, the job queue/service/protocol
-  # stack with its drain and deadline paths, and the per-session event
-  # writer + fault-injection layer — plus the probe_moves and probe_move
-  # differential suites behind the threaded child and candidate scoring.
-  # Annealing and the greedy refiner run here too: their evaluator copies
-  # carry the delay memo. On the cluster side: ClusterClient's reader
-  # threads, heartbeat prober and failover, and the shared session and
-  # serve loop over both backends.
-  IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_support" \
-    --gtest_filter='Executor.*:Transport.*'
-  IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_partition" \
-    --gtest_filter='ProbeMoves.*:Probe.*'
-  IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_core" \
-    --gtest_filter='ParallelInvariance.*:Evolution.*:Tabu.*:Annealing.*:Refiner.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*:Drain.*:Deadline.*'
-  IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_cluster" \
-    --gtest_filter='ClusterClient.*:SessionBackends.*:ServeListener.*'
+  # stack with its drain and deadline paths, the per-session event
+  # writer + fault-injection layer, and the cache under concurrent
+  # writers — plus the probe_moves and probe_move differential suites
+  # behind the threaded child and candidate scoring. Annealing and the
+  # greedy refiner run here too: their evaluator copies carry the delay
+  # memo. On the cluster side: ClusterClient's reader threads, heartbeat
+  # prober and failover, the row merger, and the shared session and serve
+  # loop over both backends.
+  export IDDQ_THREADS=2
+  run_filtered "$BUILD_DIR/iddq_tests_support" 'Executor.*:Transport.*'
+  run_filtered "$BUILD_DIR/iddq_tests_partition" 'ProbeMoves.*:Probe.*'
+  run_filtered "$BUILD_DIR/iddq_tests_core" \
+    'ParallelInvariance.*:Evolution.*:Tabu.*:Annealing.*:Refiner.*:RandomSearch.*:OptimizerEquivalence.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*:Drain.*:Deadline.*:CacheRobustness.*'
+  run_filtered "$BUILD_DIR/iddq_tests_cluster" \
+    'ClusterClient.*:SessionBackends.*:ServeListener.*:RowMerger.*'
   echo "tsan OK"
   exit 0
 fi
@@ -497,8 +518,8 @@ if [ "$MODE" = "asan" ]; then
   export ASAN_OPTIONS=detect_leaks=1:abort_on_error=1
   export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
   for t in $WHOLE; do "$BUILD_DIR/iddq_tests_$t"; done
-  "$BUILD_DIR/iddq_tests_core" \
-    --gtest_filter='StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*:Tabu.*:Annealing.*:Refiner.*:OptimizerEquivalence.*:FlowEngine*.*:Flow.*'
+  run_filtered "$BUILD_DIR/iddq_tests_core" \
+    'StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*:Tabu.*:Annealing.*:Refiner.*:RandomSearch.*:OptimizerEquivalence.*:OptimizerTrajectory.*:FlowEngine*.*:Flow.*'
   echo "asan OK"
   exit 0
 fi
