@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <span>
 #include <vector>
 
 #include "core/evolution.hpp"
@@ -153,10 +152,12 @@ BENCHMARK(BM_FitnessAfterMove)
 // the same round-start state (what one tabu candidate costs). Two
 // partition regimes: fine-grained (K = V/48, many small modules) and the
 // size planner's K (a few big modules, what tabu, annealing and greedy
-// search). Either way a probe's critical path comes from the round-start
-// state's slack certificate — a pass over the near-critical gates — and
-// its two overlay modules' delay rows often from the exact delay memo;
-// the copy pays the O(gates + K*grid) copy and a full timing pass.
+// search). Either way the probe applies the move in place, snapshotting
+// and restoring its two module slots (profiles included, so O(grid) per
+// slot); its critical path comes from the round-start state's slack
+// certificate — a pass over the near-critical gates — and the two
+// modules' delay rows often from the exact delay memo. The copy pays the
+// O(gates + K*grid) copy and a full timing pass.
 void BM_ProbeVsCopy(benchmark::State& state) {
   const auto& ctx = context_at(static_cast<std::size_t>(state.range(0)));
   Rng rng(13);
@@ -264,8 +265,10 @@ void BM_TimingCertificate(benchmark::State& state) {
   timing.rebuild(factor);
   for (auto _ : state) {
     if (walk) {
-      // An empty propagate drops the certificate and nothing else.
-      timing.propagate(std::span<const netlist::GateId>{}, factor);
+      // Dropping the held certificate takes a full pass; it is not timed.
+      state.PauseTiming();
+      timing.rebuild(factor);
+      state.ResumeTiming();
       timing.certify(factor);
       benchmark::DoNotOptimize(timing.near_gates().data());
     } else {
@@ -279,35 +282,6 @@ void BM_TimingCertificate(benchmark::State& state) {
 BENCHMARK(BM_TimingCertificate)
     // {big_dag10k/30k/100k, mult64} x {0=forward pass, 1=walk}
     ->ArgsProduct({{4, 5, 6, 7}, {0, 1}})
-    ->Unit(benchmark::kMicrosecond);
-
-// One perturbed gate: incremental repropagation vs the full O(V+E) pass.
-void BM_IncrementalVsFullTiming(benchmark::State& state) {
-  const auto& ctx = context_at(static_cast<std::size_t>(state.range(0)));
-  const bool incremental = state.range(1) != 0;
-  std::vector<double> delta(ctx.nl.gate_count(), 1.0);
-  Rng rng(14);
-  for (const netlist::GateId id : ctx.nl.logic_gates())
-    delta[id] = 1.0 + rng.uniform() * 0.1;
-  const auto factor = [&delta](netlist::GateId g) { return delta[g]; };
-  est::IncrementalTiming timing(ctx.timing_graph);
-  timing.rebuild(factor);
-  const auto logic = ctx.nl.logic_gates();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const netlist::GateId g = logic[i++ % logic.size()];
-    delta[g] = 1.0 + (delta[g] - 1.0) * 0.999;  // small drift
-    const netlist::GateId changed[] = {g};
-    if (incremental) {
-      benchmark::DoNotOptimize(timing.propagate(changed, factor));
-    } else {
-      benchmark::DoNotOptimize(
-          est::degraded_critical_path_ps(ctx.nl, ctx.cells, delta));
-    }
-  }
-}
-BENCHMARK(BM_IncrementalVsFullTiming)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})  // {circuit, 0=full / 1=incr}
     ->Unit(benchmark::kMicrosecond);
 
 void BM_EvaluatorCopy(benchmark::State& state) {
@@ -436,31 +410,6 @@ ProfileFixture& profile_at(std::size_t idx) {
     fixtures[idx] = new ProfileFixture(kProfileLadder[idx]);
   return *fixtures[idx];
 }
-
-// One overlay probe ("what would the module maxima be with gate g added")
-// — the inner question of every tabu candidate and ES descendant. The
-// tree path touches O(|T(g)| log grid) nodes; the scan path is the old
-// O(grid) full pass kept as `scan_max_with_gate_added`. Down the ladder
-// the tree time should stay flat while the scan time tracks the grid.
-void BM_ProfileOverlayProbe(benchmark::State& state) {
-  auto& f = profile_at(static_cast<std::size_t>(state.range(0)));
-  const bool tree = state.range(1) != 0;
-  const auto logic = f.nl.logic_gates();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const netlist::GateId g = logic[i++ % logic.size()];
-    if (tree) {
-      benchmark::DoNotOptimize(
-          f.profile.max_with_gate_added(f.tt.at(g), f.cells[g].ipeak_ua));
-    } else {
-      benchmark::DoNotOptimize(f.profile.scan_max_with_gate_added(
-          f.tt.at(g), f.cells[g].ipeak_ua));
-    }
-  }
-}
-BENCHMARK(BM_ProfileOverlayProbe)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}})  // {circuit, 0=scan / 1=tree}
-    ->Unit(benchmark::kMicrosecond);
 
 // A committed move's profile work: remove one gate, add another, read the
 // new maxima. The tree pays leaf updates plus one lazy O(grid) rebuild at

@@ -24,9 +24,10 @@ namespace iddq::core {
                                          double violation_penalty);
 
 /// The same objective for a *hypothetical* move, via the evaluator's
-/// copy-free probe_move(): bit-identical to copying `eval`, applying the
-/// move, and calling penalized_objective on the copy — without the
-/// O(gates + K*grid) copy or a full delay recomputation.
+/// copy-free probe_move() (a one-move probe_moves: apply in place, rescore
+/// the two touched modules, roll back): bit-identical to copying `eval`,
+/// applying the move, and calling penalized_objective on the copy —
+/// without the O(gates + K*grid) copy or a full delay recomputation.
 [[nodiscard]] double probe_objective(part::PartitionEvaluator& eval,
                                      const part::Move& move,
                                      double violation_penalty);

@@ -25,8 +25,9 @@ namespace iddq::core {
 /// With req.pool, each round's candidate set is scored in parallel. The
 /// candidate moves are sampled on the coordinator (all RNG draws, fixed
 /// order); each candidate is then scored against the round-start state
-/// with the copy-free probe_move — serially on the shared evaluator, or on
-/// one private copy per concurrency slot when a pool is set. Probe scores
+/// with the copy-free probe_move (a one-move probe_moves, rolled back after
+/// scoring) — serially on the shared evaluator, or on one private copy per
+/// concurrency slot when a pool is set. Probe scores
 /// are bit-identical to the historical copy + move recipe, so the whole
 /// search is byte-identical at any thread count. Throws iddq::Error for
 /// invalid parameters.

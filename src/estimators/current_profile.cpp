@@ -15,25 +15,6 @@ void ModuleCurrentProfile::sync_tree() const {
   tree_stale_ = false;
 }
 
-void ModuleCurrentProfile::range_max_into(std::size_t lo, std::size_t hi,
-                                          OverlayMax& best) const {
-  // Iterative segment-tree query over leaf slots [lo, hi); correct for
-  // arbitrary (non-power-of-two) grid sizes with the [grid_, 2*grid_)
-  // leaf layout. Requires a synced tree.
-  for (std::size_t l = grid_ + lo, r = grid_ + hi; l < r; l >>= 1, r >>= 1) {
-    if ((l & 1) != 0) {
-      best.current_ua = std::max(best.current_ua, current_ua_[l]);
-      best.switching = std::max(best.switching, switching_[l]);
-      ++l;
-    }
-    if ((r & 1) != 0) {
-      --r;
-      best.current_ua = std::max(best.current_ua, current_ua_[r]);
-      best.switching = std::max(best.switching, switching_[r]);
-    }
-  }
-}
-
 void ModuleCurrentProfile::add_gate(const DynamicBitset& times,
                                     double ipeak_ua) {
   IDDQ_ASSERT(times.size() == grid_);
@@ -66,57 +47,6 @@ std::uint32_t ModuleCurrentProfile::peak_overlap(
   return best == 0 ? 1 : best;
 }
 
-ModuleCurrentProfile::OverlayMax ModuleCurrentProfile::max_with_gate_added(
-    const DynamicBitset& times, double ipeak_ua) const {
-  IDDQ_ASSERT(times.size() == grid_);
-  sync_tree();
-  const std::size_t lo = times.find_first();
-  if (lo == grid_) return {max_current_ua(), max_switching()};
-  const std::size_t hi = times.find_last();  // inclusive
-  OverlayMax best;
-  std::size_t next = lo;
-  for (std::size_t t = lo; t <= hi; ++t) {
-    double i = current_ua_[grid_ + t];
-    std::uint32_t n = switching_[grid_ + t];
-    if (t == next) {
-      i += ipeak_ua;
-      n += 1;
-      next = times.find_next(t);
-    }
-    best.current_ua = std::max(best.current_ua, i);
-    best.switching = std::max(best.switching, n);
-  }
-  range_max_into(0, lo, best);
-  range_max_into(hi + 1, grid_, best);
-  return best;
-}
-
-ModuleCurrentProfile::OverlayMax ModuleCurrentProfile::max_with_gate_removed(
-    const DynamicBitset& times, double ipeak_ua) const {
-  IDDQ_ASSERT(times.size() == grid_);
-  sync_tree();
-  const std::size_t lo = times.find_first();
-  if (lo == grid_) return {max_current_ua(), max_switching()};
-  const std::size_t hi = times.find_last();  // inclusive
-  OverlayMax best;
-  std::size_t next = lo;
-  for (std::size_t t = lo; t <= hi; ++t) {
-    double i = current_ua_[grid_ + t];
-    std::uint32_t n = switching_[grid_ + t];
-    if (t == next) {
-      IDDQ_ASSERT(n > 0);
-      n -= 1;
-      i = n == 0 ? 0.0 : i - ipeak_ua;  // remove_gate's residue cancel
-      next = times.find_next(t);
-    }
-    best.current_ua = std::max(best.current_ua, i);
-    best.switching = std::max(best.switching, n);
-  }
-  range_max_into(0, lo, best);
-  range_max_into(hi + 1, grid_, best);
-  return best;
-}
-
 double ModuleCurrentProfile::scan_max_current_ua() const {
   double best = 0.0;
   for (const double v : current_ua()) best = std::max(best, v);
@@ -126,51 +56,6 @@ double ModuleCurrentProfile::scan_max_current_ua() const {
 std::uint32_t ModuleCurrentProfile::scan_max_switching() const {
   std::uint32_t best = 0;
   for (const std::uint32_t v : switching()) best = std::max(best, v);
-  return best;
-}
-
-ModuleCurrentProfile::OverlayMax
-ModuleCurrentProfile::scan_max_with_gate_added(const DynamicBitset& times,
-                                               double ipeak_ua) const {
-  IDDQ_ASSERT(times.size() == grid_);
-  const auto cur = current_ua();
-  const auto sw = switching();
-  OverlayMax best;
-  std::size_t next = times.find_first();
-  for (std::size_t t = 0; t < grid_; ++t) {
-    double i = cur[t];
-    std::uint32_t n = sw[t];
-    if (t == next) {
-      i += ipeak_ua;
-      n += 1;
-      next = times.find_next(t);
-    }
-    best.current_ua = std::max(best.current_ua, i);
-    best.switching = std::max(best.switching, n);
-  }
-  return best;
-}
-
-ModuleCurrentProfile::OverlayMax
-ModuleCurrentProfile::scan_max_with_gate_removed(const DynamicBitset& times,
-                                                 double ipeak_ua) const {
-  IDDQ_ASSERT(times.size() == grid_);
-  const auto cur = current_ua();
-  const auto sw = switching();
-  OverlayMax best;
-  std::size_t next = times.find_first();
-  for (std::size_t t = 0; t < grid_; ++t) {
-    double i = cur[t];
-    std::uint32_t n = sw[t];
-    if (t == next) {
-      IDDQ_ASSERT(n > 0);
-      n -= 1;
-      i = n == 0 ? 0.0 : i - ipeak_ua;  // remove_gate's residue cancel
-      next = times.find_next(t);
-    }
-    best.current_ua = std::max(best.current_ua, i);
-    best.switching = std::max(best.switching, n);
-  }
   return best;
 }
 

@@ -10,15 +10,10 @@
 // cost — and mark the tree stale; the first max query after a batch of
 // commits rebuilds the internal nodes with one O(grid) bottom-up pass
 // (replacing the historical pair of O(grid) scans), after which maxima are
-// O(1) root reads. The copy-free overlay probes
-// (max_with_gate_{added,removed}) run on a synced tree without mutating
-// it: one pass over the gate's touched span [first slot of T(g), last
-// slot of T(g)] applies the committed update arithmetic per slot, and
-// the untouched prefix/suffix contribute via two O(log grid) range-max
-// tree queries — a move probe therefore costs O(span(T(g)) + log grid),
-// independent of the grid size. The scan_* methods keep the historical
-// O(grid) paths callable as bit-identity references for tests and
-// bench/perf_micro.cpp.
+// O(1) root reads. The bottom-up rebuild has no loop-carried dependency;
+// a cached scalar max with a serial rescan made the probe path slower. The
+// scan_* methods keep the historical O(grid) maxima as the bit-identity
+// reference for self_check(), the tests and bench/perf_micro.cpp.
 //
 // Thread-safety: const max queries may rebuild the stale tree (mutable
 // state), so a profile shared across threads must be synced first — any
@@ -77,32 +72,10 @@ class ModuleCurrentProfile {
   /// the gate itself is in the module. Reads leaves only (stale-safe).
   [[nodiscard]] std::uint32_t peak_overlap(const DynamicBitset& times) const;
 
-  /// Grid maxima of the profile as it would look after add_gate /
-  /// remove_gate — no materialised copy, no tree mutation. Slot values
-  /// replicate the committed update arithmetic exactly (including
-  /// remove_gate's zero-cancellation), so the maxima are bit-equal to
-  /// copy + update + max_*(). One pass walks the touched span of T(g)
-  /// applying the overlay per slot; the untouched prefix and suffix of
-  /// the grid contribute through two range-max queries on the synced
-  /// tree — O(span(T(g)) + log grid) per probe instead of an O(grid)
-  /// scan. The evaluator's copy-free move probing is built on this.
-  struct OverlayMax {
-    double current_ua = 0.0;
-    std::uint32_t switching = 0;
-  };
-  [[nodiscard]] OverlayMax max_with_gate_added(const DynamicBitset& times,
-                                               double ipeak_ua) const;
-  [[nodiscard]] OverlayMax max_with_gate_removed(const DynamicBitset& times,
-                                                 double ipeak_ua) const;
-
   /// Historical O(grid) maxima, kept as the bit-identity reference the
   /// property tests pin the tree against (and perf_micro measures).
   [[nodiscard]] double scan_max_current_ua() const;
   [[nodiscard]] std::uint32_t scan_max_switching() const;
-  [[nodiscard]] OverlayMax scan_max_with_gate_added(const DynamicBitset& times,
-                                                    double ipeak_ua) const;
-  [[nodiscard]] OverlayMax scan_max_with_gate_removed(
-      const DynamicBitset& times, double ipeak_ua) const;
 
   /// Validates the incremental max state: syncs the tree, then requires
   /// every internal node to equal the max of its children and the O(1)
@@ -131,8 +104,6 @@ class ModuleCurrentProfile {
   mutable bool tree_stale_ = false;
 
   void sync_tree() const;
-  /// Max over leaf slots [lo, hi) on a synced tree, folded into `best`.
-  void range_max_into(std::size_t lo, std::size_t hi, OverlayMax& best) const;
 };
 
 /// Builds the profile of an arbitrary gate set.

@@ -38,20 +38,6 @@ TimingGraph::TimingGraph(const netlist::Netlist& nl,
   }
 }
 
-void IncrementalTiming::rescan_worst() {
-  // Flat scan of the arrival array — no graph walk, vectorizes. Primary
-  // inputs hold arrival 0 and cannot spuriously win (delays are positive;
-  // if every arrival is 0 the critical path is 0 anyway).
-  worst_ = 0.0;
-  critical_ = netlist::kNoGate;
-  for (netlist::GateId id = 0; id < arrival_.size(); ++id) {
-    if (arrival_[id] > worst_) {
-      worst_ = arrival_[id];
-      critical_ = id;
-    }
-  }
-}
-
 void IncrementalTiming::trace_chain(Certificate& cert) const {
   for (netlist::GateId id = critical_; id != netlist::kNoGate;) {
     cert.chain.push_back(id);

@@ -7,9 +7,9 @@
 // modules' delta factors, almost all of that work recomputes unchanged
 // arrivals.
 //
-// IncrementalTiming keeps the per-gate arrival state persistent and, given
-// the set of gates whose delta factor may have changed, repropagates only
-// the affected fanout cone:
+// IncrementalTiming keeps the per-gate arrival state of the last full
+// pass and a slack certificate taken from it, which answers later factor
+// assignments from the ~1% near-critical gates instead of a full pass:
 //
 //   * TimingGraph (immutable, shared per circuit): one topological order
 //     and the rank of every gate in it. Built once per EvalContext.
@@ -17,35 +17,23 @@
 //     exactly the recurrence of est::degraded_critical_path_ps. Each
 //     arrival is a pure function of the fanin arrivals and the gate's own
 //     factor, computed with the same expression on the same operand values
-//     — there is no cross-gate reassociation — so the incremental result
-//     is bit-identical to the full pass (pinned by
+//     — there is no cross-gate reassociation — so rebuild() and
+//     probe_full() are bit-identical to the full pass (pinned by
 //     tests/estimators/test_incremental_timing.cpp).
 //   * factors are supplied by a callable `double(GateId)` so the caller
 //     (the evaluator) can serve them straight from its per-module anchor
-//     rows — or from overlay rows for a hypothetical move — without
-//     materialising a per-gate array.
-//   * the worklist is a flagged sweep of the topological order from the
-//     lowest seeded rank: every seeded/affected gate is recomputed at most
-//     once, after all of its fanins settled, and propagation stops where a
-//     recomputed arrival is unchanged (seeding a gate whose factor did not
-//     actually change is allowed and prunes immediately). Unaffected gates
-//     cost one flag test, so a sparse cone is nearly free and a dense one
-//     degenerates to a plain (heap-free) suffix pass.
-//   * the critical value is maintained as (worst, witness gate): increases
-//     update it in O(1); only a decrease *of the witness itself* forces an
-//     O(V) flat rescan of the arrival array (no graph walk).
+//     rows without materialising a per-gate array.
 //
 // probe_full() evaluates a hypothetical factor assignment as a plain pass
 // into scratch storage: it needs no valid persistent state and never
 // writes it.
 //
 // probe_certified() answers the same what-if without a full pass; it
-// scores both the evaluator's single-move probe_move() and its
-// evolution-strategy children (probe_moves()). Either hypothetical dirties
-// whole modules, far past the kDenseSeedFactor cutover, where a worklist
-// degenerates into a suffix pass. Instead a slack certificate (certify())
-// is taken once from a full pass — live arrivals a(g), worst D0 and
-// factors phi0 — and every later state is judged against it:
+// scores the evaluator's probes (probe_moves(), and probe_move() through
+// it). A probed move dirties whole modules, whose gates may sit anywhere
+// in the circuit; rather than re-time them, a slack certificate
+// (certify()) is taken once from a full pass — live arrivals a(g), worst
+// D0 and factors phi0 — and every later state is judged against it:
 //
 //   * tails t(g), the longest path out of g, so P(g) = a(g) + t(g) is the
 //     longest path through g;
@@ -80,8 +68,8 @@
 //
 //   * commit_certified() commits a new factor assignment by the same check
 //     and the same O(|N|) pass, leaving the arrivals stale (!valid()); a
-//     failed check changes nothing, and the caller takes rebuild() or
-//     propagate(), which drop the certificate.
+//     failed check changes nothing, and the caller takes rebuild(), which
+//     drops the certificate.
 //   * The certificate is immutable and held by shared_ptr<const>: copying
 //     an IncrementalTiming (a tabu slice copying the round-start
 //     evaluator, a materialized ES survivor) shares it, drops the O(V)
@@ -162,17 +150,6 @@ class TimingGraph {
 
 class IncrementalTiming {
  public:
-  /// Seed sets at or above gate_count / kDenseSeedFactor are considered
-  /// dense and take the plain full pass instead of the flagged sweep.
-  /// The fanout-cone amplification on the deep Table-1 circuits makes the
-  /// sweep cost more than a full pass already at ~1-2% seed density
-  /// (module-pair seed sets reach two thirds of the circuit), so the
-  /// cutover is deliberately aggressive; results are bit-identical either
-  /// way, only the constant changes. Single-gate and few-gate seeds — the
-  /// fine-grained regime the sweep targets — stay two orders of magnitude
-  /// under a full pass (bench/perf_micro.cpp, BM_IncrementalVsFullTiming).
-  static constexpr std::size_t kDenseSeedFactor = 64;
-
   /// theta: the certificate's near set holds the gates on paths of at
   /// least this fraction of the critical path.
   static constexpr double kNearFraction = 0.99;
@@ -202,11 +179,11 @@ class IncrementalTiming {
   IncrementalTiming& operator=(IncrementalTiming&&) = default;
 
   /// False until the first rebuild(), after a commit_certified(), and in a
-  /// copy: propagate() and certify() require a valid state.
+  /// copy: arrival_ps() and certify() require a valid state.
   [[nodiscard]] bool valid() const noexcept { return valid_; }
 
-  /// Critical path of the current state, in ps (after a rebuild(),
-  /// propagate() or commit_certified()).
+  /// Critical path of the current state, in ps (after a rebuild() or
+  /// commit_certified()).
   [[nodiscard]] double worst_ps() const noexcept { return worst_; }
 
   /// Arrival time of a gate under the current state, in ps (requires
@@ -271,67 +248,6 @@ class IncrementalTiming {
     return worst_;
   }
 
-  /// Incremental pass: `changed` lists the gates whose factor may have
-  /// changed since the last rebuild/propagate (duplicates and false
-  /// positives are fine, order is irrelevant). Recomputes the affected
-  /// cone against `factor`, commits, and drops the certificate. Returns
-  /// the critical path in ps.
-  template <class FactorFn>
-  double propagate(std::span<const netlist::GateId> changed,
-                   FactorFn&& factor) {
-    IDDQ_ASSERT(valid_);
-    cert_.reset();
-    // Flag the seeds, then sweep the topological order from the lowest
-    // seed rank, recomputing only flagged gates. A flag test per swept
-    // gate is a load and a branch — far cheaper than a heap — so a dense
-    // cone costs a plain full pass over the suffix while a sparse one
-    // exits as soon as the pending count drains.
-    std::size_t pending = 0;
-    std::uint32_t min_rank = 0;
-    for (const netlist::GateId id : changed) {
-      if (queued_[id]) continue;
-      queued_[id] = 1;
-      const std::uint32_t rank = graph_->rank(id);
-      if (pending == 0 || rank < min_rank) min_rank = rank;
-      ++pending;
-    }
-    bool rescan = false;
-    const netlist::GateId critical_before = critical_;
-    const auto order = graph_->order();
-    for (std::size_t i = min_rank; i < order.size() && pending > 0; ++i) {
-      const netlist::GateId id = order[i];
-      if (!queued_[id]) continue;
-      queued_[id] = 0;
-      --pending;
-      const auto fanins = graph_->fanins(id);
-      if (fanins.empty()) continue;  // primary input: arrival pinned at 0
-      double in_arrival = 0.0;
-      for (const netlist::GateId f : fanins)
-        in_arrival = std::max(in_arrival, arrival_[f]);
-      const double delta = factor(id);
-      IDDQ_ASSERT(delta >= 1.0);
-      const double updated = in_arrival + graph_->delay_ps(id) * delta;
-      const double old = arrival_[id];
-      if (updated == old) continue;  // cone pruned here
-      arrival_[id] = updated;
-      if (updated > worst_) {
-        worst_ = updated;
-        critical_ = id;
-      } else if (id == critical_ && updated < old) {
-        // The witness itself got faster; the true maximum may now be held
-        // by an untouched gate. Settle it once the sweep drains.
-        rescan = true;
-      }
-      for (const netlist::GateId f : graph_->fanouts(id)) {
-        if (queued_[f]) continue;  // fanouts rank higher: swept later
-        queued_[f] = 1;
-        ++pending;
-      }
-    }
-    if (rescan && critical_ == critical_before) rescan_worst();
-    return worst_;
-  }
-
   /// Full pass into scratch storage: the critical path under `factor`,
   /// bit-identical to rebuild(factor), with the persistent state neither
   /// required nor touched.
@@ -369,9 +285,9 @@ class IncrementalTiming {
     auto cert = std::make_shared<Certificate>();
     cert->worst = worst_;
     if (worst_ > 0.0) {
-      // A flagged sweep of the topological order downwards, like
-      // propagate()'s upwards: tails accumulate in scratch_arrival_ and
-      // flags in queued_, both zero again once the sweep drains.
+      // A flagged sweep of the topological order downwards: tails
+      // accumulate in scratch_arrival_ and flags in queued_, both zero
+      // again once the sweep drains.
       prepare_scratch();
       const double cut = kNearFraction * worst_ * (1.0 - kRoundingMargin);
       // Seeds: primary inputs hold arrival 0 < cut, so only logic gates.
@@ -491,7 +407,6 @@ class IncrementalTiming {
     return true;
   }
 
-  void rescan_worst();
   /// Allocates scratch_arrival_ (all zero between calls) when a copy or
   /// a certify() left it empty.
   void prepare_scratch() {
@@ -511,7 +426,7 @@ class IncrementalTiming {
   netlist::GateId critical_ = netlist::kNoGate;  // witness of worst_
   bool valid_ = false;
 
-  // Worklist scratch (contents are meaningless between calls).
+  // The certificate walk's flags; all zero between calls.
   std::vector<std::uint8_t> queued_;     // by GateId
   // probe_full's arrivals and the walk's tails; all zero between calls,
   // empty after a certify().

@@ -329,8 +329,7 @@ void PartitionEvaluator::solve_module_delay(double idd_max_ua,
                                    ctx_->sensor.iddq_th_ua);
 }
 
-std::size_t PartitionEvaluator::derive_dirty_modules() {
-  std::size_t dirty_gates = 0;
+void PartitionEvaluator::derive_dirty_modules() {
   for (std::uint32_t m = 0; m < partition_.module_count(); ++m) {
     if (!dirty_[m]) continue;
     derive_module_delay(profiles_[m].max_current_ua(),
@@ -338,46 +337,30 @@ std::size_t PartitionEvaluator::derive_dirty_modules() {
                         delta_row(m), area_[m], settle_ps_[m]);
     if (timing_.certified())  // the floors are meaningless otherwise
       slot_ratio_[m] = slot_ratio(hist_row(m), delta_row(m), floor_row(m));
-    dirty_gates += partition_.module_size(m);
   }
-  return dirty_gates;
 }
 
 void PartitionEvaluator::refresh() {
   if (!any_dirty_) return;  // cached scalars stay valid on a clean state
-  const std::size_t k = partition_.module_count();
-  const std::size_t dirty_gates = derive_dirty_modules();
+  derive_dirty_modules();
   const auto factor = [this](netlist::GateId g) { return gate_factor(g); };
   // A held certificate answers from the near set when the cumulative
-  // ratio bound still lets it vouch for the new state. Otherwise dense
-  // updates (big mutations touching most gates, or stale arrivals) take
-  // the plain full pass; sparse ones seed the gates of the dirty modules
-  // and repropagate only the affected cone. Bit-identical every way:
-  // each is the same pure function of the same factors.
+  // ratio bound still lets it vouch for the new state; otherwise the full
+  // pass recomputes every arrival. Bit-identical either way: both are the
+  // same pure function of the same factors.
   if (timing_.certified() &&
       timing_.commit_certified(
           *std::max_element(slot_ratio_.begin(), slot_ratio_.end()),
           factor)) {
     d_bic_ps_ = timing_.worst_ps();
-  } else if (!timing_.valid() ||
-             dirty_gates * est::IncrementalTiming::kDenseSeedFactor >=
-                 ctx_->nl.gate_count()) {
-    d_bic_ps_ = timing_.rebuild(factor);
   } else {
-    auto& seeds = scratch_.value.seeds;
-    seeds.clear();
-    for (std::uint32_t m = 0; m < k; ++m) {
-      if (!dirty_[m]) continue;
-      const auto module = partition_.module(m);
-      seeds.insert(seeds.end(), module.begin(), module.end());
-    }
-    d_bic_ps_ = timing_.propagate(seeds, factor);
+    d_bic_ps_ = timing_.rebuild(factor);
   }
   std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
   any_dirty_ = false;
   settle_max_ps_ = 0.0;
-  for (std::size_t m = 0; m < k; ++m)
-    settle_max_ps_ = std::max(settle_max_ps_, settle_ps_[m]);
+  for (const double settle : settle_ps_)
+    settle_max_ps_ = std::max(settle_max_ps_, settle);
 }
 
 double PartitionEvaluator::d_bic_ps() {
@@ -421,117 +404,12 @@ Fitness PartitionEvaluator::fitness() {
 MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
                                          std::uint32_t target) {
   const std::uint32_t src = partition_.module_of(g);
-  IDDQ_ASSERT(src != kUnassigned);
-  IDDQ_ASSERT(target < partition_.module_count());
-  IDDQ_ASSERT(src != target);
+  IDDQ_ASSERT(src != kUnassigned && src != target);
   require(partition_.module_size(src) >= 2,
           "probe_move: move would empty its source module (commit such "
           "moves with move_gate)");
-  certify();
-
-  const auto& cell = ctx_->cells[g];
-  // Overlay the two endpoint modules with exactly the expressions
-  // move_gate would apply (same operands, pre-move state), so the scores
-  // below match copy + move_gate + fitness bit-for-bit.
-  const double rho = static_cast<double>(ctx_->oracle.rho());
-  double sum_src = static_cast<double>(partition_.module_size(src) - 1) * rho;
-  double sum_dst = static_cast<double>(partition_.module_size(target)) * rho;
-  for (const auto& [neighbor, distance] : ctx_->oracle.near(g)) {
-    const std::uint32_t nm = partition_.module_of(neighbor);
-    if (nm == src)
-      sum_src -= rho - static_cast<double>(distance);
-    else if (nm == target)
-      sum_dst -= rho - static_cast<double>(distance);
-  }
-  const double sep_src = separation_[src] - sum_src;
-  const double sep_tgt = separation_[target] + sum_dst;
-
-  ProbeScratch& scratch = scratch_.value;
-  // Grid maxima of the two overlay profiles, by read-only scan — the only
-  // facts the delay derivation needs from them (bit-equal to materialised
-  // copies, see ModuleCurrentProfile::OverlayMax).
-  const est::ModuleCurrentProfile::OverlayMax peak_src =
-      profiles_[src].max_with_gate_removed(ctx_->transition_times.at(g),
-                                           cell.ipeak_ua);
-  const est::ModuleCurrentProfile::OverlayMax peak_tgt =
-      profiles_[target].max_with_gate_added(ctx_->transition_times.at(g),
-                                            cell.ipeak_ua);
-  const double leak_src = leak_ua_[src] - units::na_to_ua(cell.ileak_na);
-  const double leak_tgt = leak_ua_[target] + units::na_to_ua(cell.ileak_na);
-  const double cvr_src = cvr_ff_[src] - cell.cvr_ff;
-  const double cvr_tgt = cvr_ff_[target] + cell.cvr_ff;
-  const std::uint16_t type = ctx_->type_of[g];
-  const auto src_hist = hist_row(src);
-  scratch.hist_src.assign(src_hist.begin(), src_hist.end());
-  IDDQ_ASSERT(scratch.hist_src[type] > 0);
-  scratch.hist_src[type]--;
-  const auto tgt_hist = hist_row(target);
-  scratch.hist_tgt.assign(tgt_hist.begin(), tgt_hist.end());
-  scratch.hist_tgt[type]++;
-
-  double area_src = 0.0, area_tgt = 0.0, settle_src = 0.0, settle_tgt = 0.0;
-  scratch.row_src.resize(ctx_->type_count);
-  scratch.row_tgt.resize(ctx_->type_count);
-  derive_module_delay(peak_src.current_ua, peak_src.switching, cvr_src,
-                      scratch.hist_src, scratch.row_src, area_src,
-                      settle_src);
-  derive_module_delay(peak_tgt.current_ua, peak_tgt.switching, cvr_tgt,
-                      scratch.hist_tgt, scratch.row_tgt, area_tgt,
-                      settle_tgt);
-
-  // The critical path with the overlay rows substituted for the two
-  // endpoint modules (g itself lands in the target row). The ratio bound
-  // takes the other slots' committed ratios and the two overlay rows over
-  // their floors, with the target's floor of g's type lowered as move_gate
-  // would lower it.
-  const auto tgt_floor = floor_row(target);
-  scratch.floor_tgt.assign(tgt_floor.begin(), tgt_floor.end());
-  scratch.floor_tgt[type] =
-      std::min(scratch.floor_tgt[type], floor_row(src)[type]);
-  double ratio = std::max(
-      slot_ratio(scratch.hist_src, scratch.row_src, floor_row(src)),
-      slot_ratio(scratch.hist_tgt, scratch.row_tgt, scratch.floor_tgt));
-  for (std::size_t m = 0; m < slot_ratio_.size(); ++m)
-    if (m != src && m != target) ratio = std::max(ratio, slot_ratio_[m]);
-  const auto probe_factor = [&](netlist::GateId x) {
-    if (x == g) return scratch.row_tgt[ctx_->type_of[x]];
-    const std::uint32_t m = partition_.module_of(x);
-    if (m == src) return scratch.row_src[ctx_->type_of[x]];
-    if (m == target) return scratch.row_tgt[ctx_->type_of[x]];
-    return type_delta_[m * ctx_->type_count + ctx_->type_of[x]];
-  };
-  const double d_bic = timing_.probe_certified(ratio, probe_factor);
-
-  // Assemble exactly what fitness()/costs() compute post-move: the same
-  // index-ordered sums with the src/target slots overlaid.
-  const std::size_t k = partition_.module_count();
-  const auto overlay = [&](std::size_t m, double at_src, double at_tgt,
-                           const std::vector<double>& rest) {
-    return m == src ? at_src : m == target ? at_tgt : rest[m];
-  };
-  Costs c;
-  double area_total = 0.0;
-  for (std::size_t m = 0; m < k; ++m)
-    area_total += overlay(m, area_src, area_tgt, area_);
-  c.c1 = std::log(std::max(area_total, 1.0));
-  c.c2 = (d_bic - ctx_->d_nominal_ps) / ctx_->d_nominal_ps;
-  double s_total = 0.0;
-  for (std::size_t m = 0; m < k; ++m)
-    s_total += overlay(m, sep_src, sep_tgt, separation_);
-  c.c3 = std::log(std::max(s_total, 1.0));
-  double settle_max = 0.0;
-  for (std::size_t m = 0; m < k; ++m)
-    settle_max =
-        std::max(settle_max, overlay(m, settle_src, settle_tgt, settle_ps_));
-  c.c4 = est::test_time_overhead(ctx_->d_nominal_ps, d_bic, settle_max);
-  c.c5 = static_cast<double>(k);
-  double v = 0.0;
-  for (std::size_t m = 0; m < k; ++m) {
-    const double leak = overlay(m, leak_src, leak_tgt, leak_ua_);
-    if (leak > ctx_->leak_cap_ua)
-      v += (leak - ctx_->leak_cap_ua) / ctx_->leak_cap_ua;
-  }
-  return MoveProbe{Fitness{v, c.total(ctx_->weights)}, c};
+  const Move move{g, target};
+  return probe_moves({&move, 1});
 }
 
 void PartitionEvaluator::snapshot_slot(std::uint32_t m) {

@@ -15,26 +15,27 @@
 //
 // The delay-dependent terms (c2, c4) and the per-module sensor areas (c1)
 // are refreshed lazily on query, but *incrementally*: a move dirties
-// exactly its {source, target} modules, the refresh rederives the delay
+// exactly its {source, target} modules and the refresh rederives the delay
 // anchors / area / settling only for dirty modules (into persistent scratch
-// — no per-query allocation), and the set of gates whose degradation
-// factor actually changed seeds est::IncrementalTiming, which repropagates
-// only the affected cone of the critical-path recurrence. Every derived
-// value is a pure function of the per-module sums, computed by the same
-// expressions on the same operands as a full recomputation, so the refresh
-// is bit-identical to the historical full pass.
+// — no per-query allocation). D_BIC comes from est::IncrementalTiming's
+// slack certificate when it vouches for the new factors — a pass over the
+// ~1% near-critical gates — and from a full timing pass otherwise. Every
+// derived value is a pure function of the per-module sums, computed by the
+// same expressions on the same operands as a full recomputation, so the
+// refresh is bit-identical to the historical full pass.
 //
-// Hypothetical moves (probe_move for one gate, probe_moves for a move
-// list) are scored against the current state without a copy: the timing
-// engine's slack certificate answers their critical path from the ~1%
-// near-critical gates. The certificate is taken once from a full pass and
-// then carried: commits re-validate it (a committed move costs a near-set
-// pass, not a timing pass), copies share it, and a per-slot floor matrix
-// bounds how far any factor rose since it was taken. The delay derivation is
-// memoized exactly — its outputs are a pure function of (iDD_max, n_max,
-// cvr), so a small direct-mapped table keyed by their bit patterns
-// returns the very bits a solve would (a commit's refresh re-derives
-// exactly the overlay its probe derived).
+// Hypothetical moves (probe_moves for a move list, probe_move for one
+// gate) are scored against the current state without a copy: the moves
+// are applied in place, the dirty modules rederived, the critical path
+// taken from the certificate, and the touched slots rolled back. The
+// certificate is taken once from a full pass and then carried: commits
+// re-validate it (a committed move costs a near-set pass, not a timing
+// pass), copies share it, and a per-slot floor matrix bounds how far any
+// factor rose since it was taken. The delay derivation is memoized
+// exactly — its outputs are a pure function of (iDD_max, n_max, cvr), so a
+// small direct-mapped table keyed by their bit patterns returns the very
+// bits a solve would (a commit's refresh re-derives exactly the rows its
+// probe derived).
 // tests/partition/test_incremental.cpp verifies full == incremental on
 // random move sequences; tests/partition/test_probe.cpp pins probe_move
 // and tests/partition/test_probe_moves.cpp pins probe_moves against
@@ -112,8 +113,8 @@ struct MoveProbe {
 
 /// Per-instance scratch buffers excluded from copies: a copied evaluator
 /// starts with fresh (empty) scratch instead of duplicating its source's
-/// buffers — the contents are meaningless between calls (probe overlays,
-/// probe_moves slot snapshots), so copying them would only add bytes to
+/// buffers — the contents are meaningless between calls (the probes'
+/// slot snapshots), so copying them would only add bytes to
 /// every tabu slice, annealing probe and materialized ES survivor.
 template <class T>
 struct CopyDroppedScratch {
@@ -156,16 +157,12 @@ class PartitionEvaluator {
   void boundary(std::uint32_t m, std::vector<netlist::GateId>& out) const;
 
   /// Scores the move (g -> target) against the current state without
-  /// committing it: returns bit-for-bit what `copy = *this;
-  /// copy.move_gate(g, target); {copy.fitness(), copy.costs()}` would,
-  /// using src/target scratch overlays instead of the O(gates + K*grid)
-  /// copy. The critical path comes from the slack certificate, as for
-  /// probe_moves, with the two endpoint slots' ratios taken from their
-  /// overlay rows; the full pass into scratch storage is the fallback.
-  /// The evaluator's logical
-  /// state is unchanged (scratch and lazy caches may refresh). Requires a
-  /// move that does not empty its source module (the accept/reject loops
-  /// never propose one; commit emptying moves with move_gate directly).
+  /// committing it: probe_moves of that one move, so bit-for-bit what
+  /// `copy = *this; copy.move_gate(g, target); {copy.fitness(),
+  /// copy.costs()}` would return, without the O(gates + K*grid) copy.
+  /// Requires a move that does not empty its source module (the
+  /// accept/reject loops never propose one; commit emptying moves with
+  /// move_gate directly).
   [[nodiscard]] MoveProbe probe_move(netlist::GateId g, std::uint32_t target);
 
   /// Scores a whole move list against the current state without keeping
@@ -209,7 +206,7 @@ class PartitionEvaluator {
 
   /// Brings every lazy cache up to date now (dirty modules rederived;
   /// D_BIC from the certificate's near set when it still vouches, else
-  /// the changed-gate cone repropagated). Queries do this on demand.
+  /// from a full timing pass). Queries do this on demand.
   void refresh();
 
   /// refresh(), and when no slack certificate is held, takes one from a
@@ -241,9 +238,8 @@ class PartitionEvaluator {
   void apply_move(netlist::GateId g, std::uint32_t target);
   void erase_module(std::uint32_t m);
   /// Rederives the delay anchors, area, settling and slot ratio of every
-  /// dirty module in place (flags untouched); returns those modules' total
-  /// gate count.
-  std::size_t derive_dirty_modules();
+  /// dirty module in place (flags untouched).
+  void derive_dirty_modules();
   /// The cost terms of the current module caches with the given critical
   /// path and settling maximum — the one assembly costs() and
   /// probe_moves() share.
@@ -266,11 +262,10 @@ class PartitionEvaluator {
   /// Derives the delay-model anchors, sensor area, and settling time of a
   /// module's (profile, cvr, histogram) state: solve_module_delay through
   /// the exact memo, with the types the histogram lacks set to 1.0. The
-  /// single code path for refresh(), probe_move() and probe_moves() —
-  /// sharing it is what keeps overlay arithmetic bit-identical to committed
-  /// refreshes. Non-const: a hit or miss rewrites the memo. The row span
-  /// must be ctx_->type_count wide (a row of the SoA matrices below or an
-  /// equally sized scratch row).
+  /// single code path for refresh() and the probes — sharing it is what
+  /// keeps probe arithmetic bit-identical to committed refreshes.
+  /// Non-const: a hit or miss rewrites the memo. The row span must be
+  /// ctx_->type_count wide (a row of the SoA matrices below).
   void derive_module_delay(double idd_max_ua, std::uint32_t max_switching,
                            double cvr_ff,
                            std::span<const std::uint32_t> histogram,
@@ -326,9 +321,9 @@ class PartitionEvaluator {
   // Per-module caches, indexed like partition_ modules. The per-type state
   // is SoA: one flat [module x type] matrix per quantity (stride
   // ctx_->type_count) instead of a vector-of-vectors, so a refresh sweeps
-  // contiguous memory the compiler can vectorize, a probe's overlay rows
-  // are cheap span copies, and erase_module's slot swap is a copy_n
-  // instead of a heap-handle shuffle.
+  // contiguous memory the compiler can vectorize, a probe's slot snapshots
+  // are cheap span copies, and erase_module's slot swap is a copy_n instead
+  // of a heap-handle shuffle.
   std::vector<est::ModuleCurrentProfile> profiles_;
   std::vector<double> leak_ua_;
   std::vector<double> cvr_ff_;
@@ -372,7 +367,7 @@ class PartitionEvaluator {
   std::vector<DelayMemoEntry> delay_memo_;   // kDelayMemoSlots
   std::vector<double> delay_memo_rows_;      // flat [memo slot x type]
 
-  /// A module slot's caches as they were before a probe_moves touched it
+  /// A module slot's caches as they were before a probe touched it
   /// (its histogram/delta/floor rows live in ProbeScratch's flat matrices).
   struct SlotSnapshot {
     std::uint32_t slot = 0;
@@ -387,14 +382,8 @@ class PartitionEvaluator {
   };
 
   struct ProbeScratch {
-    std::vector<netlist::GateId> seeds;  // refresh's sparse timing path
-    std::vector<std::uint32_t> hist_src;
-    std::vector<std::uint32_t> hist_tgt;
-    std::vector<double> row_src;
-    std::vector<double> row_tgt;
-    std::vector<double> floor_tgt;
-    // probe_moves: the first `slot_count` entries of `slots` are live;
-    // the rest keep their buffers for reuse.
+    // The first `slot_count` entries of `slots` are live; the rest keep
+    // their buffers for reuse.
     std::vector<SlotSnapshot> slots;
     std::size_t slot_count = 0;
     std::vector<std::uint32_t> slot_hist;  // flat [snapshot x type]

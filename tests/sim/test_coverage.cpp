@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "library/cell_library.hpp"
@@ -12,6 +13,8 @@
 #include "sim/iddq_sim.hpp"
 #include "support/error.hpp"
 #include "support/executor.hpp"
+#include "support/rng.hpp"
+#include "test_seed.hpp"
 
 namespace iddq::sim {
 namespace {
@@ -118,13 +121,22 @@ TEST(CoverageEngine, ReportInvariants) {
 }
 
 TEST(CoverageEngine, ByteIdenticalAcrossPoolSizes) {
+  // A fresh sampling seed, pattern count (partial last batches included)
+  // and module count K each run: the report must not depend on the pool.
+  const std::uint64_t seed = testutil::run_seed();
+  SCOPED_TRACE(testutil::replay_note(seed));
+  Rng rng(seed);
   const auto nl = test_circuit();
   const auto library = lib::default_library();
   CoverageConfig cc;
-  cc.patterns = 96;
+  cc.seed = rng();
+  cc.patterns = 1 + rng.index(256);
   cc.minimize = true;
+  const std::size_t k = 1 + rng.index(12);
+  SCOPED_TRACE("patterns " + std::to_string(cc.patterns) + ", K " +
+               std::to_string(k));
   const CoverageEngine engine(nl, library, cc);
-  const auto p = round_robin(nl, 5);
+  const auto p = round_robin(nl, k);
 
   const auto serial = engine.score(p, nullptr);
   for (const std::size_t threads : {1u, 2u, 8u}) {

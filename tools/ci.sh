@@ -18,7 +18,9 @@
 # deadlines, cache robustness, probe_moves and probe_move, the cluster
 # client, the row merger and the protocol session over both of its
 # backends) threaded. Every --gtest_filter pattern of the sanitizer legs
-# must match a test (run_filtered).
+# must match a test (run_filtered). Both sanitizer legs run every selected
+# binary even when an earlier one fails, then fail naming each binary that
+# did.
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
@@ -127,9 +129,28 @@ wait_listen() {
   return 1
 }
 
+# Runs test binary BIN with its arguments; a failing binary is recorded in
+# FAILED instead of ending the leg, so one failure (say a wall-clock flake)
+# does not hide the binaries after it. finish_leg reports them.
+FAILED=""
+run_test() {
+  "$@" || FAILED="$FAILED $(basename "$1")"
+}
+
+# Ends a sanitizer leg: fails naming every binary run_test saw fail, else
+# prints "LEG OK".
+finish_leg() {
+  if [ -n "$FAILED" ]; then
+    echo "$1: failing test binaries:$FAILED" >&2
+    exit 1
+  fi
+  echo "$1 OK"
+}
+
 # Runs test binary BIN with --gtest_filter FILTER after checking that every
 # ':'-separated pattern of FILTER matches at least one test, so a renamed
-# or deleted suite fails the leg instead of silently dropping out of it.
+# or deleted suite fails the leg at once instead of silently dropping out
+# of it. The run itself goes through run_test.
 run_filtered() {
   _saved_ifs=$IFS
   IFS=:
@@ -143,7 +164,7 @@ run_filtered() {
   done
   set +f
   IFS=$_saved_ifs
-  "$1" --gtest_filter="$2"
+  run_test "$1" --gtest_filter="$2"
 }
 
 if [ "$MODE" = "smoke" ]; then
@@ -498,7 +519,7 @@ if [ "$MODE" = "tsan" ]; then
     'ParallelInvariance.*:Evolution.*:Tabu.*:Annealing.*:Refiner.*:RandomSearch.*:OptimizerEquivalence.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*:Drain.*:Deadline.*:CacheRobustness.*'
   run_filtered "$BUILD_DIR/iddq_tests_cluster" \
     'ClusterClient.*:SessionBackends.*:ServeListener.*:RowMerger.*'
-  echo "tsan OK"
+  finish_leg tsan
   exit 0
 fi
 
@@ -517,10 +538,10 @@ if [ "$MODE" = "asan" ]; then
   cmake --build "$BUILD_DIR" -j "$JOBS" --target $TARGETS
   export ASAN_OPTIONS=detect_leaks=1:abort_on_error=1
   export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
-  for t in $WHOLE; do "$BUILD_DIR/iddq_tests_$t"; done
+  for t in $WHOLE; do run_test "$BUILD_DIR/iddq_tests_$t"; done
   run_filtered "$BUILD_DIR/iddq_tests_core" \
     'StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*:Tabu.*:Annealing.*:Refiner.*:RandomSearch.*:OptimizerEquivalence.*:OptimizerTrajectory.*:FlowEngine*.*:Flow.*'
-  echo "asan OK"
+  finish_leg asan
   exit 0
 fi
 
