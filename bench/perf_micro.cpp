@@ -248,11 +248,10 @@ BENCHMARK(BM_EsChildScore)
     ->ArgsProduct({{4, 5, 6, 7}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-// What a parent pays for its slack certificate, in its two parts: the
-// forward pass a materialized survivor (an evaluator copy, which has no
-// arrivals) runs first, and the backward walk over the near-critical
-// gates. Factors are 1 + 5% noise, about the spread of the ES's module
-// rows.
+// What a parent pays for its slack certificate: a full forward pass alone
+// (probe_full), and certify() on a fresh copy, which takes its own forward
+// pass and then the backward walk over the near-critical gates. Factors
+// are 1 + 5% noise, about the spread of the ES's module rows.
 void BM_TimingCertificate(benchmark::State& state) {
   const auto& ctx = context_at(static_cast<std::size_t>(state.range(0)));
   const bool walk = state.range(1) != 0;
@@ -262,25 +261,21 @@ void BM_TimingCertificate(benchmark::State& state) {
     delta[id] = 1.0 + rng.uniform() * 0.05;
   const auto factor = [&delta](netlist::GateId g) { return delta[g]; };
   est::IncrementalTiming timing(ctx.timing_graph);
-  timing.rebuild(factor);
+  std::size_t near_gates = 0;
   for (auto _ : state) {
     if (walk) {
-      // Dropping the held certificate takes a full pass; it is not timed.
-      state.PauseTiming();
-      timing.rebuild(factor);
-      state.ResumeTiming();
-      timing.certify(factor);
-      benchmark::DoNotOptimize(timing.near_gates().data());
+      est::IncrementalTiming copy = timing;
+      copy.certify(factor);
+      near_gates = copy.certificate().near.size();
+      benchmark::DoNotOptimize(near_gates);
     } else {
-      benchmark::DoNotOptimize(timing.rebuild(factor));
+      benchmark::DoNotOptimize(timing.probe_full(factor));
     }
   }
-  if (walk)
-    state.counters["near_gates"] =
-        static_cast<double>(timing.near_gates().size());
+  if (walk) state.counters["near_gates"] = static_cast<double>(near_gates);
 }
 BENCHMARK(BM_TimingCertificate)
-    // {big_dag10k/30k/100k, mult64} x {0=forward pass, 1=walk}
+    // {big_dag10k/30k/100k, mult64} x {0=forward pass, 1=pass + walk}
     ->ArgsProduct({{4, 5, 6, 7}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
@@ -411,14 +406,10 @@ ProfileFixture& profile_at(std::size_t idx) {
   return *fixtures[idx];
 }
 
-// A committed move's profile work: remove one gate, add another, read the
-// new maxima. The tree pays leaf updates plus one lazy O(grid) rebuild at
-// the query; the scan path pays the same leaf updates plus the two full
-// O(grid) max scans the old refresh ran. Same asymptotics, so this bench
-// pins that the lazy tree costs nothing extra on the commit path.
+// A committed move's profile work: remove one gate, add another (O(|T(g)|)
+// slot updates), then read the new maxima (two O(grid) scans).
 void BM_ProfileCommitAndMax(benchmark::State& state) {
   auto& f = profile_at(static_cast<std::size_t>(state.range(0)));
-  const bool tree = state.range(1) != 0;
   const auto logic = f.nl.logic_gates();
   std::size_t i = 0;
   for (auto _ : state) {
@@ -426,19 +417,14 @@ void BM_ProfileCommitAndMax(benchmark::State& state) {
     const netlist::GateId in = logic[i++ % logic.size()];
     f.profile.remove_gate(f.tt.at(out), f.cells[out].ipeak_ua);
     f.profile.add_gate(f.tt.at(in), f.cells[in].ipeak_ua);
-    if (tree) {
-      benchmark::DoNotOptimize(f.profile.max_current_ua());
-      benchmark::DoNotOptimize(f.profile.max_switching());
-    } else {
-      benchmark::DoNotOptimize(f.profile.scan_max_current_ua());
-      benchmark::DoNotOptimize(f.profile.scan_max_switching());
-    }
+    benchmark::DoNotOptimize(f.profile.max_current_ua());
+    benchmark::DoNotOptimize(f.profile.max_switching());
     f.profile.remove_gate(f.tt.at(in), f.cells[in].ipeak_ua);
     f.profile.add_gate(f.tt.at(out), f.cells[out].ipeak_ua);
   }
 }
 BENCHMARK(BM_ProfileCommitAndMax)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}})  // {circuit, 0=scan / 1=tree}
+    ->DenseRange(0, 4)  // circuit
     ->Unit(benchmark::kMicrosecond);
 
 // Closed-form 50%-crossing vs the historical 100-iteration bisection it

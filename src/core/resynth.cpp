@@ -81,20 +81,6 @@ struct RetimeState {
     }
     return times;
   }
-
-  /// Whole-circuit current profile and its peak.
-  [[nodiscard]] std::pair<std::vector<double>, double> profile(
-      std::size_t grid) const {
-    const auto times = transition_sets(grid);
-    std::vector<double> current(grid, 0.0);
-    for (const netlist::GateId g : nl->logic_gates()) {
-      times[g].for_each(
-          [&](std::size_t t) { current[t] += cells[g].ipeak_ua; });
-    }
-    double peak = 0.0;
-    for (const double v : current) peak = std::max(peak, v);
-    return {std::move(current), peak};
-  }
 };
 
 /// Per-module objective for the partition-aware pass: module current
@@ -152,122 +138,15 @@ ModuleObjective evaluate_modules(const RetimeState& state, std::size_t grid,
 
 }  // namespace
 
-ResynthResult retime_for_iddq(const netlist::Netlist& nl,
-                              const lib::CellLibrary& library,
-                              const ResynthOptions& options) {
+RetimeResult retime_for_iddq_partitioned(
+    const netlist::Netlist& nl, const lib::CellLibrary& library,
+    const std::vector<std::vector<netlist::GateId>>& module_groups,
+    const ResynthOptions& options) {
   require(options.grid_bin_ps > 0.0, "resynth: grid bin must be positive");
   require(options.target_peak_reduction >= 0.0 &&
               options.target_peak_reduction < 1.0,
           "resynth: target reduction must be in [0, 1)");
   require(options.delay_margin >= 0.0, "resynth: delay margin must be >= 0");
-
-  RetimeState state;
-  state.nl = &nl;
-  state.cells = lib::bind_cells(nl, library);
-  state.order = netlist::topological_order(nl);
-  state.bin_ps = options.grid_bin_ps;
-  const auto& buf =
-      library.params(lib::CellType{netlist::GateKind::kBuf, 1});
-  state.buf_delay_ps = buf.delay_ps;
-  state.buf_slots = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::llround(buf.delay_ps / state.bin_ps)));
-  state.extra.assign(nl.gate_count(), 0);
-
-  const double d_before = est::nominal_critical_path_ps(nl, state.cells);
-  const double limit_ps = d_before * (1.0 + options.delay_margin);
-
-  // Grid sized for the worst case: every retiming budget spent in series.
-  const std::size_t base_grid = static_cast<std::size_t>(
-      std::ceil(limit_ps / state.bin_ps)) + 2;
-  const std::size_t grid =
-      base_grid + options.max_retimed_gates * state.buf_slots + 2;
-
-  auto [current, peak] = state.profile(grid);
-  ResynthResult result{nl, 0, 0, peak, peak, d_before, d_before};
-  const double target_peak = peak * (1.0 - options.target_peak_reduction);
-
-  while (result.retimed_gates < options.max_retimed_gates &&
-         result.peak_after_ua > target_peak) {
-    // Peak slot under the current configuration.
-    std::size_t t_star = 0;
-    for (std::size_t t = 1; t < current.size(); ++t)
-      if (current[t] > current[t_star]) t_star = t;
-
-    // Candidates: gates switching at t* with enough slack for one buffer
-    // stage, ranked by current relieved per buffer inserted.
-    const auto slack = state.slacks_ps(limit_ps);
-    const auto times = state.transition_sets(grid);
-    std::vector<netlist::GateId> candidates;
-    for (const netlist::GateId g : nl.logic_gates()) {
-      if (!times[g].test(t_star)) continue;
-      if (slack[g] < state.buf_delay_ps) continue;
-      candidates.push_back(g);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [&](netlist::GateId a, netlist::GateId b) {
-                const double score_a = state.cells[a].ipeak_ua /
-                                       static_cast<double>(
-                                           nl.gate(a).fanins.size());
-                const double score_b = state.cells[b].ipeak_ua /
-                                       static_cast<double>(
-                                           nl.gate(b).fanins.size());
-                return score_a > score_b;
-              });
-
-    bool improved = false;
-    for (const netlist::GateId g : candidates) {
-      state.extra[g] += 1;
-      auto [trial_current, trial_peak] = state.profile(grid);
-      if (trial_peak < result.peak_after_ua) {
-        current = std::move(trial_current);
-        result.peak_after_ua = trial_peak;
-        result.retimed_gates += 1;
-        result.buffers_added += nl.gate(g).fanins.size();
-        improved = true;
-        break;
-      }
-      state.extra[g] -= 1;  // no gain: revert and try the next candidate
-    }
-    if (!improved) break;  // local optimum of the one-buffer neighbourhood
-  }
-
-  // Physically rebuild the circuit with the chosen buffer insertions.
-  if (result.retimed_gates == 0) return result;
-
-  netlist::NetlistBuilder b(nl.name() + "_rt");
-  std::vector<netlist::GateId> remap(nl.gate_count(), netlist::kNoGate);
-  for (const netlist::GateId g : nl.primary_inputs())
-    remap[g] = b.add_input(nl.gate(g).name);
-  for (const netlist::GateId g : state.order) {
-    const auto& gate = nl.gate(g);
-    if (gate.fanins.empty()) continue;
-    std::vector<netlist::GateId> fanins;
-    fanins.reserve(gate.fanins.size());
-    for (std::size_t i = 0; i < gate.fanins.size(); ++i) {
-      netlist::GateId src = remap[gate.fanins[i]];
-      IDDQ_ASSERT(src != netlist::kNoGate);
-      for (std::size_t k = 0; k < state.extra[g]; ++k) {
-        src = b.add_gate(netlist::GateKind::kBuf,
-                         gate.name + "_rt" + std::to_string(k) + "_" +
-                             std::to_string(i),
-                         {src});
-      }
-      fanins.push_back(src);
-    }
-    remap[g] = b.add_gate(gate.kind, gate.name, std::move(fanins));
-  }
-  for (const netlist::GateId g : nl.primary_outputs()) b.mark_output(remap[g]);
-  result.netlist = std::move(b).build();
-  result.delay_after_ps = est::nominal_critical_path_ps(
-      result.netlist, lib::bind_cells(result.netlist, library));
-  return result;
-}
-
-PartitionedResynthResult retime_for_iddq_partitioned(
-    const netlist::Netlist& nl, const lib::CellLibrary& library,
-    const std::vector<std::vector<netlist::GateId>>& module_groups,
-    const ResynthOptions& options) {
-  require(options.grid_bin_ps > 0.0, "resynth: grid bin must be positive");
   require(!module_groups.empty(), "resynth: need at least one module");
 
   RetimeState state;
@@ -302,7 +181,7 @@ PartitionedResynthResult retime_for_iddq_partitioned(
 
   ModuleObjective obj = evaluate_modules(state, grid, module_of,
                                          module_groups.size(), buf.ipeak_ua);
-  PartitionedResynthResult result;
+  RetimeResult result;
   result.netlist = nl;
   result.sum_peak_before_ua = obj.sum_peaks;
   result.sum_peak_after_ua = obj.sum_peaks;

@@ -6,75 +6,66 @@
 
 namespace iddq::est {
 
-void ModuleCurrentProfile::sync_tree() const {
-  if (!tree_stale_) return;
-  for (std::size_t i = grid_; i-- > 1;) {
-    current_ua_[i] = std::max(current_ua_[2 * i], current_ua_[2 * i + 1]);
-    switching_[i] = std::max(switching_[2 * i], switching_[2 * i + 1]);
+namespace {
+
+/// Max over a row and 0, in four independent accumulators: a single one
+/// would serialize the scan on its compare chain. Max is exact, so the
+/// lane order cannot change the result.
+template <class T>
+T lane_max(const std::vector<T>& row) {
+  const T* v = row.data();
+  const std::size_t n = row.size();
+  T m0{};
+  T m1{};
+  T m2{};
+  T m3{};
+  std::size_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    m0 = std::max(m0, v[t]);
+    m1 = std::max(m1, v[t + 1]);
+    m2 = std::max(m2, v[t + 2]);
+    m3 = std::max(m3, v[t + 3]);
   }
-  tree_stale_ = false;
+  for (; t < n; ++t) m0 = std::max(m0, v[t]);
+  return std::max(std::max(m0, m1), std::max(m2, m3));
 }
+
+}  // namespace
 
 void ModuleCurrentProfile::add_gate(const DynamicBitset& times,
                                     double ipeak_ua) {
-  IDDQ_ASSERT(times.size() == grid_);
+  IDDQ_ASSERT(times.size() == current_ua_.size());
   times.for_each([&](std::size_t t) {
-    current_ua_[grid_ + t] += ipeak_ua;
-    switching_[grid_ + t] += 1;
+    current_ua_[t] += ipeak_ua;
+    switching_[t] += 1;
   });
-  tree_stale_ = true;
 }
 
 void ModuleCurrentProfile::remove_gate(const DynamicBitset& times,
                                        double ipeak_ua) {
-  IDDQ_ASSERT(times.size() == grid_);
+  IDDQ_ASSERT(times.size() == current_ua_.size());
   times.for_each([&](std::size_t t) {
-    const std::size_t leaf = grid_ + t;
-    current_ua_[leaf] -= ipeak_ua;
-    IDDQ_ASSERT(switching_[leaf] > 0);
-    switching_[leaf] -= 1;
-    if (switching_[leaf] == 0) current_ua_[leaf] = 0.0;  // cancel fp residue
+    current_ua_[t] -= ipeak_ua;
+    IDDQ_ASSERT(switching_[t] > 0);
+    switching_[t] -= 1;
+    if (switching_[t] == 0) current_ua_[t] = 0.0;  // cancel fp residue
   });
-  tree_stale_ = true;
+}
+
+double ModuleCurrentProfile::max_current_ua() const {
+  return lane_max(current_ua_);
+}
+
+std::uint32_t ModuleCurrentProfile::max_switching() const {
+  return lane_max(switching_);
 }
 
 std::uint32_t ModuleCurrentProfile::peak_overlap(
     const DynamicBitset& times) const {
-  IDDQ_ASSERT(times.size() == grid_);
+  IDDQ_ASSERT(times.size() == switching_.size());
   std::uint32_t best = 0;
-  times.for_each(
-      [&](std::size_t t) { best = std::max(best, switching_[grid_ + t]); });
+  times.for_each([&](std::size_t t) { best = std::max(best, switching_[t]); });
   return best == 0 ? 1 : best;
-}
-
-double ModuleCurrentProfile::scan_max_current_ua() const {
-  double best = 0.0;
-  for (const double v : current_ua()) best = std::max(best, v);
-  return best;
-}
-
-std::uint32_t ModuleCurrentProfile::scan_max_switching() const {
-  std::uint32_t best = 0;
-  for (const std::uint32_t v : switching()) best = std::max(best, v);
-  return best;
-}
-
-void ModuleCurrentProfile::self_check() const {
-  require(current_ua_.size() == 2 * grid_ && switching_.size() == 2 * grid_,
-          "current profile self-check: tree storage size mismatch");
-  sync_tree();
-  for (std::size_t i = 1; i < grid_; ++i) {
-    require(current_ua_[i] ==
-                std::max(current_ua_[2 * i], current_ua_[2 * i + 1]),
-            "current profile self-check: stale current tree node");
-    require(switching_[i] ==
-                std::max(switching_[2 * i], switching_[2 * i + 1]),
-            "current profile self-check: stale switching tree node");
-  }
-  require(max_current_ua() == scan_max_current_ua(),
-          "current profile self-check: tree max != scanned max current");
-  require(max_switching() == scan_max_switching(),
-          "current profile self-check: tree max != scanned max switching");
 }
 
 ModuleCurrentProfile profile_of(const TransitionTimes& tt,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "electrical/delay_model.hpp"
 #include "netlist/levelize.hpp"
 #include "support/error.hpp"
 
@@ -41,30 +40,6 @@ double degraded_critical_path_ps(const netlist::Netlist& nl,
                                  std::span<const double> delta) {
   IDDQ_ASSERT(delta.size() == nl.gate_count());
   return critical_path_ps(nl, cells, delta);
-}
-
-DeltaInterpolator::DeltaInterpolator(double rs_kohm, double cs_ff,
-                                     double cg_ff, double rg_kohm,
-                                     std::uint32_t n_max)
-    : n_max_(std::max<std::uint32_t>(n_max, 1)) {
-  elec::DelayModelInput in;
-  in.rs_kohm = rs_kohm;
-  in.cs_ff = cs_ff;
-  in.cg_ff = cg_ff;
-  in.rg_kohm = rg_kohm;
-  in.n = 1;
-  delta1_ = elec::DelayDegradationModel::delta(in);
-  if (n_max_ > 1) {
-    in.n = n_max_;
-    const double delta_hi = elec::DelayDegradationModel::delta(in);
-    slope_ = (delta_hi - delta1_) / static_cast<double>(n_max_ - 1);
-  }
-}
-
-double DeltaInterpolator::at(std::uint32_t n) const {
-  IDDQ_ASSERT(n >= 1);
-  const std::uint32_t clamped = std::min(n, n_max_);
-  return delta1_ + slope_ * static_cast<double>(clamped - 1);
 }
 
 }  // namespace iddq::est

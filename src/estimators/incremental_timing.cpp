@@ -38,33 +38,32 @@ TimingGraph::TimingGraph(const netlist::Netlist& nl,
   }
 }
 
-void IncrementalTiming::trace_chain(Certificate& cert) const {
-  for (netlist::GateId id = critical_; id != netlist::kNoGate;) {
+void IncrementalTiming::trace_chain(Certificate& cert,
+                                    std::span<const double> arrival,
+                                    netlist::GateId critical) const {
+  for (netlist::GateId id = critical; id != netlist::kNoGate;) {
     cert.chain.push_back(id);
     netlist::GateId next = netlist::kNoGate;
     for (const netlist::GateId f : graph_->fanins(id)) {
       if (graph_->fanins(f).empty()) continue;  // primary input: arrival 0
-      if (next == netlist::kNoGate || arrival_[f] > arrival_[next]) next = f;
+      if (next == netlist::kNoGate || arrival[f] > arrival[next]) next = f;
     }
     id = next;
   }
   std::reverse(cert.chain.begin(), cert.chain.end());
 }
 
-void IncrementalTiming::link_near_fanins(Certificate& cert) {
-  // Positions + 1 ride in the zeroed scratch array while the links are
-  // collected (exact in a double: |N| < 2^53).
+void IncrementalTiming::link_near_fanins(Certificate& cert) const {
+  // Position + 1 in N by GateId; 0 outside N.
+  std::vector<std::uint32_t> position(graph_->gate_count(), 0);
   for (std::size_t i = 0; i < cert.near.size(); ++i)
-    scratch_arrival_[cert.near[i]] = static_cast<double>(i + 1);
+    position[cert.near[i]] = static_cast<std::uint32_t>(i + 1);
   cert.link_off.assign(1, 0);
   for (const netlist::GateId id : cert.near) {
     for (const netlist::GateId f : graph_->fanins(id))
-      if (scratch_arrival_[f] != 0.0)
-        cert.link.push_back(static_cast<std::uint32_t>(scratch_arrival_[f]) -
-                            1);
+      if (position[f] != 0) cert.link.push_back(position[f] - 1);
     cert.link_off.push_back(static_cast<std::uint32_t>(cert.link.size()));
   }
-  std::vector<double>().swap(scratch_arrival_);
 }
 
 }  // namespace iddq::est

@@ -7,33 +7,34 @@
 // modules' delta factors, almost all of that work recomputes unchanged
 // arrivals.
 //
-// IncrementalTiming keeps the per-gate arrival state of the last full
-// pass and a slack certificate taken from it, which answers later factor
-// assignments from the ~1% near-critical gates instead of a full pass:
+// IncrementalTiming keeps no arrivals between calls. Its state is a slack
+// certificate taken from one full pass, which answers later factor
+// assignments from the ~1% near-critical gates instead of a full pass, plus
+// scratch storage and counters.
 //
 //   * TimingGraph (immutable, shared per circuit): one topological order
 //     and the rank of every gate in it. Built once per EvalContext.
 //   * arrival[g] = max over fanins of arrival[fanin] + D(g) * factor(g),
-//     exactly the recurrence of est::degraded_critical_path_ps. Each
-//     arrival is a pure function of the fanin arrivals and the gate's own
-//     factor, computed with the same expression on the same operand values
-//     — there is no cross-gate reassociation — so rebuild() and
-//     probe_full() are bit-identical to the full pass (pinned by
+//     exactly the recurrence of est::degraded_critical_path_ps. One
+//     full-pass kernel computes it for probe_full() and certify(), with the
+//     same expression on the same operand values — there is no cross-gate
+//     reassociation — so both are bit-identical to the full pass (pinned by
 //     tests/estimators/test_incremental_timing.cpp).
 //   * factors are supplied by a callable `double(GateId)` so the caller
 //     (the evaluator) can serve them straight from its per-module anchor
 //     rows without materialising a per-gate array.
 //
-// probe_full() evaluates a hypothetical factor assignment as a plain pass
-// into scratch storage: it needs no valid persistent state and never
-// writes it.
+// probe_full() evaluates a factor assignment as a plain pass into scratch
+// storage. The evaluator takes it for a committed state the certificate
+// cannot vouch for (after drop()) and as the probes' fallback.
 //
 // probe_certified() answers the same what-if without a full pass; it
 // scores the evaluator's probes (probe_moves(), and probe_move() through
 // it). A probed move dirties whole modules, whose gates may sit anywhere
 // in the circuit; rather than re-time them, a slack certificate
-// (certify()) is taken once from a full pass — live arrivals a(g), worst
-// D0 and factors phi0 — and every later state is judged against it:
+// (certify()) is taken once from a full pass — arrivals a(g), worst D0
+// and factors phi0, all released once the certificate is built — and
+// every later state is judged against it:
 //
 //   * tails t(g), the longest path out of g, so P(g) = a(g) + t(g) is the
 //     longest path through g;
@@ -63,19 +64,17 @@
 // its margin on the side that only grows N or forces the fallback; the
 // walk's cut is theta*D0*(1-eps).
 //
-// Because the certificate depends only on phi0 and D0, never on the
-// current arrivals, it outlives the state it was taken from:
+// Because the certificate depends only on phi0 and D0, it outlives the
+// state it was taken from:
 //
 //   * commit_certified() commits a new factor assignment by the same check
-//     and the same O(|N|) pass, leaving the arrivals stale (!valid()); a
-//     failed check changes nothing, and the caller takes rebuild(), which
-//     drops the certificate.
+//     and the same O(|N|) pass and returns its critical path; a failed
+//     check changes nothing, and the caller drops the certificate and
+//     takes probe_full().
 //   * The certificate is immutable and held by shared_ptr<const>: copying
 //     an IncrementalTiming (a tabu slice copying the round-start
-//     evaluator, a materialized ES survivor) shares it, drops the O(V)
-//     arrival array (the copy reports !valid(); its next rebuild
-//     recomputes it bit-identically by the fixpoint argument above) and
-//     starts with its own O(|N|) scratch, so copies probe concurrently.
+//     evaluator, a materialized ES survivor) shares it and starts with its
+//     own empty scratch, so copies probe concurrently.
 //   * A certificate carried across a commit is dropped by the first probe
 //     it cannot vouch for, so the next certify() re-takes it from the
 //     current state; a fresh one is kept, as probing never changes state.
@@ -84,6 +83,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -163,14 +163,11 @@ class IncrementalTiming {
   /// evaluator copies share it).
   explicit IncrementalTiming(const TimingGraph& graph) : graph_(&graph) {}
 
-  /// Copies share the circuit, the critical path and the certificate but
-  /// drop the arrival state, and start with zero counters (see above);
-  /// moves keep everything.
+  /// Copies share the circuit and the certificate, and start with their
+  /// own empty scratch and zero counters (see above); moves keep
+  /// everything.
   IncrementalTiming(const IncrementalTiming& other)
-      : graph_(other.graph_),
-        worst_(other.worst_),
-        cert_(other.cert_),
-        carried_(other.carried_) {}
+      : graph_(other.graph_), cert_(other.cert_), carried_(other.carried_) {}
   IncrementalTiming& operator=(const IncrementalTiming& other) {
     if (this != &other) *this = IncrementalTiming(other);
     return *this;
@@ -178,27 +175,26 @@ class IncrementalTiming {
   IncrementalTiming(IncrementalTiming&&) = default;
   IncrementalTiming& operator=(IncrementalTiming&&) = default;
 
-  /// False until the first rebuild(), after a commit_certified(), and in a
-  /// copy: arrival_ps() and certify() require a valid state.
-  [[nodiscard]] bool valid() const noexcept { return valid_; }
+  /// The slack certificate (see the header comment): immutable once
+  /// certify() has built it.
+  struct Certificate {
+    double worst = 0.0;                 // D0
+    std::vector<netlist::GateId> near;  // N, topological order
+    // CSR over N: the positions in `near` of near[i]'s fanins that are in
+    // N, in fanin order.
+    std::vector<std::uint32_t> link_off;  // size |N| + 1
+    std::vector<std::uint32_t> link;
+    std::vector<netlist::GateId> chain;  // C, from the inputs to the witness
 
-  /// Critical path of the current state, in ps (after a rebuild() or
-  /// commit_certified()).
-  [[nodiscard]] double worst_ps() const noexcept { return worst_; }
-
-  /// Arrival time of a gate under the current state, in ps (requires
-  /// valid()).
-  [[nodiscard]] double arrival_ps(netlist::GateId g) const {
-    return arrival_[g];
-  }
+    friend bool operator==(const Certificate&, const Certificate&) = default;
+  };
 
   /// True while a certificate is held (certify(); shared by copies).
   [[nodiscard]] bool certified() const noexcept { return cert_ != nullptr; }
 
-  /// The certificate's near set, in topological order (requires
-  /// certified()).
-  [[nodiscard]] std::span<const netlist::GateId> near_gates() const noexcept {
-    return cert_->near;
+  /// The held certificate (requires certified()).
+  [[nodiscard]] const Certificate& certificate() const noexcept {
+    return *cert_;
   }
 
   /// How many probe_certified() calls this instance answered from the near
@@ -218,115 +214,78 @@ class IncrementalTiming {
     return recertifications_;
   }
 
-  /// Full pass: recomputes every arrival from `factor` (a callable
-  /// `double(GateId)`, >= 1 for logic gates), replacing the persistent
-  /// state and dropping the certificate. Returns the critical path in ps.
-  template <class FactorFn>
-  double rebuild(FactorFn&& factor) {
+  /// Drops the certificate (the next certify() takes a new one).
+  void drop() noexcept {
     cert_.reset();
-    arrival_.assign(graph_->gate_count(), 0.0);
-    queued_.assign(graph_->gate_count(), 0);
-    worst_ = 0.0;
-    critical_ = netlist::kNoGate;
-    // Exactly est::degraded_critical_path_ps's recurrence: primary inputs
-    // keep arrival 0 and do not contend for the maximum.
-    for (const netlist::GateId id : graph_->order()) {
-      const auto fanins = graph_->fanins(id);
-      if (fanins.empty()) continue;
-      double in_arrival = 0.0;
-      for (const netlist::GateId f : fanins)
-        in_arrival = std::max(in_arrival, arrival_[f]);
-      const double delta = factor(id);
-      IDDQ_ASSERT(delta >= 1.0);
-      arrival_[id] = in_arrival + graph_->delay_ps(id) * delta;
-      if (arrival_[id] > worst_) {
-        worst_ = arrival_[id];
-        critical_ = id;
-      }
-    }
-    valid_ = true;
-    return worst_;
+    carried_ = false;
   }
 
-  /// Full pass into scratch storage: the critical path under `factor`,
-  /// bit-identical to rebuild(factor), with the persistent state neither
-  /// required nor touched.
+  /// Full pass into scratch storage: the critical path under `factor` (a
+  /// callable `double(GateId)`, >= 1 for logic gates), bit-identical to
+  /// est::degraded_critical_path_ps over the same factors.
   template <class FactorFn>
   double probe_full(FactorFn&& factor) {
-    prepare_scratch();
-    double worst = 0.0;
-    for (const netlist::GateId id : graph_->order()) {
-      const auto fanins = graph_->fanins(id);
-      if (fanins.empty()) continue;
-      double in_arrival = 0.0;
-      for (const netlist::GateId f : fanins)
-        in_arrival = std::max(in_arrival, scratch_arrival_[f]);
-      const double delta = factor(id);
-      IDDQ_ASSERT(delta >= 1.0);
-      scratch_arrival_[id] = in_arrival + graph_->delay_ps(id) * delta;
-      worst = std::max(worst, scratch_arrival_[id]);
-    }
-    std::fill(scratch_arrival_.begin(), scratch_arrival_.end(), 0.0);
-    return worst;
+    if (scratch_arrival_.size() != graph_->gate_count())
+      scratch_arrival_.assign(graph_->gate_count(), 0.0);
+    return forward_pass(factor, scratch_arrival_).first;
   }
 
-  /// Takes the slack certificate of the current arrivals (see the header
-  /// comment); `factor` must be the one they were computed from. A no-op
-  /// while certified() — a held certificate with valid arrivals was taken
-  /// from them, since commits that keep it leave the arrivals stale.
-  /// Requires valid().
+  /// Takes the slack certificate of the state `factor` describes (see the
+  /// header comment) from its own full pass, into arrays it releases when
+  /// done. A no-op while certified().
   template <class FactorFn>
   void certify(FactorFn&& factor) {
-    IDDQ_ASSERT(valid_);
     if (cert_ != nullptr) return;
     require(graph_->depth() < kMaxCertifiedDepth,
             "timing: circuit too deep for the slack certificate's rounding "
             "margin");
+    std::vector<double> arrival(graph_->gate_count(), 0.0);
+    const auto [worst, critical] = forward_pass(factor, arrival);
     auto cert = std::make_shared<Certificate>();
-    cert->worst = worst_;
-    if (worst_ > 0.0) {
+    cert->worst = worst;
+    if (worst > 0.0) {
       // A flagged sweep of the topological order downwards: tails
-      // accumulate in scratch_arrival_ and flags in queued_, both zero
-      // again once the sweep drains.
-      prepare_scratch();
-      const double cut = kNearFraction * worst_ * (1.0 - kRoundingMargin);
+      // accumulate in `tail`, flags in `queued`.
+      std::vector<double> tail(graph_->gate_count(), 0.0);
+      std::vector<std::uint8_t> queued(graph_->gate_count(), 0);
+      const double cut = kNearFraction * worst * (1.0 - kRoundingMargin);
       // Seeds: primary inputs hold arrival 0 < cut, so only logic gates.
       std::size_t pending = 0;
       std::size_t top = 0;
-      for (netlist::GateId id = 0; id < arrival_.size(); ++id) {
-        if (!(arrival_[id] >= cut)) continue;
-        queued_[id] = 1;
+      for (netlist::GateId id = 0; id < arrival.size(); ++id) {
+        if (!(arrival[id] >= cut)) continue;
+        queued[id] = 1;
         ++pending;
         top = std::max<std::size_t>(top, graph_->rank(id));
       }
       const auto order = graph_->order();
       for (std::size_t rank = top + 1; pending > 0;) {
         const netlist::GateId id = order[--rank];
-        if (!queued_[id]) continue;
-        queued_[id] = 0;
+        if (!queued[id]) continue;
+        queued[id] = 0;
         --pending;
         // Every fanout ranks higher and has been swept: the tail is final.
-        const double tail = scratch_arrival_[id];
-        scratch_arrival_[id] = 0.0;
-        if (!(arrival_[id] + tail >= cut)) continue;
+        if (!(arrival[id] + tail[id] >= cut)) continue;
         cert->near.push_back(id);
-        const double through = graph_->delay_ps(id) * factor(id) + tail;
+        const double through = graph_->delay_ps(id) * factor(id) + tail[id];
         for (const netlist::GateId f : graph_->fanins(id)) {
           if (graph_->fanins(f).empty()) continue;  // primary input
-          scratch_arrival_[f] = std::max(scratch_arrival_[f], through);
-          if (queued_[f]) continue;
-          queued_[f] = 1;
+          tail[f] = std::max(tail[f], through);
+          if (queued[f]) continue;
+          queued[f] = 1;
           ++pending;
         }
       }
       // The sweep settled N in decreasing rank.
       std::reverse(cert->near.begin(), cert->near.end());
-      trace_chain(*cert);
+      trace_chain(*cert, arrival, critical);
       link_near_fanins(*cert);
     }
     cert_ = std::move(cert);
     carried_ = false;
     ++recertifications_;
+    // A certified state scores its what-ifs in O(|N|) arrays.
+    std::vector<double>().swap(scratch_arrival_);
   }
 
   /// The critical path under `factor`, bit-identical to
@@ -337,50 +296,63 @@ class IncrementalTiming {
   /// commit that fails to vouch is dropped.
   template <class FactorFn>
   double probe_certified(double ratio_bound, FactorFn&& factor) {
-    double worst = 0.0;
-    if (near_pass(ratio_bound, factor, worst)) {
+    if (const auto worst = near_pass(ratio_bound, factor)) {
       ++certified_probes_;
-      return worst;
+      return *worst;
     }
     ++fallback_probes_;
-    if (carried_) cert_.reset();
+    if (carried_) drop();
     return probe_full(std::forward<FactorFn>(factor));
   }
 
   /// Commits `factor` as the current state when the certificate vouches
-  /// for it (`ratio_bound` as for probe_certified): the critical path
-  /// becomes the near-set maximum, bit-identical to rebuild(factor), the
-  /// certificate is kept and the arrivals go stale (!valid()). Returns
-  /// false and changes nothing otherwise. Requires certified().
+  /// for it (`ratio_bound` as for probe_certified): returns the critical
+  /// path, the near-set maximum bit-identical to probe_full(factor), and
+  /// keeps the certificate. Returns nullopt and changes nothing otherwise.
+  /// Requires certified().
   template <class FactorFn>
-  bool commit_certified(double ratio_bound, FactorFn&& factor) {
-    double worst = 0.0;
-    if (!near_pass(ratio_bound, factor, worst)) return false;
-    worst_ = worst;
-    critical_ = netlist::kNoGate;
-    valid_ = false;
+  std::optional<double> commit_certified(double ratio_bound,
+                                         FactorFn&& factor) {
+    const auto worst = near_pass(ratio_bound, factor);
+    if (!worst) return std::nullopt;
     carried_ = true;
     ++certified_commits_;
-    return true;
+    return worst;
   }
 
  private:
-  /// The slack certificate (see the header comment): immutable once
-  /// certify() has built it.
-  struct Certificate {
-    double worst = 0.0;                 // D0
-    std::vector<netlist::GateId> near;  // N, topological order
-    // CSR over N: the positions in `near` of near[i]'s fanins that are in
-    // N, in fanin order.
-    std::vector<std::uint32_t> link_off;  // size |N| + 1
-    std::vector<std::uint32_t> link;
-    std::vector<netlist::GateId> chain;  // C, from the inputs to the witness
-  };
-
-  /// The certificate's check and, when it passes, the O(|N|) pass: sets
-  /// `worst` and returns true, or returns false.
+  /// The one full-pass kernel: fills `arrival` (by GateId, zero at the
+  /// primary inputs; every logic gate is overwritten before it is read)
+  /// with est::degraded_critical_path_ps's recurrence — primary inputs
+  /// keep arrival 0 and do not contend for the maximum — and
+  /// returns the critical path and its witness, the first gate in
+  /// topological order to reach it (kNoGate when it is 0).
   template <class FactorFn>
-  bool near_pass(double ratio_bound, FactorFn& factor, double& worst) {
+  std::pair<double, netlist::GateId> forward_pass(
+      FactorFn& factor, std::vector<double>& arrival) const {
+    double worst = 0.0;
+    netlist::GateId critical = netlist::kNoGate;
+    for (const netlist::GateId id : graph_->order()) {
+      const auto fanins = graph_->fanins(id);
+      if (fanins.empty()) continue;
+      double in_arrival = 0.0;
+      for (const netlist::GateId f : fanins)
+        in_arrival = std::max(in_arrival, arrival[f]);
+      const double delta = factor(id);
+      IDDQ_ASSERT(delta >= 1.0);
+      arrival[id] = in_arrival + graph_->delay_ps(id) * delta;
+      if (arrival[id] > worst) {
+        worst = arrival[id];
+        critical = id;
+      }
+    }
+    return {worst, critical};
+  }
+
+  /// The certificate's check and, when it passes, the O(|N|) pass: the
+  /// near-set maximum, or nullopt.
+  template <class FactorFn>
+  std::optional<double> near_pass(double ratio_bound, FactorFn& factor) {
     IDDQ_ASSERT(cert_ != nullptr && ratio_bound >= 1.0);
     const Certificate& cert = *cert_;
     double lower = 0.0;
@@ -389,11 +361,11 @@ class IncrementalTiming {
     if (!(lower > 0.0 && kNearFraction * cert.worst * ratio_bound *
                                  (1.0 + kRoundingMargin) <=
                              lower * (1.0 - kRoundingMargin)))
-      return false;
+      return std::nullopt;
     // Fanins outside N count as arrival 0: only links inside N are kept.
     if (near_arrival_.size() < cert.near.size())
       near_arrival_.resize(cert.near.size());
-    worst = 0.0;
+    double worst = 0.0;
     for (std::size_t i = 0; i < cert.near.size(); ++i) {
       double in_arrival = 0.0;
       for (std::uint32_t k = cert.link_off[i]; k < cert.link_off[i + 1]; ++k)
@@ -404,32 +376,18 @@ class IncrementalTiming {
       near_arrival_[i] = in_arrival + graph_->delay_ps(id) * delta;
       worst = std::max(worst, near_arrival_[i]);
     }
-    return true;
+    return worst;
   }
 
-  /// Allocates scratch_arrival_ (all zero between calls) when a copy or
-  /// a certify() left it empty.
-  void prepare_scratch() {
-    if (scratch_arrival_.size() != graph_->gate_count())
-      scratch_arrival_.assign(graph_->gate_count(), 0.0);
-  }
-  /// certify() helpers: trace the chain C back from the witness; index
-  /// N's internal fanin links, then release the scratch array (a
-  /// certified state scores its what-ifs in O(|N|) arrays).
-  void trace_chain(Certificate& cert) const;
-  void link_near_fanins(Certificate& cert);
+  /// certify() helpers: trace the chain C back from the witness through
+  /// argmax fanins; index N's internal fanin links.
+  void trace_chain(Certificate& cert, std::span<const double> arrival,
+                   netlist::GateId critical) const;
+  void link_near_fanins(Certificate& cert) const;
 
   const TimingGraph* graph_;
 
-  std::vector<double> arrival_;          // by GateId; inputs stay 0
-  double worst_ = 0.0;
-  netlist::GateId critical_ = netlist::kNoGate;  // witness of worst_
-  bool valid_ = false;
-
-  // The certificate walk's flags; all zero between calls.
-  std::vector<std::uint8_t> queued_;     // by GateId
-  // probe_full's arrivals and the walk's tails; all zero between calls,
-  // empty after a certify().
+  // probe_full's arrivals; empty in a copy and after a certify().
   std::vector<double> scratch_arrival_;
 
   std::shared_ptr<const Certificate> cert_;

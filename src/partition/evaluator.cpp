@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "electrical/delay_model.hpp"
@@ -345,17 +346,18 @@ void PartitionEvaluator::refresh() {
   derive_dirty_modules();
   const auto factor = [this](netlist::GateId g) { return gate_factor(g); };
   // A held certificate answers from the near set when the cumulative
-  // ratio bound still lets it vouch for the new state; otherwise the full
-  // pass recomputes every arrival. Bit-identical either way: both are the
-  // same pure function of the same factors.
-  if (timing_.certified() &&
-      timing_.commit_certified(
-          *std::max_element(slot_ratio_.begin(), slot_ratio_.end()),
-          factor)) {
-    d_bic_ps_ = timing_.worst_ps();
-  } else {
-    d_bic_ps_ = timing_.rebuild(factor);
+  // ratio bound still lets it vouch for the new state; otherwise it is
+  // dropped and a full pass recomputes every arrival. Bit-identical either
+  // way: both are the same pure function of the same factors.
+  std::optional<double> d_bic;
+  if (timing_.certified())
+    d_bic = timing_.commit_certified(
+        *std::max_element(slot_ratio_.begin(), slot_ratio_.end()), factor);
+  if (!d_bic) {
+    timing_.drop();
+    d_bic = timing_.probe_full(factor);
   }
+  d_bic_ps_ = *d_bic;
   std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
   any_dirty_ = false;
   settle_max_ps_ = 0.0;
@@ -497,9 +499,6 @@ void PartitionEvaluator::certify() {
   const auto factor = [this](netlist::GateId x) { return gate_factor(x); };
   refresh();
   if (timing_.certified()) return;
-  // Stale arrivals (a copy, or commits the certificate answered) are
-  // rebuilt bit-identically first.
-  if (!timing_.valid()) d_bic_ps_ = timing_.rebuild(factor);
   timing_.certify(factor);
   // Every gate's certified factor is its slot's delta row entry.
   for (std::size_t i = 0; i < type_floor_.size(); ++i)
@@ -579,10 +578,6 @@ void PartitionEvaluator::self_check() {
   PartitionEvaluator fresh(*ctx_, partition_);
   require(fresh.ext_ == ext_, "self_check: boundary count mismatch");
   for (std::uint32_t m = 0; m < partition_.module_count(); ++m) {
-    // The incremental max state first: every tournament-tree node must be
-    // consistent with its leaves and the O(1) maxima with the O(grid)
-    // reference scans.
-    profiles_[m].self_check();
     // Switching counts are integers and must match exactly; the running
     // current sums accumulate floating-point rounding in a different order
     // than a fresh summation, so they are compared with a tolerance.

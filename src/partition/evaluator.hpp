@@ -6,7 +6,8 @@
 // timing graph, settling model, sensor spec, weights); PartitionEvaluator
 // holds one partition plus per-module caches:
 //
-//   * current/count profiles  -> iDD_max,i, n_i(t)      (add/remove per gate)
+//   * current/count profiles  -> iDD_max,i, n_i(t)      (O(|T(g)|) per move;
+//                                the maxima are O(grid) scans on refresh)
 //   * leakage sums            -> discriminability check (O(1) per move)
 //   * separation sums S(M_i)  -> c3                     (O(|near|) per move)
 //   * virtual-rail capacitance-> tau_i                  (O(1) per move)
@@ -19,7 +20,8 @@
 // anchors / area / settling only for dirty modules (into persistent scratch
 // — no per-query allocation). D_BIC comes from est::IncrementalTiming's
 // slack certificate when it vouches for the new factors — a pass over the
-// ~1% near-critical gates — and from a full timing pass otherwise. Every
+// ~1% near-critical gates — and otherwise from a full timing pass into
+// scratch storage (the timing engine keeps no arrivals between calls). Every
 // derived value is a pure function of the per-module sums, computed by the
 // same expressions on the same operands as a full recomputation, so the
 // refresh is bit-identical to the historical full pass.
@@ -171,18 +173,17 @@ class PartitionEvaluator {
   /// would. The moves are applied in place — each module slot a move (or
   /// the module erasure of an emptying move) touches is snapshotted first
   /// — and scored, and then the snapshots and the partition journal are
-  /// restored, so no arithmetic residue remains and the persistent
-  /// arrivals are never written. The critical path comes from the timing
-  /// engine's slack certificate (shared with the evaluator this one was
-  /// copied from, or taken on the first probe that finds none): a pass
-  /// over the ~1% near-critical gates, bounded by how far any gate's
-  /// factor rose since the certificate was taken (the floor rows), with a
-  /// full pass into scratch storage as the fallback when the bound does
-  /// not vouch for the child. Emptying moves are allowed; targets index
-  /// the module slots as they are when that move is applied. The
-  /// evaluator's logical state is unchanged (lazy module caches may be
-  /// rederived). This is how the evolution strategy scores a child on its
-  /// parent instead of a copy.
+  /// restored, so no arithmetic residue remains. The critical path comes
+  /// from the timing engine's slack certificate (shared with the
+  /// evaluator this one was copied from, or taken on the first probe that
+  /// finds none): a pass over the ~1% near-critical gates, bounded by how
+  /// far any gate's factor rose since the certificate was taken (the floor
+  /// rows), with a full pass into scratch storage as the fallback when the
+  /// bound does not vouch for the child. Emptying moves are allowed;
+  /// targets index the module slots as they are when that move is
+  /// applied. The evaluator's logical state is unchanged (lazy module
+  /// caches may be rederived). This is how the evolution strategy scores
+  /// a child on its parent instead of a copy.
   [[nodiscard]] MoveProbe probe_moves(std::span<const Move> moves);
 
   /// The timing engine, read-only: tests count how many probes and

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "electrical/delay_model.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/gen/c17.hpp"
@@ -57,47 +56,6 @@ TEST(DelayEstimator, NonUniformDeltaCanShiftCriticalPath) {
   const double degraded = degraded_critical_path_ps(nl, cells, delta);
   EXPECT_NEAR(degraded, 20.0 * cells[z].delay_ps + cells[y].delay_ps, 1e-9);
   EXPECT_GT(degraded, base);
-}
-
-TEST(DeltaInterpolator, ExactAtAnchors) {
-  const double rs = 0.02;
-  const double cs = 1500.0;
-  const double cg = 15.0;
-  const double rg = 25.0;
-  const std::uint32_t n_max = 80;
-  const DeltaInterpolator interp(rs, cs, cg, rg, n_max);
-  elec::DelayModelInput in{rs, cs, cg, rg, 1};
-  EXPECT_NEAR(interp.at(1), elec::DelayDegradationModel::delta(in), 1e-12);
-  in.n = n_max;
-  EXPECT_NEAR(interp.at(n_max), elec::DelayDegradationModel::delta(in),
-              1e-12);
-}
-
-TEST(DeltaInterpolator, InterpolationErrorIsSmall) {
-  // delta(n) is close to affine in n; the two-anchor interpolation must stay
-  // within a tight relative band of the exact model over the whole range.
-  const double rs = 0.02;
-  const double cs = 1500.0;
-  const double cg = 15.0;
-  const double rg = 25.0;
-  const std::uint32_t n_max = 100;
-  const DeltaInterpolator interp(rs, cs, cg, rg, n_max);
-  for (std::uint32_t n = 1; n <= n_max; n += 7) {
-    elec::DelayModelInput in{rs, cs, cg, rg, n};
-    const double exact = elec::DelayDegradationModel::delta(in);
-    EXPECT_NEAR(interp.at(n), exact, exact * 0.01) << "n=" << n;
-  }
-}
-
-TEST(DeltaInterpolator, ClampsAboveNMax) {
-  const DeltaInterpolator interp(0.02, 1500.0, 15.0, 25.0, 10);
-  EXPECT_DOUBLE_EQ(interp.at(10), interp.at(500));
-}
-
-TEST(DeltaInterpolator, SingleAnchorDegenerate) {
-  const DeltaInterpolator interp(0.02, 1500.0, 15.0, 25.0, 1);
-  EXPECT_GE(interp.at(1), 1.0);
-  EXPECT_DOUBLE_EQ(interp.at(1), interp.at(7));
 }
 
 }  // namespace

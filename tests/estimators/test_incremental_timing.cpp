@@ -1,10 +1,11 @@
 // IncrementalTiming must reproduce est::degraded_critical_path_ps
-// bit-for-bit: rebuild() and probe_full() apply the same expression to the
-// same operand values, so every arrival — and the max over them — is
-// bitwise equal to a full pass. The slack certificate's bounded pass
+// bit-for-bit: probe_full() and certify()'s pass apply the same expression
+// to the same operand values, so every arrival — and the max over them —
+// is bitwise equal to a full pass. The slack certificate's bounded pass
 // (probe_certified, commit_certified) is held to the same bar against
 // seeded random circuits, parents and children; a failure names its
-// circuit, parent and child seeds.
+// circuit, parent and child seeds. Reference arrivals come from a full
+// pass written here, since the engine keeps none.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +50,22 @@ struct Fixture {
   }
 };
 
+/// Reference arrivals: est::degraded_critical_path_ps's recurrence, by
+/// GateId (primary inputs 0).
+std::vector<double> reference_arrivals(const TimingGraph& graph,
+                                       const std::vector<double>& delta) {
+  std::vector<double> arrival(graph.gate_count(), 0.0);
+  for (const netlist::GateId id : graph.order()) {
+    const auto fanins = graph.fanins(id);
+    if (fanins.empty()) continue;
+    double in_arrival = 0.0;
+    for (const netlist::GateId f : fanins)
+      in_arrival = std::max(in_arrival, arrival[f]);
+    arrival[id] = in_arrival + graph.delay_ps(id) * delta[id];
+  }
+  return arrival;
+}
+
 void expect_bits_eq(double got, double want) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
             std::bit_cast<std::uint64_t>(want))
@@ -62,14 +80,15 @@ TEST(TimingGraph, RanksFaninsBeforeFanouts) {
 }
 
 TEST(IncrementalTiming, RebuildMatchesFullPassBitForBit) {
+  // A from-scratch pass (probe_full) over fresh and over changed factors.
   Fixture f;
   IncrementalTiming timing(f.graph);
-  expect_bits_eq(timing.rebuild(f.factor()), f.full());
+  expect_bits_eq(timing.probe_full(f.factor()), f.full());
 
   Rng rng(17);
   for (const netlist::GateId id : f.nl.logic_gates())
     f.delta[id] = 1.0 + rng.uniform() * 0.2;
-  expect_bits_eq(timing.rebuild(f.factor()), f.full());
+  expect_bits_eq(timing.probe_full(f.factor()), f.full());
 }
 
 TEST(IncrementalTiming, ProbeScoresWithoutCommitting) {
@@ -78,11 +97,15 @@ TEST(IncrementalTiming, ProbeScoresWithoutCommitting) {
   Rng rng(41);
   for (const netlist::GateId id : f.nl.logic_gates())
     f.delta[id] = 1.0 + rng.uniform() * 0.2;
-  const double committed = timing.rebuild(f.factor());
+  const double committed = timing.probe_full(f.factor());
+  expect_bits_eq(committed, f.full());
+  timing.certify(f.factor());
+  ASSERT_TRUE(timing.certified());
   const std::vector<double> before_delta = f.delta;
-  std::vector<double> before_arrival(f.nl.gate_count(), 0.0);
-  for (netlist::GateId id = 0; id < f.nl.gate_count(); ++id)
-    before_arrival[id] = timing.arrival_ps(id);
+  const IncrementalTiming::Certificate before_cert = timing.certificate();
+  const auto committed_factor = [&](netlist::GateId g) {
+    return before_delta[g];
+  };
 
   const auto logic = f.nl.logic_gates();
   for (int step = 0; step < 50; ++step) {
@@ -98,16 +121,13 @@ TEST(IncrementalTiming, ProbeScoresWithoutCommitting) {
     const double what_if =
         timing.probe_full([&](netlist::GateId g) { return overlay[g]; });
     expect_bits_eq(what_if, degraded_critical_path_ps(f.nl, f.cells, overlay));
-    // The committed state is untouched: same worst, same arrivals.
-    expect_bits_eq(timing.worst_ps(), committed);
-    for (netlist::GateId id = 0; id < f.nl.gate_count(); ++id)
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(timing.arrival_ps(id)),
-                std::bit_cast<std::uint64_t>(before_arrival[id]));
+    // The certificate is untouched and still answers the committed state.
+    ASSERT_TRUE(timing.certified());
+    ASSERT_TRUE(timing.certificate() == before_cert);
+    expect_bits_eq(timing.probe_certified(1.0, committed_factor), committed);
   }
   // A final full pass over the unchanged factors still matches.
-  expect_bits_eq(
-      timing.rebuild([&](netlist::GateId g) { return before_delta[g]; }),
-      committed);
+  expect_bits_eq(timing.probe_full(committed_factor), committed);
 }
 
 // ---- Slack certificate ----
@@ -118,8 +138,8 @@ constexpr double kTheta = IncrementalTiming::kNearFraction;
 /// walk's own expressions over *every* fanout: fl(a(g) + t(g)) with
 /// t(g) = max over fanouts o of fl(D(o) * delta(o) + t(o)).
 std::vector<double> path_through(const TimingGraph& graph,
-                                 const IncrementalTiming& timing,
                                  const std::vector<double>& delta) {
+  const std::vector<double> arrival = reference_arrivals(graph, delta);
   const auto order = graph.order();
   std::vector<double> tail(graph.gate_count(), 0.0);
   std::vector<double> through(graph.gate_count(), 0.0);
@@ -127,7 +147,7 @@ std::vector<double> path_through(const TimingGraph& graph,
     const netlist::GateId id = *it;
     for (const netlist::GateId o : graph.fanouts(id))
       tail[id] = std::max(tail[id], graph.delay_ps(o) * delta[o] + tail[o]);
-    through[id] = timing.arrival_ps(id) + tail[id];
+    through[id] = arrival[id] + tail[id];
   }
   return through;
 }
@@ -140,14 +160,16 @@ void expect_near_set_complete(const netlist::Netlist& nl,
                               const IncrementalTiming& timing,
                               const std::vector<double>& delta) {
   ASSERT_TRUE(timing.certified());
-  const auto near = timing.near_gates();
+  const auto& near = timing.certificate().near;
   std::vector<std::uint8_t> in_near(graph.gate_count(), 0);
   for (std::size_t i = 0; i < near.size(); ++i) {
     in_near[near[i]] = 1;
     if (i > 0) ASSERT_LT(graph.rank(near[i - 1]), graph.rank(near[i]));
   }
-  const double cut = kTheta * timing.worst_ps();
-  const std::vector<double> through = path_through(graph, timing, delta);
+  const std::vector<double> through = path_through(graph, delta);
+  const std::vector<double> arrival = reference_arrivals(graph, delta);
+  const double cut =
+      kTheta * *std::max_element(arrival.begin(), arrival.end());
   for (const netlist::GateId id : nl.logic_gates())
     if (through[id] >= cut)
       ASSERT_TRUE(in_near[id]) << "gate " << id << " on a path of "
@@ -212,13 +234,11 @@ TEST(IncrementalTiming, CertifiedProbeMatchesFullPassBitForBit) {
         parent[id] = 1.0 + prng.uniform() * spread;
       const auto parent_factor = [&](netlist::GateId g) { return parent[g]; };
       IncrementalTiming timing(graph);
-      timing.rebuild(parent_factor);
       // The factors the held certificate was taken from, and whether a
       // commit has carried it past them.
       std::vector<double> taken = parent;
       bool carried = false;
       const auto recertify = [&] {
-        if (!timing.valid()) timing.rebuild(parent_factor);
         timing.certify(parent_factor);
         taken = parent;
         carried = false;
@@ -235,7 +255,7 @@ TEST(IncrementalTiming, CertifiedProbeMatchesFullPassBitForBit) {
         // Perturb a random subset: any gates, gates outside the near set
         // only, or near gates only; by a ratio from 1e-4 to 50%, up or
         // down (clamped at 1).
-        const auto near = timing.near_gates();
+        const auto& near = timing.certificate().near;
         std::vector<std::uint8_t> in_near(nl.gate_count(), 0);
         for (const netlist::GateId id : near) in_near[id] = 1;
         const std::uint64_t subset = crng.below(3);
@@ -275,25 +295,26 @@ TEST(IncrementalTiming, CertifiedProbeMatchesFullPassBitForBit) {
         }
 
         // A full what-if pass keeps the certificate. A commit keeps it
-        // when it vouches for the child; otherwise the child is committed
-        // by a full pass, which drops it, and the new state is certified
-        // afresh.
+        // when it vouches for the child; otherwise the certificate is
+        // dropped, the child is committed by a full pass, and the new
+        // state is certified afresh.
         if (ch % 8 == 3) {
           (void)timing.probe_full(child_factor);
           ASSERT_TRUE(timing.certified());
         } else if (ch % 4 == 1 || ch % 16 == 11) {
-          const bool keep = ch % 16 != 11 &&
-                            timing.commit_certified(ratio, child_factor);
+          const std::optional<double> kept =
+              ch % 16 != 11 ? timing.commit_certified(ratio, child_factor)
+                            : std::nullopt;
           parent = child;
-          if (keep) {
+          if (kept) {
             ++certified_commits;
             carried = true;
-            ASSERT_FALSE(timing.valid());
-            expect_bits_eq(timing.worst_ps(),
+            expect_bits_eq(*kept,
                            degraded_critical_path_ps(nl, cells, parent));
           } else {
             refused_commits += ch % 16 != 11;
-            expect_bits_eq(timing.rebuild(parent_factor),
+            timing.drop();
+            expect_bits_eq(timing.probe_full(parent_factor),
                            degraded_critical_path_ps(nl, cells, parent));
             ASSERT_FALSE(timing.certified());
             recertify();
@@ -345,9 +366,8 @@ TEST(IncrementalTiming, CertificateWalkAbsorbsReassociation) {
     for (const netlist::GateId id : {x, g, o1, o2})
       delta[id] = 1.0 + rng.uniform();
     delta[c] = 1.0;
-    timing.rebuild(factor);
-    const double target = path_through(graph, timing, delta)[g];
-    if (!(target > timing.arrival_ps(o2))) continue;
+    const double target = path_through(graph, delta)[g];
+    if (!(target > reference_arrivals(graph, delta)[o2])) continue;
     // D with fl(theta * D) == target, realized as fl(D(c) * delta(c)).
     double d = target / kTheta;
     for (int i = 0; i < 8 && kTheta * d != target; ++i)
@@ -360,8 +380,9 @@ TEST(IncrementalTiming, CertificateWalkAbsorbsReassociation) {
     found = delta[c] >= 1.0 && graph.delay_ps(c) * delta[c] == d;
   }
   ASSERT_TRUE(found) << "no straddling rounding found";
-  expect_bits_eq(timing.rebuild(factor), graph.delay_ps(c) * delta[c]);
-  ASSERT_LT(timing.arrival_ps(o2), kTheta * timing.worst_ps());
+  const double worst = graph.delay_ps(c) * delta[c];
+  expect_bits_eq(timing.probe_full(factor), worst);
+  ASSERT_LT(reference_arrivals(graph, delta)[o2], kTheta * worst);
   timing.certify(factor);
   expect_near_set_complete(nl, graph, timing, delta);
 }
@@ -372,42 +393,144 @@ TEST(IncrementalTiming, CertificateFollowsTheArrivals) {
   Rng rng(43);
   for (const netlist::GateId id : f.nl.logic_gates())
     f.delta[id] = 1.0 + rng.uniform() * 0.2;
-  timing.rebuild(f.factor());
+  const double worst = f.full();
+  expect_bits_eq(timing.probe_full(f.factor()), worst);
   EXPECT_FALSE(timing.certified());
   timing.certify(f.factor());
   ASSERT_TRUE(timing.certified());
-  EXPECT_FALSE(timing.near_gates().empty());
+  EXPECT_FALSE(timing.certificate().near.empty());
+  expect_bits_eq(timing.certificate().worst, worst);
   // The unchanged factors: the certificate answers with the parent's own
   // critical path.
-  expect_bits_eq(timing.probe_certified(1.0, f.factor()), timing.worst_ps());
+  expect_bits_eq(timing.probe_certified(1.0, f.factor()), worst);
   EXPECT_EQ(timing.certified_probes(), 1u);
   EXPECT_EQ(timing.recertifications(), 1u);
 
-  // Copies drop the arrivals but share the certificate itself (not a copy
-  // of it), with counters of their own; moves keep everything.
+  // Copies share the certificate itself (not a copy of it), with counters
+  // of their own; moves keep everything.
   IncrementalTiming copy = timing;
-  EXPECT_FALSE(copy.valid());
   EXPECT_TRUE(copy.certified());
-  EXPECT_EQ(copy.near_gates().data(), timing.near_gates().data());
+  EXPECT_EQ(&copy.certificate(), &timing.certificate());
   EXPECT_EQ(copy.certified_probes(), 0u);
   EXPECT_EQ(copy.recertifications(), 0u);
-  expect_bits_eq(copy.probe_certified(1.0, f.factor()), timing.worst_ps());
+  expect_bits_eq(copy.probe_certified(1.0, f.factor()), worst);
   EXPECT_EQ(copy.certified_probes(), 1u);
   IncrementalTiming moved = std::move(timing);
   EXPECT_TRUE(moved.certified());
 
-  // A commit the certificate vouches for keeps it and leaves the arrivals
-  // stale.
-  ASSERT_TRUE(copy.commit_certified(1.0, f.factor()));
-  EXPECT_FALSE(copy.valid());
+  // A commit the certificate vouches for keeps it and hands back the
+  // critical path.
+  const std::optional<double> committed =
+      copy.commit_certified(1.0, f.factor());
+  ASSERT_TRUE(committed.has_value());
+  expect_bits_eq(*committed, worst);
   EXPECT_TRUE(copy.certified());
-  expect_bits_eq(copy.worst_ps(), moved.worst_ps());
   EXPECT_EQ(copy.certified_commits(), 1u);
 
   (void)moved.probe_full(f.factor());
   EXPECT_TRUE(moved.certified());
-  moved.rebuild(f.factor());
+  moved.drop();
   EXPECT_FALSE(moved.certified());
+}
+
+/// The certificate as the engine took it before it kept no arrivals: a
+/// full pass's arrivals and witness, then the flagged walk, the chain and
+/// the links, written out here from the reference arrivals.
+IncrementalTiming::Certificate reference_certificate(
+    const TimingGraph& graph, const std::vector<double>& delta) {
+  constexpr double kEps = IncrementalTiming::kRoundingMargin;
+  const std::vector<double> arrival = reference_arrivals(graph, delta);
+  IncrementalTiming::Certificate cert;
+  netlist::GateId critical = netlist::kNoGate;
+  for (const netlist::GateId id : graph.order())
+    if (!graph.fanins(id).empty() && arrival[id] > cert.worst) {
+      cert.worst = arrival[id];
+      critical = id;
+    }
+  if (!(cert.worst > 0.0)) return cert;
+  const double cut = kTheta * cert.worst * (1.0 - kEps);
+  std::vector<double> tail(graph.gate_count(), 0.0);
+  std::vector<std::uint8_t> queued(graph.gate_count(), 0);
+  for (netlist::GateId id = 0; id < graph.gate_count(); ++id)
+    queued[id] = arrival[id] >= cut;
+  const auto order = graph.order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const netlist::GateId id = *it;
+    if (!queued[id] || !(arrival[id] + tail[id] >= cut)) continue;
+    cert.near.push_back(id);
+    const double through = graph.delay_ps(id) * delta[id] + tail[id];
+    for (const netlist::GateId fanin : graph.fanins(id)) {
+      if (graph.fanins(fanin).empty()) continue;
+      tail[fanin] = std::max(tail[fanin], through);
+      queued[fanin] = 1;
+    }
+  }
+  std::reverse(cert.near.begin(), cert.near.end());
+  for (netlist::GateId id = critical; id != netlist::kNoGate;) {
+    cert.chain.push_back(id);
+    netlist::GateId next = netlist::kNoGate;
+    for (const netlist::GateId fanin : graph.fanins(id))
+      if (!graph.fanins(fanin).empty() &&
+          (next == netlist::kNoGate || arrival[fanin] > arrival[next]))
+        next = fanin;
+    id = next;
+  }
+  std::reverse(cert.chain.begin(), cert.chain.end());
+  std::vector<std::uint32_t> position(graph.gate_count(), 0);
+  for (std::uint32_t i = 0; i < cert.near.size(); ++i)
+    position[cert.near[i]] = i + 1;
+  cert.link_off.assign(1, 0);
+  for (const netlist::GateId id : cert.near) {
+    for (const netlist::GateId fanin : graph.fanins(id))
+      if (position[fanin] != 0) cert.link.push_back(position[fanin] - 1);
+    cert.link_off.push_back(static_cast<std::uint32_t>(cert.link.size()));
+  }
+  return cert;
+}
+
+TEST(IncrementalTiming, CertifyTakesItsOwnPassOnAnyInstance) {
+  // certify() needs no earlier pass: on an instance that never ran one, on
+  // a copy (empty scratch) and on one whose scratch and certificate have
+  // seen other factors, it yields the reference near set, chain and links.
+  constexpr std::uint64_t kMasterSeed = 0x5eedce27;
+  for (int c = 0; c < 12; ++c) {
+    const std::uint64_t circuit_seed =
+        Rng::mix_seed(kMasterSeed, static_cast<std::uint64_t>(c));
+    SCOPED_TRACE("circuit seed " + std::to_string(circuit_seed));
+    Rng rng(circuit_seed);
+    const netlist::Netlist nl = random_timing_circuit(rng);
+    const auto cells = lib::bind_cells(nl, lib::default_library());
+    const TimingGraph graph(nl, cells);
+    std::vector<double> before(nl.gate_count(), 1.0);
+    std::vector<double> delta(nl.gate_count(), 1.0);
+    for (const netlist::GateId id : nl.logic_gates()) {
+      before[id] = 1.0 + rng.uniform() * 0.3;
+      delta[id] = 1.0 + rng.uniform() * 0.3;
+    }
+    const auto factor = [&](netlist::GateId g) { return delta[g]; };
+    const auto before_factor = [&](netlist::GateId g) { return before[g]; };
+    const IncrementalTiming::Certificate want =
+        reference_certificate(graph, delta);
+    ASSERT_FALSE(want.near.empty());
+
+    IncrementalTiming fresh(graph);
+    fresh.certify(factor);
+    ASSERT_TRUE(fresh.certified());
+    EXPECT_TRUE(fresh.certificate() == want);
+
+    IncrementalTiming used(graph);
+    used.certify(before_factor);
+    (void)used.probe_full(before_factor);
+    (void)used.commit_certified(2.0, factor);
+    used.drop();
+    IncrementalTiming copy = used;
+    (void)used.probe_full(before_factor);
+    used.certify(factor);
+    EXPECT_TRUE(used.certificate() == want);
+    copy.certify(factor);
+    EXPECT_TRUE(copy.certificate() == want);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace

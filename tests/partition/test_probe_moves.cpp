@@ -282,10 +282,8 @@ TEST(ProbeMoves, CertificateIsCarriedAcrossCommittedMoves) {
     }
     (void)eval.fitness();
     ASSERT_NO_THROW(eval.self_check());
-    if (eval.timing().certified()) {
+    if (eval.timing().certified())
       EXPECT_EQ(eval.timing().certified_commits(), commits + 1);
-      EXPECT_FALSE(eval.timing().valid());
-    }
     if (::testing::Test::HasFailure()) return;
   }
   EXPECT_GT(eval.timing().certified_probes(), 0u);

@@ -33,7 +33,8 @@
 # core, where it runs the suites behind the standard clustering, the
 # FlowEngine and its Table 1 pair, the job protocol/service stack, the
 # parallel optimizers, their entry-point equivalence and trajectory pins,
-# and the tabu, annealing, greedy and random searches.
+# the tabu, annealing, greedy and random searches, and the retiming pass
+# (it rebuilds netlists through raw gate-id remaps).
 #
 #   $ tools/ci.sh asan [build-dir]     default build dir: build-asan
 #
@@ -540,7 +541,7 @@ if [ "$MODE" = "asan" ]; then
   export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
   for t in $WHOLE; do run_test "$BUILD_DIR/iddq_tests_$t"; done
   run_filtered "$BUILD_DIR/iddq_tests_core" \
-    'StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*:Tabu.*:Annealing.*:Refiner.*:RandomSearch.*:OptimizerEquivalence.*:OptimizerTrajectory.*:FlowEngine*.*:Flow.*'
+    'StandardPartition.*:JobProtocol.*:JobService.*:Evolution.*:ParallelInvariance.*:Tabu.*:Annealing.*:Refiner.*:RandomSearch.*:OptimizerEquivalence.*:OptimizerTrajectory.*:FlowEngine*.*:Flow.*:Resynth.*:PartitionedResynth.*'
   finish_leg asan
   exit 0
 fi
