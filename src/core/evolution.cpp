@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -161,13 +162,15 @@ OptimizerOutcome run_evolution(const OptimizerRequest& req,
   result.fitness = parents[first_best].fitness;
   result.costs = parents[first_best].costs;
 
-  // A descendant: its parent, its slice of `moves`, and its score.
+  // A descendant: its parent, its slice of `moves`, and its score — the
+  // violation alone until `scored`, the full probe after.
   struct Child {
     std::size_t parent = 0;
     std::size_t first_move = 0;
     std::size_t move_count = 0;
     std::uint32_t step_width = 1;
     part::MoveProbe score;
+    bool scored = false;
   };
   // A selection candidate: a child (index < children.size()) or a
   // retained parent (index - children.size()).
@@ -179,8 +182,53 @@ OptimizerOutcome run_evolution(const OptimizerRequest& req,
   std::vector<Child> children;
   std::vector<part::Move> moves;
   std::vector<Candidate> pool;
+  std::vector<double> violations;
   part::Partition draft(1, 1);
   std::size_t stall = 0;
+
+  const auto child_moves = [&moves](const Child& child) {
+    return std::span<const part::Move>(moves).subspan(child.first_move,
+                                                      child.move_count);
+  };
+  // Runs fn(child, its parent's evaluator) over every child: each parent's
+  // children on one worker, which owns that evaluator — the same path at
+  // any pool size. Scoring consumes no randomness.
+  const auto for_each_child = [&](auto&& fn) {
+    support::parallel_for_indexed(
+        req.pool, parents.size(), [&](std::size_t pi) {
+          for (std::size_t c = pi * per_parent; c < (pi + 1) * per_parent;
+               ++c)
+            fn(children[c], parents[pi].eval);
+        });
+  };
+  // Fully scores every child not yet scored whose violation is at most
+  // `cutoff`.
+  const auto score_children = [&](double cutoff) {
+    for_each_child([&](Child& child, part::PartitionEvaluator& eval) {
+      if (child.scored || child.score.fitness.violation > cutoff) return;
+      child.score = eval.probe_moves(child_moves(child));
+      child.scored = true;
+    });
+  };
+  // The scored children and the retained parents, in the historical pool
+  // order (each parent's children, then the parent itself unless it has
+  // reached the maximum lifetime), sorted by fitness.
+  const auto rank_pool = [&] {
+    pool.clear();
+    for (std::size_t pi = 0; pi < parents.size(); ++pi) {
+      for (std::size_t c = pi * per_parent; c < (pi + 1) * per_parent; ++c)
+        if (children[c].scored)
+          pool.push_back(Candidate{children[c].score.fitness, c});
+      if (parents[pi].age < params.kappa)
+        pool.push_back(
+            Candidate{parents[pi].fitness, children.size() + pi});
+    }
+    std::sort(pool.begin(), pool.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.fitness < b.fitness;
+              });
+  };
+
   for (std::size_t gen = 0; gen < params.max_generations; ++gen) {
     // Coordinator phase: every RNG draw (step widths, mutation moves)
     // happens here, in the fixed serial order, against a journaled draft
@@ -208,33 +256,48 @@ OptimizerOutcome run_evolution(const OptimizerRequest& req,
     }
     result.evaluations += children.size();
 
-    // Worker phase: each parent's children are scored on that parent's
-    // evaluator, so one worker owns it — the same path at any pool size.
-    support::parallel_for_indexed(
-        req.pool, parents.size(), [&](std::size_t pi) {
-          for (std::size_t c = pi * per_parent; c < (pi + 1) * per_parent;
-               ++c) {
-            Child& child = children[c];
-            child.score = parents[pi].eval.probe_moves(
-                std::span<const part::Move>(moves).subspan(
-                    child.first_move, child.move_count));
-          }
-        });
-
-    // Selection over the historical pool order: each parent's children,
-    // then the parent itself unless it has reached the maximum lifetime.
-    pool.clear();
-    for (std::size_t pi = 0; pi < parents.size(); ++pi) {
-      for (std::size_t c = pi * per_parent; c < (pi + 1) * per_parent; ++c)
-        pool.push_back(Candidate{children[c].score.fitness, c});
-      if (parents[pi].age < params.kappa)
-        pool.push_back(
-            Candidate{parents[pi].fitness, children.size() + pi});
+    // Worker phase, in two passes. Selection ranks by violation first
+    // (section 4.2), and a child's violation costs O(moves + K) where its
+    // full score costs a profile, delay and timing update per move. So the
+    // first pass takes every child's violation, and the second fully
+    // scores only the children at or below `cutoff`, the mu-th smallest
+    // violation among the children and the retained parents: a child above
+    // it ranks below at least mu candidates, so it cannot survive.
+    for_each_child([&](Child& child, part::PartitionEvaluator& eval) {
+      child.score.fitness.violation = eval.probe_violation(child_moves(child));
+    });
+    violations.clear();
+    for (const Child& child : children)
+      violations.push_back(child.score.fitness.violation);
+    for (const Individual& parent : parents)
+      if (parent.age < params.kappa)
+        violations.push_back(parent.fitness.violation);
+    double cutoff = std::numeric_limits<double>::infinity();
+    if (violations.size() > params.mu) {
+      std::nth_element(violations.begin(), violations.begin() + (params.mu - 1),
+                       violations.end());
+      cutoff = violations[params.mu - 1];
     }
-    std::sort(pool.begin(), pool.end(),
-              [](const Candidate& a, const Candidate& b) {
-                return a.fitness < b.fitness;
-              });
+    score_children(cutoff);
+
+    // Selection. Every skipped child ranks strictly below each of the top
+    // mu contenders, and when the first mu + 1 sorted contenders strictly
+    // increase, the top mu and their order are the only sorted prefix any
+    // permutation of the full pool has — so they are what std::sort over
+    // the full pool returns. An exact fitness tie there leaves the order
+    // of the tied candidates to std::sort's handling of the whole input:
+    // then the skipped children are scored too and the full pool sorted,
+    // as without the cutoff.
+    rank_pool();
+    const bool skipped = std::any_of(children.begin(), children.end(),
+                                     [](const Child& c) { return !c.scored; });
+    bool tied = false;
+    for (std::size_t i = 1; i < std::min(params.mu + 1, pool.size()); ++i)
+      tied = tied || !(pool[i - 1].fitness < pool[i].fitness);
+    if (skipped && tied) {
+      score_children(std::numeric_limits<double>::infinity());
+      rank_pool();
+    }
     const std::size_t survivors = std::min(params.mu, pool.size());
 
     // Materialize the surviving children (copy the parent, replay the

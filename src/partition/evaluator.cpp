@@ -40,6 +40,16 @@ struct CgRgHash {
   }
 };
 
+/// Sum over modules of the relative leakage excess over `cap`: the one
+/// expression violation() and probe_violation() evaluate.
+double leakage_violation(std::span<const double> leak_ua, double cap) {
+  double v = 0.0;
+  for (const double leak : leak_ua) {
+    if (leak > cap) v += (leak - cap) / cap;
+  }
+  return v;
+}
+
 }  // namespace
 
 EvalContext::EvalContext(const netlist::Netlist& netlist,
@@ -259,12 +269,7 @@ double PartitionEvaluator::module_cs_ff(std::uint32_t m) const {
 }
 
 double PartitionEvaluator::violation() const {
-  double v = 0.0;
-  for (const double leak : leak_ua_) {
-    if (leak > ctx_->leak_cap_ua)
-      v += (leak - ctx_->leak_cap_ua) / ctx_->leak_cap_ua;
-  }
-  return v;
+  return leakage_violation(leak_ua_, ctx_->leak_cap_ua);
 }
 
 void PartitionEvaluator::derive_module_delay(
@@ -552,6 +557,32 @@ MoveProbe PartitionEvaluator::probe_moves(std::span<const Move> moves) {
   restore_slots(k_before);
   any_dirty_ = false;
   return probe;
+}
+
+double PartitionEvaluator::probe_violation(std::span<const Move> moves) {
+  // apply_move's leakage arithmetic and erase_module's slot swap, on a
+  // copy of the leakage sums: the same operations in the same order, so
+  // the same bits in the same slots.
+  std::vector<double>& leak = scratch_.value.leak_ua;
+  leak.assign(leak_ua_.begin(), leak_ua_.end());
+  partition_.begin_journal();
+  for (const Move& mv : moves) {
+    const std::uint32_t src = partition_.module_of(mv.gate);
+    IDDQ_ASSERT(src != kUnassigned);
+    IDDQ_ASSERT(mv.target < partition_.module_count());
+    if (src == mv.target) continue;  // move_gate's no-op
+    const double ileak_ua = units::na_to_ua(ctx_->cells[mv.gate].ileak_na);
+    leak[src] -= ileak_ua;
+    leak[mv.target] += ileak_ua;
+    partition_.move(mv.gate, mv.target);
+    if (partition_.module_size(src) == 0) {
+      partition_.erase_empty_module(src);
+      leak[src] = leak.back();
+      leak.pop_back();
+    }
+  }
+  partition_.rollback();
+  return leakage_violation(leak, ctx_->leak_cap_ua);
 }
 
 ModuleReport PartitionEvaluator::module_report(std::uint32_t m) {

@@ -38,10 +38,18 @@
 // small direct-mapped table keyed by their bit patterns returns the very
 // bits a solve would (a commit's refresh re-derives exactly the rows its
 // probe derived).
+// probe_violation scores only the constraint of a move list: the
+// discriminability violation is a function of the per-module leakage sums
+// alone, so replaying the lists' leakage arithmetic (and the slot swap of
+// a module erasure) on a copy of those K sums, with the partition moved
+// under its journal, gives probe_moves' violation bit for bit in
+// O(|moves| + K) — no current profile, delay row or timing pass is
+// touched. The evolution strategy uses it to skip the full probe of
+// children whose violation already ranks them below every survivor.
 // tests/partition/test_incremental.cpp verifies full == incremental on
 // random move sequences; tests/partition/test_probe.cpp pins probe_move
-// and tests/partition/test_probe_moves.cpp pins probe_moves against
-// copy + move_gate + fitness bit-for-bit.
+// and tests/partition/test_probe_moves.cpp pins probe_moves (and
+// probe_violation) against copy + move_gate + fitness bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -185,6 +193,11 @@ class PartitionEvaluator {
   /// caches may be rederived). This is how the evolution strategy scores
   /// a child on its parent instead of a copy.
   [[nodiscard]] MoveProbe probe_moves(std::span<const Move> moves);
+
+  /// probe_moves(moves).fitness.violation, bit for bit, in O(|moves| + K)
+  /// (see the header comment); the evaluator's state is unchanged and no
+  /// module cache, certificate or timing scratch is touched.
+  [[nodiscard]] double probe_violation(std::span<const Move> moves);
 
   /// The timing engine, read-only: tests count how many probes and
   /// commits its certificate answered and how many took the full pass.
@@ -391,6 +404,7 @@ class PartitionEvaluator {
     std::vector<double> slot_delta;        // flat [snapshot x type]
     std::vector<double> slot_floor;        // flat [snapshot x type]
     std::vector<std::uint8_t> touched;     // by module slot
+    std::vector<double> leak_ua;           // probe_violation's leak sums
   };
   CopyDroppedScratch<ProbeScratch> scratch_;
 };

@@ -23,6 +23,7 @@
 #include "cluster/shard_router.hpp"
 #include "cluster_fixture.hpp"
 #include "library/fingerprint.hpp"
+#include "test_seed.hpp"
 
 namespace iddq::cluster {
 namespace {
@@ -123,7 +124,10 @@ std::vector<std::string> specs_owned_by(ShardRouter& router,
 TEST(ClusterClient, MergedStreamIsByteIdenticalToDirectServer) {
   // The determinism contract, healthy path: 6 shards fanned over 3 TCP
   // backends merge to the byte-exact stream one direct server produces
-  // for the same submit — envelopes, 17-digit doubles, sweep_done.
+  // for the same submit — envelopes, 17-digit doubles, sweep_done — at a
+  // fresh submit seed each run.
+  const std::uint64_t seed = testutil::run_seed();
+  SCOPED_TRACE(testutil::replay_note(seed));
   const auto library = lib::default_library();
   TestBackend b1(library, synthetic_circuit);
   TestBackend b2(library, synthetic_circuit);
@@ -139,7 +143,7 @@ TEST(ClusterClient, MergedStreamIsByteIdenticalToDirectServer) {
     request.id = "t";
     request.circuits = circuits;
     request.methods = methods;
-    request.seed = 42;
+    request.seed = seed;
     const auto sweep = submit_sweep(client, request, merged.fn());
     sweep->wait();
     EXPECT_TRUE(sweep->finished());
@@ -156,7 +160,7 @@ TEST(ClusterClient, MergedStreamIsByteIdenticalToDirectServer) {
   core::JobService direct(library, std::move(config));
   direct.set_circuit_loader(synthetic_circuit);
   const auto golden =
-      direct_stream(direct, submit_line("t", circuits, methods, 42, nullptr));
+      direct_stream(direct, submit_line("t", circuits, methods, seed, nullptr));
 
   EXPECT_EQ(lines_of_kinds(merged.snapshot(), kAllMustDeliver),
             lines_of_kinds(golden, kAllMustDeliver));

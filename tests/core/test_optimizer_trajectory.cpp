@@ -5,6 +5,9 @@
 // counts, and a digest of the progress ticks and the ES trace. A drift in
 // any RNG stream, draw order, budget mapping or progress cadence changes
 // a row, so a refactor of the search code must leave the table untouched.
+// Every run uses the IDDQ_THREADS pool: the rows hold at any thread count,
+// so under IDDQ_THREADS=2 (the ThreadSanitizer leg) the pins also check
+// the threaded paths.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,9 +18,12 @@
 
 #include "core/optimizer_registry.hpp"
 #include "core/start_partition.hpp"
+#include "netlist/circuit_loader.hpp"
 #include "netlist/gen/random_dag.hpp"
+#include "support/executor.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
+#include "support/units.hpp"
 
 namespace iddq::core {
 namespace {
@@ -68,16 +74,12 @@ struct Pin {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-Pin observe(const Fixture& f, const std::string& method, std::uint64_t seed) {
-  OptimizerRequest req;
-  req.ctx = &f.ctx;
-  req.module_count = Fixture::kModules;
-  req.seed = seed;
+/// Runs `method` on `req` (with the trace, the progress digest and the
+/// IDDQ_THREADS pool added) and digests its outcome.
+Pin observe(OptimizerRequest req, const std::string& method,
+            const OptimizerConfig& config) {
   req.record_trace = true;
-  if (seed != 7) {
-    req.start = f.start();
-    req.max_evaluations = 400;
-  }
+  req.pool = &support::ExecutorPool::shared_default();
   Hash64 progress;
   req.on_progress = [&progress](const OptimizerProgress& p) {
     progress.mix_string(p.method);
@@ -87,7 +89,7 @@ Pin observe(const Fixture& f, const std::string& method, std::uint64_t seed) {
     progress.mix_u64(bits(p.best.cost));
   };
   const OptimizerOutcome out =
-      OptimizerRegistry::global().make(method, Fixture::config())->run(req);
+      OptimizerRegistry::global().make(method, config)->run(req);
   EXPECT_EQ(out.method, method);
 
   Hash64 partition;
@@ -107,11 +109,47 @@ Pin observe(const Fixture& f, const std::string& method, std::uint64_t seed) {
     progress.mix_u64(g.best_step_width);
     progress.mix_size(g.evaluations);
   }
-  return Pin{nullptr,          seed,
+  return Pin{method.c_str(),   req.seed,
              partition.value(), bits(out.fitness.violation),
              bits(out.fitness.cost), costs.value(),
              out.evaluations,  out.iterations,
              progress.value()};
+}
+
+Pin observe(const Fixture& f, const std::string& method, std::uint64_t seed) {
+  OptimizerRequest req;
+  req.ctx = &f.ctx;
+  req.module_count = Fixture::kModules;
+  req.seed = seed;
+  if (seed != 7) {
+    req.start = f.start();
+    req.max_evaluations = 400;
+  }
+  return observe(std::move(req), method, Fixture::config());
+}
+
+/// Compares every field; when `want` is null, prints `got` as a table row.
+void expect_pin(const Pin& got, const Pin* want) {
+  if (want == nullptr) {
+    ADD_FAILURE() << "no pin for this row";
+    std::printf(
+        "    {\"%s\", %llu, 0x%016llxull, 0x%016llxull, 0x%016llxull,\n"
+        "     0x%016llxull, %zu, %zu, 0x%016llxull},\n",
+        got.method, static_cast<unsigned long long>(got.seed),
+        static_cast<unsigned long long>(got.partition),
+        static_cast<unsigned long long>(got.violation),
+        static_cast<unsigned long long>(got.cost),
+        static_cast<unsigned long long>(got.costs), got.evaluations,
+        got.iterations, static_cast<unsigned long long>(got.progress));
+    return;
+  }
+  EXPECT_EQ(got.partition, want->partition);
+  EXPECT_EQ(got.violation, want->violation);
+  EXPECT_EQ(got.cost, want->cost);
+  EXPECT_EQ(got.costs, want->costs);
+  EXPECT_EQ(got.evaluations, want->evaluations);
+  EXPECT_EQ(got.iterations, want->iterations);
+  EXPECT_EQ(got.progress, want->progress);
 }
 
 const Pin kPins[] = {
@@ -168,28 +206,41 @@ TEST(OptimizerTrajectory, EveryRegisteredMethodMatchesItsPin) {
       const Pin* want = nullptr;
       for (const Pin& pin : kPins)
         if (pin.method == method && pin.seed == seed) want = &pin;
-      if (want == nullptr) {
-        ADD_FAILURE() << "no pin for this row";
-        std::printf(
-            "    {\"%s\", %llu, 0x%016llxull, 0x%016llxull, 0x%016llxull,\n"
-            "     0x%016llxull, %zu, %zu, 0x%016llxull},\n",
-            method.c_str(), static_cast<unsigned long long>(seed),
-            static_cast<unsigned long long>(got.partition),
-            static_cast<unsigned long long>(got.violation),
-            static_cast<unsigned long long>(got.cost),
-            static_cast<unsigned long long>(got.costs), got.evaluations,
-            got.iterations, static_cast<unsigned long long>(got.progress));
-        continue;
-      }
-      EXPECT_EQ(got.partition, want->partition);
-      EXPECT_EQ(got.violation, want->violation);
-      EXPECT_EQ(got.cost, want->cost);
-      EXPECT_EQ(got.costs, want->costs);
-      EXPECT_EQ(got.evaluations, want->evaluations);
-      EXPECT_EQ(got.iterations, want->iterations);
-      EXPECT_EQ(got.progress, want->progress);
+      expect_pin(got, want);
     }
   }
+}
+
+// Exact fitness ties in the evolution strategy's selection. On ila4x4 at
+// K = 2, with the leakage cap at half the circuit's leakage, most
+// descendants' violations rank them below every survivor, and the top
+// mu + 1 hold an exact tie in 19 of the 30 generations at seed 1. Those
+// generations score every descendant and sort the full pool; the other 11
+// fully score only the descendants that can still survive. The pin was recorded from the implementation
+// that fully scored every descendant in every generation, so it holds
+// only if both paths select what a full sort selects.
+const Pin kTiePin = {"evolution", 1, 0x8a3409e1cc06e965ull,
+                     0x0000000000000000ull, 0x40b0b0c6bba3b415ull,
+                     0xd14ca444f11c7ddcull, 2168, 30, 0x2b5d623453e9eb4cull};
+
+TEST(OptimizerTrajectory, EvolutionWithExactTiesInItsTopMatchesItsPin) {
+  const netlist::Netlist nl = netlist::load_circuit("ila4x4");
+  const lib::CellLibrary library = lib::default_library();
+  const std::vector<lib::CellParams> cells = lib::bind_cells(nl, library);
+  double leak_ua = 0.0;
+  for (const netlist::GateId g : nl.logic_gates())
+    leak_ua += units::na_to_ua(cells[g].ileak_na);
+  elec::SensorSpec sensor;
+  sensor.iddq_th_ua = sensor.d_min * leak_ua / 2.0;
+  const part::EvalContext ctx(nl, library, sensor, part::CostWeights{});
+  OptimizerConfig config;
+  config.es.max_generations = 30;
+  config.es.stall_generations = 30;
+  OptimizerRequest req;
+  req.ctx = &ctx;
+  req.module_count = 2;
+  req.seed = 1;
+  expect_pin(observe(std::move(req), "evolution", config), &kTiePin);
 }
 
 }  // namespace

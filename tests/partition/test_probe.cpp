@@ -2,7 +2,9 @@
 // must return bit-for-bit what a copy of the evaluator would report after
 // committing the move — across random walks, tabu-style candidate fans,
 // and annealing-style accept/reject traces — while leaving the probing
-// evaluator's own observable state untouched.
+// evaluator's own observable state untouched. Every slack certificate a
+// probe takes must equal the one a fresh timing instance takes over the
+// committed factors (tests/committed_certificate.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include "partition/evaluator.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "committed_certificate.hpp"
 #include "test_seed.hpp"
 
 namespace iddq::part {
@@ -31,9 +34,13 @@ void expect_bits_eq(double got, double want, const char* what) {
       << what << ": " << got << " vs " << want;
 }
 
+/// probe_move against copy + move_gate + fitness()/costs(); a certificate
+/// the probe takes must be the committed state's.
 void expect_probe_matches_copy(PartitionEvaluator& eval, netlist::GateId g,
                                std::uint32_t target) {
-  const MoveProbe probe = eval.probe_move(g, target);
+  MoveProbe probe;
+  testutil::expect_walks_committed_state(
+      eval, [&] { probe = eval.probe_move(g, target); });
   PartitionEvaluator copy = eval;
   copy.move_gate(g, target);
   const Fitness fitness = copy.fitness();
@@ -48,10 +55,13 @@ void expect_probe_matches_copy(PartitionEvaluator& eval, netlist::GateId g,
 
 /// probe_moves against copy + move_gate... + fitness()/costs(); the copy
 /// then checks its committed D_BIC against a full pass, so a certificate
-/// the probe and the copy share cannot vouch for both wrongly.
+/// the probe and the copy share cannot vouch for both wrongly. A
+/// certificate the probe takes must be the committed state's.
 void expect_moves_match_copy(PartitionEvaluator& eval,
                              const std::vector<part::Move>& moves) {
-  const MoveProbe probe = eval.probe_moves(moves);
+  MoveProbe probe;
+  testutil::expect_walks_committed_state(
+      eval, [&] { probe = eval.probe_moves(moves); });
   PartitionEvaluator copy = eval;
   for (const part::Move& mv : moves) copy.move_gate(mv.gate, mv.target);
   const Costs costs = copy.costs();
@@ -311,7 +321,8 @@ TEST(Probe, BoundaryCountsMatchTheScanUnderAcceptRejectCopySequences) {
   // rejects (move + revert), copies and merges must leave boundary(m)
   // equal to a full rescan of every module, and probes — probe_move, and
   // probe_moves, whose moves (emptying ones included) roll back — must not
-  // change them. Fresh seeds each run.
+  // change them; a certificate a probe takes must be the committed
+  // state's. Fresh seeds each run.
   const std::uint64_t seed = testutil::run_seed();
   SCOPED_TRACE(testutil::replay_note(seed));
   const auto library = lib::default_library();
@@ -364,19 +375,22 @@ TEST(Probe, BoundaryCountsMatchTheScanUnderAcceptRejectCopySequences) {
               eval.move_gate(m.gate, m.target);
           break;
         case 4:  // a single-move probe
-          (void)eval.probe_move(mv.gate, mv.target);
+          testutil::expect_walks_committed_state(
+              eval, [&] { (void)eval.probe_move(mv.gate, mv.target); });
           break;
         case 5: {  // an ES child: a few moves, scored and rolled back
           std::vector<part::Move> moves{mv};
           const part::Move second = random_move(eval, rng);
           if (second.valid() && second.gate != mv.gate)
             moves.push_back(second);
-          (void)eval.probe_moves(moves);
+          testutil::expect_walks_committed_state(
+              eval, [&] { (void)eval.probe_moves(moves); });
           break;
         }
         default:  // an ES child that empties a module
           if (p.module_count() > 2) {
-            (void)eval.probe_moves(merge());
+            testutil::expect_walks_committed_state(
+                eval, [&] { (void)eval.probe_moves(merge()); });
             ++probed_merges;
           }
           break;
@@ -402,7 +416,7 @@ TEST(Probe, CopiesSharingACertificateProbeConcurrently) {
   ASSERT_TRUE(first.valid());
   (void)eval.probe_move(first.gate, first.target);
   eval.move_gate(first.gate, first.target);
-  eval.certify();
+  testutil::expect_walks_committed_state(eval, [&] { eval.certify(); });
   ASSERT_TRUE(eval.timing().certified());
 
   constexpr std::size_t kThreads = 4;

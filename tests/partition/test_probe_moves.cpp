@@ -8,7 +8,13 @@
 // evaluator states and move lists are random. A failure names its
 // circuit and case seeds, which reproduce it alone. Over its cases the
 // suite must see both ways a child's critical path is taken: the
-// certificate's near-critical pass and the full-pass fallback.
+// certificate's near-critical pass and the full-pass fallback, and every
+// certificate a probe takes must equal a fresh timing instance's over the
+// committed factors (tests/committed_certificate.hpp).
+//
+// probe_violation must return probe_moves' violation bit for bit, on a
+// fresh seed each run and a lowered IDDQ threshold that leaves many
+// partitions and children infeasible, and leave the evaluator as it was.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +29,9 @@
 #include "netlist/gen/random_dag.hpp"
 #include "partition/evaluator.hpp"
 #include "support/rng.hpp"
+#include "support/units.hpp"
+#include "committed_certificate.hpp"
+#include "test_seed.hpp"
 
 namespace iddq::part {
 namespace {
@@ -166,7 +175,9 @@ void run_case(const EvalContext& ctx, std::uint64_t seed,
   for (int i = 0; i < probes; ++i) {
     const std::vector<Move> moves = random_moves(nl, eval.partition(), rng);
     PartitionEvaluator copy = eval;
-    const MoveProbe probe = eval.probe_moves(moves);
+    MoveProbe probe;
+    testutil::expect_walks_committed_state(
+        eval, [&] { probe = eval.probe_moves(moves); });
     for (const Move& mv : moves) copy.move_gate(mv.gate, mv.target);
     expect_same(probe.fitness, copy.fitness(), "probe vs copy");
     expect_same(probe.costs, copy.costs(), "probe vs copy");
@@ -203,6 +214,57 @@ TEST(ProbeMoves, RandomMoveListsMatchCopyMoveFitness) {
   EXPECT_GT(counts.fallback, 0u);
 }
 
+TEST(ProbeMoves, ViolationPassMatchesTheFullProbeBitForBit) {
+  // 40 circuits x 50 cases on a fresh seed. Each circuit's IDDQ threshold
+  // puts the leakage cap at its total leakage over 2..9, so partitions
+  // into fewer or uneven modules are infeasible, and draining moves swing
+  // the violation both ways.
+  const std::uint64_t seed = testutil::run_seed();
+  SCOPED_TRACE(testutil::replay_note(seed));
+  const auto library = lib::default_library();
+  std::size_t cases = 0;
+  std::size_t infeasible = 0;
+  for (int c = 0; c < kCircuits; ++c) {
+    const std::uint64_t circuit_seed =
+        Rng::mix_seed(seed, static_cast<std::uint64_t>(c));
+    SCOPED_TRACE("circuit seed " + std::to_string(circuit_seed));
+    Rng rng(circuit_seed);
+    const netlist::Netlist nl = random_circuit(rng);
+    const auto cells = lib::bind_cells(nl, library);
+    double total_leak_ua = 0.0;
+    for (const netlist::GateId g : nl.logic_gates())
+      total_leak_ua += units::na_to_ua(cells[g].ileak_na);
+    elec::SensorSpec sensor;
+    sensor.iddq_th_ua = sensor.d_min * total_leak_ua /
+                        static_cast<double>(2 + rng.index(8));
+    const EvalContext ctx(nl, library, sensor, CostWeights{});
+    for (int i = 0; i < kCasesPerCircuit; ++i) {
+      SCOPED_TRACE("case " + std::to_string(i));
+      PartitionEvaluator eval(ctx, random_partition(nl, rng));
+      if (rng.below(2) == 0)
+        for (const Move& mv : random_moves(nl, eval.partition(), rng))
+          eval.move_gate(mv.gate, mv.target);
+      const PartitionEvaluator before = eval;
+      const std::vector<Move> moves = random_moves(nl, eval.partition(), rng);
+      const double violation = eval.probe_violation(moves);
+      ASSERT_TRUE(eval.partition() == before.partition())
+          << "probe_violation changed the partition";
+      PartitionEvaluator untouched = before;
+      expect_same(eval.fitness(), untouched.fitness(), "after the pass");
+      const MoveProbe probe = eval.probe_moves(moves);
+      EXPECT_TRUE(same_bits(violation, probe.fitness.violation))
+          << violation << " vs " << probe.fitness.violation;
+      if (::testing::Test::HasFailure()) return;
+      ++cases;
+      if (violation > 0.0) ++infeasible;
+    }
+  }
+  EXPECT_EQ(cases, static_cast<std::size_t>(kCircuits * kCasesPerCircuit));
+  // Both sides of the constraint, each in a good share of the cases.
+  EXPECT_GT(infeasible, cases / 5);
+  EXPECT_LT(infeasible, cases - cases / 5);
+}
+
 TEST(ProbeMoves, EmptyListScoresTheCurrentState) {
   const auto nl = netlist::gen::make_and_exor_ila(4, 4).netlist;
   const auto library = lib::default_library();
@@ -227,7 +289,8 @@ TEST(ProbeMoves, ProbingLeavesTheEvaluatorUsable) {
   for (int round = 0; round < 40; ++round) {
     const std::vector<Move> moves = random_moves(nl, eval.partition(), rng);
     PartitionEvaluator before = eval;
-    (void)eval.probe_moves(moves);
+    testutil::expect_walks_committed_state(
+        eval, [&] { (void)eval.probe_moves(moves); });
     ASSERT_TRUE(eval.partition() == before.partition());
     expect_same(eval.fitness(), before.fitness(), "after probe");
     if (round % 2 == 0 && eval.partition().module_count() > 2) {
@@ -263,7 +326,9 @@ TEST(ProbeMoves, CertificateIsCarriedAcrossCommittedMoves) {
     for (int child = 0; child < 5; ++child) {
       const std::vector<Move> moves = random_moves(nl, eval.partition(), rng);
       PartitionEvaluator copy = eval;
-      const MoveProbe probe = eval.probe_moves(moves);
+      MoveProbe probe;
+      testutil::expect_walks_committed_state(
+          eval, [&] { probe = eval.probe_moves(moves); });
       for (const Move& mv : moves) copy.move_gate(mv.gate, mv.target);
       expect_same(probe.fitness, copy.fitness(), "probe vs copy");
       expect_same(probe.costs, copy.costs(), "probe vs copy");

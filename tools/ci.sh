@@ -14,13 +14,13 @@
 #
 # ThreadSanitizer leg: rebuild the support, core, partition and cluster
 # test binaries with -fsanitize=thread and run the parallelism-relevant
-# suites (executor, optimizers, job queue/service/protocol, drain and
-# deadlines, cache robustness, probe_moves and probe_move, the cluster
-# client, the row merger and the protocol session over both of its
-# backends) threaded. Every --gtest_filter pattern of the sanitizer legs
-# must match a test (run_filtered). Both sanitizer legs run every selected
-# binary even when an earlier one fails, then fail naming each binary that
-# did.
+# suites (executor, optimizers and their trajectory pins, job
+# queue/service/protocol, drain and deadlines, cache robustness,
+# probe_moves and probe_move, the cluster client, the row merger and the
+# protocol session over both of its backends) threaded. Every
+# --gtest_filter pattern of the sanitizer legs must match a test
+# (run_filtered). Both sanitizer legs run every selected binary even when
+# an earlier one fails, then fail naming each binary that did.
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
@@ -504,8 +504,10 @@ if [ "$MODE" = "tsan" ]; then
     --target iddq_tests_support iddq_tests_core iddq_tests_partition \
     iddq_tests_cluster
   # The parallelism surface: executor pool, TCP transport, the parallel
-  # optimizers and their invariance pins, the job queue/service/protocol
-  # stack with its drain and deadline paths, the per-session event
+  # optimizers with their invariance and trajectory pins (the trajectory
+  # pins run on the IDDQ_THREADS pool, so the ES's two-pass child scoring
+  # is threaded here), the job queue/service/protocol stack with its
+  # drain and deadline paths, the per-session event
   # writer + fault-injection layer, and the cache under concurrent
   # writers — plus the probe_moves and probe_move differential suites
   # behind the threaded child and candidate scoring. Annealing and the
@@ -517,7 +519,7 @@ if [ "$MODE" = "tsan" ]; then
   run_filtered "$BUILD_DIR/iddq_tests_support" 'Executor.*:Transport.*'
   run_filtered "$BUILD_DIR/iddq_tests_partition" 'ProbeMoves.*:Probe.*'
   run_filtered "$BUILD_DIR/iddq_tests_core" \
-    'ParallelInvariance.*:Evolution.*:Tabu.*:Annealing.*:Refiner.*:RandomSearch.*:OptimizerEquivalence.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*:Drain.*:Deadline.*:CacheRobustness.*'
+    'ParallelInvariance.*:Evolution.*:Tabu.*:Annealing.*:Refiner.*:RandomSearch.*:OptimizerEquivalence.*:OptimizerTrajectory.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*:Drain.*:Deadline.*:CacheRobustness.*'
   run_filtered "$BUILD_DIR/iddq_tests_cluster" \
     'ClusterClient.*:SessionBackends.*:ServeListener.*:RowMerger.*'
   finish_leg tsan
